@@ -1,9 +1,6 @@
-"""Pure-Python candidate scan for wall enumeration.
-
-Reference implementation of the integer inner loop; the compiled extension
-``tiltwall._wallscan`` implements the identical algorithm with C integers
-and is preferred at import time when available and when the inputs fit in
-64-bit arithmetic.
+"""Integer candidate scan for wall enumeration: the one scan kernel behind
+``tiltwall.walls.enumerate_candidate_walls``, in plain Python integers with
+no overflow limit on the inputs.
 
 The scan works entirely in scaled integers.  The fixed class v is given by
 P0 = R*v0, P1 = R*v1, T2 = 2*R*v2 (all integers, R > 0) and candidates are
@@ -13,11 +10,11 @@ integral class satisfies.  Filters applied, all exact:
   * disc(w) = w1^2 - w0*t >= 0
   * R^2 * disc(v-w) = (P1-R*w1)^2 - (P0-R*w0)*(T2-R*t) >= 0
   * R^2 * (disc(w) + disc(v-w)) <= DS   (DS encodes disc(v) + slack)
-  * the Im-window prefilter: 0 < w1 - beta*w0 and
-    w1 - beta*w0 < v1 - beta*v0 hold at some beta of the closed interval
-    [bln/bld, bhn/bhd]; both sides are linear in beta so it suffices to
-    test the endpoints.  This is a necessary condition only; the caller
-    re-checks the window exactly on the wall itself.
+  * the Im-window prefilter: each of 0 < w1 - beta*w0 and
+    w1 - beta*w0 < v1 - beta*v0 holds at some beta (not necessarily the
+    same one) of the closed interval [bln/bld, bhn/bhd]; both are linear
+    in beta, so it suffices to test the endpoints.  This is a necessary
+    condition only; the caller re-checks the window exactly on the wall.
 
 The three disc constraints are linear in t, and their coefficient signs
 guarantee a bounded t-interval for every (w0, w1) except w0 = v0 = 0,

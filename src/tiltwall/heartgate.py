@@ -66,20 +66,21 @@ class CollectionSpec:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CollectionSpec":
+        if not isinstance(data, dict):
+            raise InputError("collection JSON needs an object with "
+                             "'names' and 'classes'")
+        names, rows = data.get("names"), data.get("classes")
+        if not (isinstance(names, list) and len(names) == 4
+                and all(isinstance(n, str) for n in names)):
+            raise InputError("collection JSON needs 'names': a list of 4 strings")
+        if not (isinstance(rows, list) and len(rows) == 4
+                and all(isinstance(r, list) and len(r) == 4 for r in rows)):
+            raise InputError("collection JSON needs 'classes': "
+                             "a list of 4 lists of 4 components")
+        classes = tuple(NumClass(*(parse_rational(str(c)) for c in row))
+                        for row in rows)
         try:
-            names = tuple(str(n) for n in data["names"])
-            rows = data["classes"]
-        except (KeyError, TypeError) as exc:
-            raise InputError("collection JSON needs 'names' and 'classes'") from exc
-        if len(names) != 4 or len(rows) != 4:
-            raise InputError("collection JSON needs exactly 4 names and 4 classes")
-        classes = []
-        for row in rows:
-            if len(row) != 4:
-                raise InputError("each class needs 4 components")
-            classes.append(NumClass(*(parse_rational(str(c)) for c in row)))
-        try:
-            return CollectionSpec(names, tuple(classes))
+            return CollectionSpec(tuple(names), classes)
         except DomainError as exc:
             raise InputError(f"invalid collection: {exc}") from exc
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InputError
+from .errors import InputError
 
 Q = Fraction
 
@@ -21,10 +21,6 @@ def parse_rational(tok: str) -> Fraction:
         return Fraction(tok.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational literal {tok!r}") from exc
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ class NumClass:
         return NumClass(q * self.v0, q * self.v1, q * self.v2, q * self.v3)
 
     def __str__(self) -> str:
-        return ",".join(format_rational(c) for c in self.components())
+        return ",".join(str(c) for c in self.components())
 
     @staticmethod
     def parse(text: str) -> "NumClass":
@@ -96,9 +92,6 @@ def class_of_cotangent_twisted() -> NumClass:
     t = 4 * class_of_line_bundle(1) - class_of_line_bundle(0)
     omega = NumClass(t.v0, -t.v1, t.v2, -t.v3)
     return tensor_line(omega, 1)
-
-
-_LINE_RE = None
 
 
 def class_of_named(name: str) -> NumClass:
@@ -157,9 +150,3 @@ def is_integral_class(v: NumClass) -> bool:
     from .euler import chi_p3
 
     return all(chi_p3(tensor_line(v, m)).denominator == 1 for m in range(4))
-
-
-def require_integral(v: NumClass) -> NumClass:
-    if not is_integral_class(v):
-        raise DomainError(f"class {v} is not integral")
-    return v

@@ -160,6 +160,3 @@ class Surd:
         if self.a == 0:
             return f"{self.b}*sqrt({self.d})"
         return f"{self.a} + {self.b}*sqrt({self.d})"
-
-
-ExactReal = Union[int, Fraction, Surd]

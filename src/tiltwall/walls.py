@@ -3,9 +3,10 @@ fixed class: pairwise walls, the concurrency/parallelism structure,
 candidate enumeration over integral classes, and plot-scene construction.
 
 Walls are lines A*alpha + B*beta + C = 0 stored with a canonical integer
-normalization.  Enumeration runs an integer scan (compiled extension when
-available, pure Python otherwise) followed by an exact feasibility check of
-each wall against the region, the U half-plane, and the Im Z window.
+normalization.  Enumeration runs the integer candidate scan of
+``_wallscan_py`` followed by an exact feasibility check of each wall against
+the region, the U half-plane, and the Im Z window, in integers and
+``Fraction`` only.
 """
 
 from __future__ import annotations
@@ -13,27 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import DomainError, InputError
 from .numclass import NumClass
-from .surd import Surd
-from .tiltcalc import CurveCE, curve_CE, discriminant
+from .tiltcalc import curve_CE, discriminant
 
-from . import _wallscan_py as _pure_kernel
-
-try:  # compiled fast path; optional by design
-    from . import _wallscan as _compiled_kernel
-    HAVE_COMPILED_KERNEL = True
-except ImportError:  # pragma: no cover - depends on build environment
-    _compiled_kernel = None
-    HAVE_COMPILED_KERNEL = False
-
-Q = Fraction
-Exact = Union[Fraction, Surd]
-
-# inputs below this magnitude cannot overflow the 64-bit compiled kernel
-_COMPILED_INPUT_LIMIT = 1 << 15
+from . import _wallscan_py
 
 
 @dataclass(frozen=True)
@@ -135,65 +122,22 @@ class Region:
                 "alpha_max": str(self.alpha_max)}
 
 
-# --- exact 1-D feasibility over intervals with surd endpoints ----------------
-
-class _Interval:
-    """Mutable intersection accumulator for one real interval; endpoints
-    are rational or surd, None meaning unbounded."""
-
-    __slots__ = ("lo", "lo_strict", "hi", "hi_strict", "empty")
-
-    def __init__(self):
-        self.lo = None
-        self.lo_strict = False
-        self.hi = None
-        self.hi_strict = False
-        self.empty = False
-
-    def add_lower(self, value: Exact, strict: bool):
-        if self.lo is None or value > self.lo:
-            self.lo, self.lo_strict = value, strict
-        elif value == self.lo:
-            self.lo_strict = self.lo_strict or strict
-
-    def add_upper(self, value: Exact, strict: bool):
-        if self.hi is None or value < self.hi:
-            self.hi, self.hi_strict = value, strict
-        elif value == self.hi:
-            self.hi_strict = self.hi_strict or strict
-
-    def add_linear_positive(self, c: Fraction, d: Fraction, strict: bool = True):
-        """Constraint c*x + d > 0 (or >= 0)."""
-        if c > 0:
-            self.add_lower(-d / c, strict)
-        elif c < 0:
-            self.add_upper(-d / c, strict)
-        elif (d <= 0 if strict else d < 0):
-            self.empty = True
-
-    def feasible(self) -> bool:
-        if self.empty:
-            return False
-        if self.lo is None or self.hi is None:
-            return True
-        if self.lo < self.hi:
-            return True
-        if self.lo == self.hi:
-            return not (self.lo_strict or self.hi_strict)
-        return False
-
+# --- exact feasibility of one wall -------------------------------------------
 
 def _wall_feasible(wall: Wall, v: NumClass, w: NumClass, region: Region) -> bool:
     """Does the wall meet region /\\ U at a point with 0 < Im Z(w) < Im Z(v)?
 
-    Exact: along the wall everything reduces to one variable (beta for
-    non-vertical walls), with the U condition contributing a quadratic
-    whose roots are kept as surds.
+    Exact and rational: along a non-vertical wall (A > 0) everything is a
+    function of beta.  The region, the alpha cap and the Im window cut out
+    an interval I of beta, and with alpha = -(B beta + C)/A the U condition
+    alpha > beta^2/2 reads q(beta) = A beta^2 + 2B beta + 2C < 0.  q is
+    convex, so it is negative somewhere on a nonempty I iff it is negative
+    at the vertex -B/A clamped into the closure of I.
     """
-    A, B, C = Fraction(wall.A), Fraction(wall.B), Fraction(wall.C)
+    A, B, C = wall.A, wall.B, wall.C
     if A == 0:
         # vertical wall beta = -C/B; alpha is free up to alpha_max
-        beta0 = -C / B
+        beta0 = Fraction(-C, B)
         if not (region.beta_min <= beta0 <= region.beta_max):
             return False
         if region.alpha_max <= beta0 * beta0 / 2:
@@ -201,22 +145,31 @@ def _wall_feasible(wall: Wall, v: NumClass, w: NumClass, region: Region) -> bool
         return (w.v1 - beta0 * w.v0 > 0
                 and (v.v1 - w.v1) - beta0 * (v.v0 - w.v0) > 0)
 
-    iv = _Interval()
-    iv.add_lower(region.beta_min, strict=False)
-    iv.add_upper(region.beta_max, strict=False)
-    # U: with alpha = -(B beta + C)/A and A > 0, need A b^2 + 2B b + 2C < 0
-    D2 = B * B - 2 * A * C
-    if D2 <= 0:
+    lo, lo_strict = region.beta_min, False
+    hi, hi_strict = region.beta_max, False
+    # each (c, d, strict) is the constraint c*beta + d > 0 (>= 0 if not strict):
+    # alpha(beta) <= alpha_max, then the Im window 0 < Im Z(w) < Im Z(v)
+    for c, d, strict in ((B, C + A * region.alpha_max, False),
+                         (-w.v0, w.v1, True),
+                         (w.v0 - v.v0, v.v1 - w.v1, True)):
+        if c == 0:
+            if d < 0 or (strict and d == 0):
+                return False
+            continue
+        x = -d / c
+        if c > 0:
+            if x > lo:
+                lo, lo_strict = x, strict
+            elif x == lo:
+                lo_strict = lo_strict or strict
+        elif x < hi:
+            hi, hi_strict = x, strict
+        elif x == hi:
+            hi_strict = hi_strict or strict
+    if lo > hi or (lo == hi and (lo_strict or hi_strict)):
         return False
-    root = Surd.sqrt(D2)
-    iv.add_lower((-B - root) / A, strict=True)
-    iv.add_upper((-B + root) / A, strict=True)
-    # alpha(beta) <= alpha_max  <=>  B beta + (C + A alpha_max) >= 0
-    iv.add_linear_positive(B, C + A * region.alpha_max, strict=False)
-    # Im window: 0 < Im Z(w) < Im Z(v), both linear in beta
-    iv.add_linear_positive(-w.v0, w.v1)
-    iv.add_linear_positive(-(v.v0 - w.v0), v.v1 - w.v1)
-    return iv.feasible()
+    beta = min(max(Fraction(-B, A), lo), hi)
+    return (A * beta + 2 * B) * beta + 2 * C < 0
 
 
 # --- candidate enumeration ---------------------------------------------------
@@ -253,14 +206,6 @@ def _scaled_inputs(v: NumClass, region: Region, disc_bound: Fraction):
             bl.numerator, bl.denominator, bh.numerator, bh.denominator)
 
 
-def _select_kernel(args) -> tuple:
-    """Compiled kernel when present and every input fits comfortably in
-    64 bits, else the pure-Python reference."""
-    if HAVE_COMPILED_KERNEL and all(abs(x) < _COMPILED_INPUT_LIMIT for x in args):
-        return _compiled_kernel.scan_candidates, "compiled"
-    return _pure_kernel.scan_candidates, "pure"
-
-
 def enumerate_candidate_walls(v: NumClass, region: Region,
                               disc_bound) -> list[tuple[Wall, NumClass]]:
     """Deduplicated, canonically sorted numerical walls for v inside the
@@ -273,11 +218,9 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         raise DomainError("class has negative discriminant; no walls")
     P0, P1, T2, R, DS, bln, bld, bhn, bhd = _scaled_inputs(v, region, disc_bound)
     box = search_box(v, disc_bound)
-    w0_lo, w0_hi = box["w0_min"], box["w0_max"]
-    args = (P0, P1, T2, R, DS, w0_lo, w0_hi, bln, bld, bhn, bhd)
-    kernel, _ = _select_kernel(args)
     found: dict[tuple[int, int, int], tuple[Wall, NumClass]] = {}
-    for w0, w1, t in kernel(*args):
+    for w0, w1, t in _wallscan_py.scan_candidates(
+            P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], bln, bld, bhn, bhd):
         w = _witness_class(w0, w1, t)
         wall = wall_between(v, w)
         if wall is None:

@@ -114,3 +114,27 @@ def test_usage_errors_exit_2():
     assert run(["frobnicate"]) == 2
     assert run(["tilt", "O"]) == 2
     assert run(["reduce", "x", "y"]) == 2
+
+
+LINES_CLASSES = [["1", "-3", "9/2", "-9/2"], ["1", "-2", "2", "-4/3"],
+                 ["1", "-1", "1/2", "-1/6"], ["1", "0", "0", "0"]]
+
+
+@pytest.mark.parametrize("spec", [
+    {"names": ["O(-3)", "O(-2)", "O(-1)", "O"], "classes": [1, 2, 3, 4]},
+    {"names": "abcd", "classes": LINES_CLASSES},
+])
+def test_malformed_collection_json_is_input_error(tmp_path, capsys, spec):
+    path = tmp_path / "collection.json"
+    path.write_text(json.dumps(spec))
+    assert run(["collection-check", f"@{path}", "--beta", "-5/4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_custom_collection_json_accepted(tmp_path, capsys):
+    path = tmp_path / "collection.json"
+    path.write_text(json.dumps({"names": ["O(-3)", "O(-2)", "O(-1)", "O"],
+                                "classes": LINES_CLASSES}))
+    assert run(["interval", f"@{path}", "--beta", "-5/4"]) == 0
+    assert out_of(capsys) == "(3/32, 25/96)"

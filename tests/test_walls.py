@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from sympy.solvers.inequalities import solve_poly_inequality
 
 from tiltwall import (NumClass, ParamPoint, Region, Wall, class_of_line_bundle,
                       class_of_named, common_slope, discriminant,
@@ -11,7 +13,8 @@ from tiltwall import (NumClass, ParamPoint, Region, Wall, class_of_line_bundle,
                       passes_through, pi_point, plot_scene, shift,
                       tilt_slope_nu, wall_between)
 from tiltwall.errors import DomainError, InputError
-from tiltwall.walls import HAVE_COMPILED_KERNEL, _pure_kernel, search_box
+from tiltwall import _wallscan_py
+from tiltwall.walls import _wall_feasible, search_box
 
 from conftest import integral_classes
 
@@ -169,23 +172,181 @@ def test_enumeration_known_wall_present():
     assert expected in [w for w, _ in walls]
 
 
-@pytest.mark.skipif(not HAVE_COMPILED_KERNEL, reason="no compiled kernel")
-def test_kernel_parity_compiled_vs_pure():
-    from tiltwall import _wallscan as compiled
+# Exact walls and witnesses recorded from the reference implementation; a
+# change in any wall triple or in the witness chosen for it fails here.
+GOLDEN_WALLS = [
+    ("1,0,-1,0", Region(-2, 0, 2), 0,
+     [(2, 3, 2, "-1,2,-2,-8/3"), (12, 17, 12, "-8,12,-9,-13")]),
+    ("1,0,-1,0", Region(-2, 0, 2), 1,
+     [(2, 3, 2, "-1,2,-2,-8/3"), (12, 17, 12, "-8,12,-9,-13")]),
+    ("2,-1,-3/2,1/6", Region(-4, 2, 6), 40,
+     [(2, 5, 4, "0,1,-5/2,-17/6"), (6, 11, 10, "-7,14,-14,-56/3")]),
+    ("T(-2)", Region(-2, 2, 3), 2, [(2, 3, 2, "-1,2,-2,-8/3")]),
+    ("0,1,-1/2,1/6", Region(-2, 2, 3), 2, [(2, 1, 0, "-1,1,-1/2,-5/6")]),
+]
+
+
+@pytest.mark.parametrize("text, region, disc, expected", GOLDEN_WALLS)
+def test_enumeration_golden_walls(text, region, disc, expected):
+    v = NumClass.parse(text) if "," in text else class_of_named(text)
+    walls = enumerate_candidate_walls(v, region, disc)
+    assert [(w.A, w.B, w.C, str(wit)) for w, wit in walls] == expected
+
+
+def _brute_force_scan(P0, P1, T2, R, DS, w0_lo, w0_hi, beta_lo, beta_hi,
+                      w1_box, t_box):
+    """Every (w0, w1, t) of the box with t = w1 (mod 2) that passes the
+    filters of the scan kernel's docstring, each evaluated in Fraction."""
+    v0, v1, v2 = Q(P0, R), Q(P1, R), Q(T2, 2 * R)
+    budget = Q(DS, R * R)
+    found = set()
+    for w0 in range(w0_lo, w0_hi + 1):
+        if w0 == 0 and P0 == 0:
+            continue
+        for w1 in range(-w1_box, w1_box + 1):
+            # Im window: each inequality holds at some beta of the interval
+            if not any(w1 - b * w0 > 0 for b in (beta_lo, beta_hi)):
+                continue
+            if not any(w1 - b * w0 < v1 - b * v0 for b in (beta_lo, beta_hi)):
+                continue
+            for t in range(-t_box + (t_box - w1) % 2, t_box + 1, 2):
+                w2 = Q(t, 2)
+                disc_w = w1 * w1 - 2 * w0 * w2
+                if disc_w < 0 or disc_w > budget:
+                    continue
+                disc_rest = (v1 - w1) ** 2 - 2 * (v0 - w0) * (v2 - w2)
+                if disc_rest >= 0 and disc_w + disc_rest <= budget:
+                    found.add((w0, w1, t))
+    return found
+
+
+def test_scan_matches_brute_force_lattice_search():
     rng = random.Random(20240824)
-    for _ in range(40):
-        R = rng.choice([1, 2, 3])
-        P0 = rng.randint(-4, 4) * R
-        P1 = rng.randint(-6, 6)
-        T2 = rng.randint(-8, 8)
-        DS = (P1 * P1 - P0 * T2) + rng.randint(0, 8) * R * R
-        bln, bld = rng.randint(-5, 1), rng.choice([1, 2, 3])
-        bhn, bhd = rng.randint(0, 4), rng.choice([1, 2, 3])
-        if Q(bln, bld) > Q(bhn, bhd):
-            bln, bld, bhn, bhd = bhn, bhd, bln, bld
-        args = (P0, P1, T2, R, DS, -6, 6, bln, bld, bhn, bhd)
-        assert compiled.scan_candidates(*args) == \
-            _pure_kernel.scan_candidates(*args)
+    w1_box, t_box = 24, 200
+    for _ in range(30):
+        R = rng.choice([1, 2])
+        P0 = rng.randint(-2 * R, 2 * R)
+        P1 = rng.randint(-3, 3)
+        T2 = rng.randint(-4, 4)
+        DS = (P1 * P1 - P0 * T2) + rng.randint(0, 4) * R * R
+        lo = Q(rng.randint(-4, 2), rng.choice([1, 2]))
+        hi = Q(rng.randint(0, 4), rng.choice([1, 2]))
+        lo, hi = min(lo, hi), max(lo, hi)
+        args = (P0, P1, T2, R, DS, -3, 3, lo.numerator, lo.denominator,
+                hi.numerator, hi.denominator)
+        scanned = _wallscan_py.scan_candidates(*args)
+        assert len(scanned) == len(set(scanned))
+        assert all(abs(w1) < w1_box and abs(t) < t_box
+                   for _, w1, t in scanned)
+        assert set(scanned) == _brute_force_scan(
+            P0, P1, T2, R, DS, -3, 3, lo, hi, w1_box, t_box)
+
+
+# --- exact feasibility against a sympy oracle --------------------------------
+
+def _sympy_feasible(wall, v, w, region) -> bool:
+    """Independent oracle: parametrize the wall line by s (beta for a
+    non-vertical wall, alpha for a vertical one), solve every constraint
+    as a polynomial inequality in s with sympy, and test whether the
+    intersection of the solution sets is empty."""
+    s = sympy.Symbol("s", real=True)
+    rat = lambda q: sympy.Rational(q.numerator, q.denominator)
+    A, B, C = (sympy.Integer(c) for c in (wall.A, wall.B, wall.C))
+    beta, alpha = (-C / B, s) if wall.A == 0 else (s, -(B * s + C) / A)
+    constraints = [  # (p, op) stands for p(s) op 0
+        (beta - rat(region.beta_min), ">="), (rat(region.beta_max) - beta, ">="),
+        (rat(region.alpha_max) - alpha, ">="), (alpha - beta ** 2 / 2, ">"),
+        (rat(w.v1) - beta * rat(w.v0), ">"),
+        (rat(v.v1 - w.v1) - beta * rat(v.v0 - w.v0), ">"),
+    ]
+    feasible = sympy.S.Reals
+    for p, op in constraints:
+        pieces = solve_poly_inequality(sympy.Poly(p, s), op)
+        feasible = feasible.intersect(sympy.Union(*pieces))
+    return feasible != sympy.S.EmptySet
+
+
+rank_zero_window = (NumClass(0, 2, 0, 0), NumClass(0, 1, 0, 0))  # Im Z = 1 > 0
+
+
+@pytest.mark.parametrize("coeffs, v_w, region, expected", [
+    # tangency B^2 = 2AC: alpha = 2 beta - 2 touches alpha = beta^2/2 at 2
+    ((2, -4, 4), rank_zero_window, Region(-4, 4, 10), False),
+    # region collapsed to the closed point beta = 1, where alpha = 3/2 > 1/2
+    ((2, 0, -3), rank_zero_window, Region(1, 1, 10), True),
+    # the alpha cap alpha = beta + 1 <= 1 leaves the closed point beta = 0
+    ((1, -1, -1), rank_zero_window, Region(0, 2, 1), True),
+    # the closed region end beta = 1 meets the open window end beta < 1 of
+    # w = (1, 1): an empty interval, though q(1) < 0
+    ((2, 0, -3), (NumClass(1, 2, 0, 0), NumClass(1, 1, 0, 0)),
+     Region(1, 3, 10), False),
+    # vertex 1/2 of q = 2 beta (beta - 1) clamped to the open Im-window end
+    # beta > 1 of w = (-1, -1), where q = 0
+    ((2, -1, 0), (NumClass(-1, 0, 0, 0), NumClass(-1, -1, 0, 0)),
+     Region(-2, 3, 10), False),
+    # the same window end beta > 0 leaves the vertex inside
+    ((2, -1, 0), (NumClass(-1, 1, 0, 0), NumClass(-1, 0, 0, 0)),
+     Region(-2, 3, 10), True),
+    # closed region end at the root beta = 1 of q
+    ((2, -1, 0), rank_zero_window, Region(1, 3, 10), False),
+    # vertical walls beta = -1: alpha in (1/2, 1], then a cap at 1/2
+    ((0, 1, 1), rank_zero_window, Region(-2, 0, 1), True),
+    ((0, 1, 1), rank_zero_window, Region(-2, 0, Q(1, 2)), False),
+    ((0, 1, 1), rank_zero_window, Region(0, 2, 1), False),
+    # vertical wall beta = -1 on the Im-window boundary 1 + beta*1 > 0
+    ((0, 1, 1), (NumClass(1, 2, 0, 0), NumClass(-1, 1, 0, 0)),
+     Region(-2, 0, 3), False),
+])
+def test_wall_feasible_edge_cases(coeffs, v_w, region, expected):
+    wall = Wall.from_coefficients(*coeffs)
+    v, w = v_w
+    assert _wall_feasible(wall, v, w, region) is expected
+    assert _sympy_feasible(wall, v, w, region) is expected
+
+
+coefficient = st.integers(min_value=-6, max_value=6)
+small_rank = st.integers(min_value=-3, max_value=3)
+regions = st.builds(
+    lambda lo, width, cap: Region(lo, lo + width, cap),
+    st.fractions(min_value=-4, max_value=3, max_denominator=4),
+    st.fractions(min_value=0, max_value=4, max_denominator=4),
+    st.fractions(min_value=-1, max_value=8, max_denominator=4))
+
+
+@st.composite
+def wall_feasibility_cases(draw):
+    """(wall, v, w, region): either an arbitrary line with arbitrary
+    classes, or a line through a point (beta, alpha) of U near the alpha
+    cap, with an Im window that opens or closes near that beta.  Only v0,
+    v1, w0, w1 enter the feasibility test, so the higher components stay
+    zero."""
+    region = draw(regions)
+    if draw(st.booleans()):
+        # A = B = 0 is no line at all, and no pair of classes yields it
+        coeffs = draw(st.tuples(coefficient, coefficient, coefficient).filter(
+            lambda c: c[0] or c[1]))
+        w = NumClass(draw(small_rank), draw(coefficient), 0, 0)
+        v = NumClass(draw(small_rank), draw(coefficient), 0, 0)
+        return Wall.from_coefficients(*coeffs), v, w, region
+    t = draw(st.fractions(min_value=0, max_value=1, max_denominator=4))
+    beta = region.beta_min + t * (region.beta_max - region.beta_min)
+    alpha = beta * beta / 2 + draw(st.fractions(min_value=Q(1, 8), max_value=2,
+                                                max_denominator=8))
+    cap = alpha + draw(st.fractions(min_value=-1, max_value=2, max_denominator=8))
+    region = Region(region.beta_min, region.beta_max, cap)
+    A, B = draw(st.tuples(coefficient, coefficient).filter(any))
+    # Im Z(w) and Im Z(v - w) at beta are k/2 and m/2
+    w0, u0 = draw(small_rank), draw(small_rank)
+    k, m = draw(st.integers(-2, 4)), draw(st.integers(-2, 4))
+    w = NumClass(w0, beta * w0 + Q(k, 2), 0, 0)
+    v = w + NumClass(u0, beta * u0 + Q(m, 2), 0, 0)
+    return Wall.from_coefficients(A, B, -(A * alpha + B * beta)), v, w, region
+
+
+@given(wall_feasibility_cases())
+@settings(max_examples=150, deadline=None)
+def test_wall_feasible_matches_sympy(case):
+    assert _wall_feasible(*case) == _sympy_feasible(*case)
 
 
 def test_search_box_reported():
