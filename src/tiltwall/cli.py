@@ -1,7 +1,8 @@
 """Command-line surface: exact-fraction I/O, JSON reports, SVG plots.
 
 Exit codes: 0 = success / check passed, 1 = a requested check failed,
-2 = invalid input.  JSON output is deterministic (compact separators,
+2 = invalid input, 3 = internal error (a bug, reported on one stderr
+line).  JSON output is deterministic (compact separators,
 fixed key order).
 """
 
@@ -293,6 +294,9 @@ def run(argv) -> int:
     except (InputError, DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 is reserved for a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

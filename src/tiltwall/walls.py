@@ -4,9 +4,13 @@ candidate enumeration over integral classes, and plot-scene construction.
 
 Walls are lines A*alpha + B*beta + C = 0 stored with a canonical integer
 normalization.  Enumeration runs the integer candidate scan of
-``_wallscan_py`` followed by an exact feasibility check of each wall against
-the region, the U half-plane, and the Im Z window, in integers and
-``Fraction`` only.
+``_wallscan_py`` and takes its candidates in scan order.  Each candidate's
+wall key is computed in integers (``_wall_key``, no ``Fraction`` or
+``NumClass``); the wall's window, the beta interval where it meets the
+region, the alpha cap and U, is computed once per key and cached for the
+call, rejections included (``_wall_window``); per witness only the two
+strict Im Z window constraints are added.  The first feasible witness of a
+wall wins.  Every verdict is exact, in integers and ``Fraction`` only.
 """
 
 from __future__ import annotations
@@ -123,40 +127,27 @@ class Region:
 
 
 # --- exact feasibility of one wall -------------------------------------------
+#
+# Along a non-vertical wall (A > 0) everything is a function of beta.  The
+# region, the alpha cap and the Im window cut out an interval of beta, and
+# with alpha = -(B beta + C)/A the U condition alpha > beta^2/2 reads
+# q(beta) = A beta^2 + 2B beta + 2C < 0.  q is convex, so it is negative
+# somewhere on a nonempty interval iff it is negative at the vertex -B/A
+# clamped into the interval's closure.  The region and the cap depend only
+# on the wall (``_wall_window``); the Im window depends on the witness too.
 
-def _wall_feasible(wall: Wall, v: NumClass, w: NumClass, region: Region) -> bool:
-    """Does the wall meet region /\\ U at a point with 0 < Im Z(w) < Im Z(v)?
-
-    Exact and rational: along a non-vertical wall (A > 0) everything is a
-    function of beta.  The region, the alpha cap and the Im window cut out
-    an interval I of beta, and with alpha = -(B beta + C)/A the U condition
-    alpha > beta^2/2 reads q(beta) = A beta^2 + 2B beta + 2C < 0.  q is
-    convex, so it is negative somewhere on a nonempty I iff it is negative
-    at the vertex -B/A clamped into the closure of I.
-    """
-    A, B, C = wall.A, wall.B, wall.C
-    if A == 0:
-        # vertical wall beta = -C/B; alpha is free up to alpha_max
-        beta0 = Fraction(-C, B)
-        if not (region.beta_min <= beta0 <= region.beta_max):
-            return False
-        if region.alpha_max <= beta0 * beta0 / 2:
-            return False  # no alpha in U below the cap
-        return (w.v1 - beta0 * w.v0 > 0
-                and (v.v1 - w.v1) - beta0 * (v.v0 - w.v0) > 0)
-
-    lo, lo_strict = region.beta_min, False
-    hi, hi_strict = region.beta_max, False
-    # each (c, d, strict) is the constraint c*beta + d > 0 (>= 0 if not strict):
-    # alpha(beta) <= alpha_max, then the Im window 0 < Im Z(w) < Im Z(v)
-    for c, d, strict in ((B, C + A * region.alpha_max, False),
-                         (-w.v0, w.v1, True),
-                         (w.v0 - v.v0, v.v1 - w.v1, True)):
+def _clip(A, B, C, window, constraints):
+    """Cut the beta interval ``window`` = (lo, lo_strict, hi, hi_strict) by
+    linear constraints (c, d, strict), each meaning c*beta + d > 0 (>= 0 if
+    not strict), and return the result, or None when it is empty or, on a
+    non-vertical wall, q >= 0 on all of it."""
+    lo, lo_strict, hi, hi_strict = window
+    for c, d, strict in constraints:
         if c == 0:
             if d < 0 or (strict and d == 0):
-                return False
+                return None
             continue
-        x = -d / c
+        x = Fraction(-d, c)
         if c > 0:
             if x > lo:
                 lo, lo_strict = x, strict
@@ -167,9 +158,43 @@ def _wall_feasible(wall: Wall, v: NumClass, w: NumClass, region: Region) -> bool
         elif x == hi:
             hi_strict = hi_strict or strict
     if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-        return False
-    beta = min(max(Fraction(-B, A), lo), hi)
-    return (A * beta + 2 * B) * beta + 2 * C < 0
+        return None
+    if A != 0:
+        beta = min(max(Fraction(-B, A), lo), hi)
+        if (A * beta + 2 * B) * beta + 2 * C >= 0:
+            return None
+    return lo, lo_strict, hi, hi_strict
+
+
+def _wall_window(A: int, B: int, C: int, region: Region):
+    """The beta interval of the wall A*alpha + B*beta + C = 0 inside the
+    region's beta range and under its alpha cap (both non-strict), or None
+    when the wall misses region /\\ cap /\\ U.  It depends only on the wall,
+    so enumeration computes it once per wall.  A vertical wall beta = -C/B
+    gives the one-point interval [beta0, beta0]; U holds at some alpha under
+    the cap iff alpha_max > beta0^2/2."""
+    lo, hi = region.beta_min, region.beta_max
+    if A == 0:
+        beta0 = Fraction(-C, B)
+        if not (lo <= beta0 <= hi) or region.alpha_max <= beta0 * beta0 / 2:
+            return None
+        return beta0, False, beta0, False
+    # alpha(beta) <= alpha_max
+    return _clip(A, B, C, (lo, False, hi, False),
+                 ((B, C + A * region.alpha_max, False),))
+
+
+def _wall_feasible(wall: Wall, v: NumClass, w: NumClass, region: Region) -> bool:
+    """Does the wall meet region /\\ U at a point with 0 < Im Z(w) < Im Z(v)?
+
+    Exact and rational: the wall's window, cut by the two strict Im-window
+    constraints w1 - beta*w0 > 0 and (v1 - w1) - beta*(v0 - w0) > 0.
+    """
+    A, B, C = wall.A, wall.B, wall.C
+    window = _wall_window(A, B, C, region)
+    return window is not None and _clip(
+        A, B, C, window, ((-w.v0, w.v1, True),
+                          (w.v0 - v.v0, v.v1 - w.v1, True))) is not None
 
 
 # --- candidate enumeration ---------------------------------------------------
@@ -206,11 +231,37 @@ def _scaled_inputs(v: NumClass, region: Region, disc_bound: Fraction):
             bl.numerator, bl.denominator, bh.numerator, bh.denominator)
 
 
+def _wall_key(P0: int, P1: int, T2: int, w0: int, w1: int, t: int):
+    """(A, B, C) of ``wall_between(v, w)`` in integers, for the class
+    v = (P0, P1, T2/2)/R and the scanned witness w = (w0, w1, t/2): the
+    coefficients scaled by 2R > 0, divided by their gcd and signed as in
+    ``Wall.from_coefficients``.  None when all three vanish."""
+    A = 2 * (w0 * P1 - P0 * w1)
+    B = t * P0 - T2 * w0
+    C = T2 * w1 - t * P1
+    g = math.gcd(A, B, C)
+    if g == 0:
+        return None
+    if (A or B or C) < 0:
+        g = -g
+    return A // g, B // g, C // g
+
+
 def enumerate_candidate_walls(v: NumClass, region: Region,
                               disc_bound) -> list[tuple[Wall, NumClass]]:
     """Deduplicated, canonically sorted numerical walls for v inside the
     region, each with one integral witness class w satisfying the
-    discriminant filters and the Im Z window on the wall."""
+    discriminant filters and the Im Z window on the wall.
+
+    Each scanned candidate (w0, w1, t) costs a few integer operations: its
+    wall key comes from ``_wall_key``, and the wall's window
+    (``_wall_window``) is computed once per key and cached for this call,
+    rejections included, so a wall that misses region /\\ U is never looked
+    at again.  Per witness only the two Im-window constraints are added.
+    Candidates are taken in scan order and the first feasible witness of a
+    wall wins; ``Wall`` and witness objects are built only for accepted
+    walls.
+    """
     disc_bound = Fraction(disc_bound)
     if disc_bound < 0:
         raise InputError("disc_bound must be nonnegative")
@@ -218,18 +269,22 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         raise DomainError("class has negative discriminant; no walls")
     P0, P1, T2, R, DS, bln, bld, bhn, bhd = _scaled_inputs(v, region, disc_bound)
     box = search_box(v, disc_bound)
+    windows: dict[tuple[int, int, int], Optional[tuple]] = {}
     found: dict[tuple[int, int, int], tuple[Wall, NumClass]] = {}
     for w0, w1, t in _wallscan_py.scan_candidates(
             P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], bln, bld, bhn, bhd):
-        w = _witness_class(w0, w1, t)
-        wall = wall_between(v, w)
-        if wall is None:
+        key = _wall_key(P0, P1, T2, w0, w1, t)
+        if key is None or key in found:
             continue
-        key = (wall.A, wall.B, wall.C)
-        if key in found:
-            continue
-        if _wall_feasible(wall, v, w, region):
-            found[key] = (wall, w)
+        if key in windows:
+            window = windows[key]
+        else:
+            window = windows[key] = _wall_window(*key, region)
+        # Im Z(w) > 0 and R * Im Z(v - w) > 0 along the wall
+        if window is not None and _clip(
+                *key, window, ((-w0, w1, True),
+                               (R * w0 - P0, P1 - R * w1, True))) is not None:
+            found[key] = (Wall(*key), _witness_class(w0, w1, t))
     return [found[k] for k in sorted(found)]
 
 

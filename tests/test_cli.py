@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tiltwall import NumClass
+from tiltwall import cli
 from tiltwall.cli import run
 
 
@@ -114,6 +115,18 @@ def test_usage_errors_exit_2():
     assert run(["frobnicate"]) == 2
     assert run(["tilt", "O"]) == 2
     assert run(["reduce", "x", "y"]) == 2
+
+
+def test_unexpected_exception_is_internal_error_exit_3(monkeypatch, capsys):
+    def broken(ns):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "class", broken)
+    assert run(["class", "O"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+    # a check that fails is still exit 1, not an internal error
+    assert run(["interval", "beilinson4", "--beta", "-1/4"]) == 1
+    assert "internal error" not in capsys.readouterr().err
 
 
 LINES_CLASSES = [["1", "-3", "9/2", "-9/2"], ["1", "-2", "2", "-4/3"],

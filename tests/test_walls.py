@@ -14,9 +14,10 @@ from tiltwall import (NumClass, ParamPoint, Region, Wall, class_of_line_bundle,
                       tilt_slope_nu, wall_between)
 from tiltwall.errors import DomainError, InputError
 from tiltwall import _wallscan_py
-from tiltwall.walls import _wall_feasible, search_box
+from tiltwall.walls import (_scaled_inputs, _wall_feasible, _wall_key,
+                            _wall_window, _witness_class, search_box)
 
-from conftest import integral_classes
+from conftest import integral_classes, lattice_class
 
 Q = Fraction
 
@@ -193,6 +194,96 @@ def test_enumeration_golden_walls(text, region, disc, expected):
     assert [(w.A, w.B, w.C, str(wit)) for w, wit in walls] == expected
 
 
+small_lattice = st.integers(min_value=-2, max_value=2)
+# integral classes of every rank sign, rank 0 and negative rank included,
+# and their halves and thirds, whose scan runs at scale R > 1
+enumeration_classes = st.builds(
+    lambda coeffs, k: Q(1, k) * lattice_class(coeffs),
+    st.tuples(small_lattice, small_lattice, small_lattice,
+              small_lattice).filter(any),
+    st.sampled_from([1, 2, 3])).filter(lambda v: discriminant(v) >= 0)
+
+
+@st.composite
+def enumeration_regions(draw):
+    """Regions with a one-point beta range now and then, and alpha caps at
+    or below beta_min^2/2 (a region that U barely meets, or misses)."""
+    lo = draw(st.fractions(min_value=-4, max_value=2, max_denominator=4))
+    width = draw(st.fractions(min_value=Q(1, 4), max_value=4,
+                              max_denominator=4))
+    cap = draw(st.fractions(min_value=-1, max_value=8, max_denominator=4))
+    shape = draw(st.integers(min_value=0, max_value=5))
+    if shape == 1:
+        width = Q(0)
+    elif shape == 2:
+        cap = lo * lo / 2 - draw(st.fractions(min_value=0, max_value=1,
+                                              max_denominator=4))
+    return Region(lo, lo + width, cap)
+
+
+enumeration_cases = st.tuples(enumeration_classes, enumeration_regions(),
+                              st.integers(min_value=0, max_value=20))
+
+
+def _scanned(v, region, disc):
+    """(P0, P1, T2) of v and the scan's candidates (w0, w1, t), exactly as
+    enumerate_candidate_walls scans them."""
+    P0, P1, T2, R, DS, *ends = _scaled_inputs(v, region, Q(disc))
+    box = search_box(v, disc)
+    return (P0, P1, T2), _wallscan_py.scan_candidates(
+        P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], *ends)
+
+
+def _reference_walls(v, region, disc):
+    """The enumeration spelled out on the public pieces: every candidate
+    becomes a witness class and a wall through wall_between, and the first
+    witness (in scan order) that passes _wall_feasible wins its wall."""
+    found = {}
+    for w0, w1, t in _scanned(v, region, disc)[1]:
+        w = _witness_class(w0, w1, t)
+        wall = wall_between(v, w)
+        if wall is None:
+            continue
+        key = (wall.A, wall.B, wall.C)
+        if key not in found and _wall_feasible(wall, v, w, region):
+            found[key] = str(w)
+    return [key + (found[key],) for key in sorted(found)]
+
+
+@given(enumeration_cases)
+@settings(max_examples=150, deadline=None)
+def test_enumeration_matches_reference(case):
+    v, region, disc = case
+    walls = enumerate_candidate_walls(v, region, disc)
+    assert ([(w.A, w.B, w.C, str(wit)) for w, wit in walls]
+            == _reference_walls(v, region, disc))
+
+
+@given(enumeration_cases)
+@settings(max_examples=80, deadline=None)
+def test_integer_wall_key_matches_wall_between(case):
+    v, region, disc = case
+    scaled, candidates = _scanned(v, region, disc)
+    for w0, w1, t in candidates:
+        wall = wall_between(v, _witness_class(w0, w1, t))
+        expected = None if wall is None else (wall.A, wall.B, wall.C)
+        assert _wall_key(*scaled, w0, w1, t) == expected
+
+
+@given(enumeration_cases)
+@settings(max_examples=80, deadline=None)
+def test_rejected_window_rejects_every_witness(case):
+    """A wall whose window is None is skipped for good by the enumeration's
+    cache; no witness of it may pass the full feasibility test."""
+    v, region, disc = case
+    for w0, w1, t in _scanned(v, region, disc)[1]:
+        w = _witness_class(w0, w1, t)
+        wall = wall_between(v, w)
+        if wall is not None and _wall_window(wall.A, wall.B, wall.C,
+                                             region) is None:
+            assert not _wall_feasible(wall, v, w, region)
+
+
 def _brute_force_scan(P0, P1, T2, R, DS, w0_lo, w0_hi, beta_lo, beta_hi,
                       w1_box, t_box):
     """Every (w0, w1, t) of the box with t = w1 (mod 2) that passes the
@@ -347,6 +438,17 @@ def wall_feasibility_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_wall_feasible_matches_sympy(case):
     assert _wall_feasible(*case) == _sympy_feasible(*case)
+
+
+@given(wall_feasibility_cases())
+@settings(max_examples=150, deadline=None)
+def test_wall_window_matches_sympy(case):
+    """The window is None exactly when the wall misses region /\\ cap /\\ U:
+    the sympy oracle with an Im window that holds everywhere."""
+    wall, _, _, region = case
+    window = _wall_window(wall.A, wall.B, wall.C, region)
+    assert (window is not None) == _sympy_feasible(wall, *rank_zero_window,
+                                                   region)
 
 
 def test_search_box_reported():
