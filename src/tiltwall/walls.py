@@ -6,11 +6,12 @@ Walls are lines A*alpha + B*beta + C = 0 stored with a canonical integer
 normalization.  Enumeration runs the integer candidate scan of
 ``_wallscan_py`` and takes its candidates in scan order.  Each candidate's
 wall key is computed in integers (``_wall_key``, no ``Fraction`` or
-``NumClass``); the wall's window, the beta interval where it meets the
-region, the alpha cap and U, is computed once per key and cached for the
-call, rejections included (``_wall_window``); per witness only the two
-strict Im Z window constraints are added.  The first feasible witness of a
-wall wins.  Every verdict is exact, in integers and ``Fraction`` only.
+``NumClass``).  The first candidate of a key builds the wall through
+``wall_between`` and its window, the beta interval where it meets the
+region, the alpha cap and U (``_wall_window``); both are cached for the
+call, rejections included.  Per witness only the two strict Im Z window
+constraints are added.  The first feasible witness of a wall wins.  Every
+verdict is exact, in integers and ``Fraction`` only.
 """
 
 from __future__ import annotations
@@ -140,30 +141,40 @@ def _clip(A, B, C, window, constraints):
     """Cut the beta interval ``window`` = (lo, lo_strict, hi, hi_strict) by
     linear constraints (c, d, strict), each meaning c*beta + d > 0 (>= 0 if
     not strict), and return the result, or None when it is empty or, on a
-    non-vertical wall, q >= 0 on all of it."""
-    lo, lo_strict, hi, hi_strict = window
+    non-vertical wall, q >= 0 on all of it.  An end is a pair (n, m) for
+    n/m with m > 0, so that every comparison is one cross-multiplication
+    and nothing is reduced; with integer c and d it is all integers."""
+    (ln, ld), lo_strict, (hn, hd), hi_strict = window
     for c, d, strict in constraints:
         if c == 0:
             if d < 0 or (strict and d == 0):
                 return None
             continue
-        x = Fraction(-d, c)
-        if c > 0:
-            if x > lo:
-                lo, lo_strict = x, strict
-            elif x == lo:
+        if c > 0:  # beta > -d/c
+            s = ln * c + d * ld  # sign of lo - (-d/c)
+            if s < 0:
+                ln, ld, lo_strict = -d, c, strict
+            elif s == 0:
                 lo_strict = lo_strict or strict
-        elif x < hi:
-            hi, hi_strict = x, strict
-        elif x == hi:
-            hi_strict = hi_strict or strict
-    if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+        else:  # beta < d/(-c)
+            s = hn * c + d * hd  # sign of (-d/c) - hi
+            if s < 0:
+                hn, hd, hi_strict = d, -c, strict
+            elif s == 0:
+                hi_strict = hi_strict or strict
+    s = ln * hd - hn * ld  # sign of lo - hi
+    if s > 0 or (s == 0 and (lo_strict or hi_strict)):
         return None
     if A != 0:
-        beta = min(max(Fraction(-B, A), lo), hi)
-        if (A * beta + 2 * B) * beta + 2 * C >= 0:
+        # the vertex -B/A clamped into [lo, hi], and the sign of m^2 q(n/m)
+        n, m = -B, A
+        if n * ld < ln * m:
+            n, m = ln, ld
+        elif n * hd > hn * m:
+            n, m = hn, hd
+        if (A * n + 2 * B * m) * n + 2 * C * m * m >= 0:
             return None
-    return lo, lo_strict, hi, hi_strict
+    return (ln, ld), lo_strict, (hn, hd), hi_strict
 
 
 def _wall_window(A: int, B: int, C: int, region: Region):
@@ -173,15 +184,18 @@ def _wall_window(A: int, B: int, C: int, region: Region):
     so enumeration computes it once per wall.  A vertical wall beta = -C/B
     gives the one-point interval [beta0, beta0]; U holds at some alpha under
     the cap iff alpha_max > beta0^2/2."""
-    lo, hi = region.beta_min, region.beta_max
+    lo, hi, cap = region.beta_min, region.beta_max, region.alpha_max
     if A == 0:
         beta0 = Fraction(-C, B)
-        if not (lo <= beta0 <= hi) or region.alpha_max <= beta0 * beta0 / 2:
+        if not (lo <= beta0 <= hi) or cap <= beta0 * beta0 / 2:
             return None
-        return beta0, False, beta0, False
-    # alpha(beta) <= alpha_max
-    return _clip(A, B, C, (lo, False, hi, False),
-                 ((B, C + A * region.alpha_max, False),))
+        end = beta0.numerator, beta0.denominator
+        return end, False, end, False
+    # alpha(beta) <= alpha_max, times the cap's denominator
+    return _clip(A, B, C, ((lo.numerator, lo.denominator), False,
+                           (hi.numerator, hi.denominator), False),
+                 ((B * cap.denominator, C * cap.denominator + A * cap.numerator,
+                   False),))
 
 
 def _wall_feasible(wall: Wall, v: NumClass, w: NumClass, region: Region) -> bool:
@@ -253,14 +267,14 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     region, each with one integral witness class w satisfying the
     discriminant filters and the Im Z window on the wall.
 
-    Each scanned candidate (w0, w1, t) costs a few integer operations: its
-    wall key comes from ``_wall_key``, and the wall's window
-    (``_wall_window``) is computed once per key and cached for this call,
-    rejections included, so a wall that misses region /\\ U is never looked
-    at again.  Per witness only the two Im-window constraints are added.
-    Candidates are taken in scan order and the first feasible witness of a
-    wall wins; ``Wall`` and witness objects are built only for accepted
-    walls.
+    A scanned candidate (w0, w1, t) whose wall is already known costs a few
+    integer operations: its wall key comes from ``_wall_key``.  The first
+    candidate of each key builds the wall with ``wall_between`` and its
+    window with ``_wall_window``, and both are cached for this call,
+    rejections included, so a wall that misses region /\\ U is never
+    looked at again.  Per witness only the two Im-window constraints are
+    added.  Candidates are taken in scan order and the first feasible
+    witness of a wall wins.
     """
     disc_bound = Fraction(disc_bound)
     if disc_bound < 0:
@@ -269,22 +283,28 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         raise DomainError("class has negative discriminant; no walls")
     P0, P1, T2, R, DS, bln, bld, bhn, bhd = _scaled_inputs(v, region, disc_bound)
     box = search_box(v, disc_bound)
-    windows: dict[tuple[int, int, int], Optional[tuple]] = {}
+    seen: dict[tuple[int, int, int], tuple[Wall, Optional[tuple]]] = {}
     found: dict[tuple[int, int, int], tuple[Wall, NumClass]] = {}
     for w0, w1, t in _wallscan_py.scan_candidates(
             P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], bln, bld, bhn, bhd):
         key = _wall_key(P0, P1, T2, w0, w1, t)
         if key is None or key in found:
             continue
-        if key in windows:
-            window = windows[key]
-        else:
-            window = windows[key] = _wall_window(*key, region)
+        w = None
+        if key in seen:
+            wall, window = seen[key]
+        else:  # the wall's first candidate; perfbench counts keys here
+            w = _witness_class(w0, w1, t)
+            wall = wall_between(v, w)
+            window = _wall_window(*key, region)
+            seen[key] = wall, window
         # Im Z(w) > 0 and R * Im Z(v - w) > 0 along the wall
         if window is not None and _clip(
                 *key, window, ((-w0, w1, True),
                                (R * w0 - P0, P1 - R * w1, True))) is not None:
-            found[key] = (Wall(*key), _witness_class(w0, w1, t))
+            if w is None:
+                w = _witness_class(w0, w1, t)
+            found[key] = wall, w
     return [found[k] for k in sorted(found)]
 
 

@@ -270,20 +270,6 @@ def test_integer_wall_key_matches_wall_between(case):
         assert _wall_key(*scaled, w0, w1, t) == expected
 
 
-@given(enumeration_cases)
-@settings(max_examples=80, deadline=None)
-def test_rejected_window_rejects_every_witness(case):
-    """A wall whose window is None is skipped for good by the enumeration's
-    cache; no witness of it may pass the full feasibility test."""
-    v, region, disc = case
-    for w0, w1, t in _scanned(v, region, disc)[1]:
-        w = _witness_class(w0, w1, t)
-        wall = wall_between(v, w)
-        if wall is not None and _wall_window(wall.A, wall.B, wall.C,
-                                             region) is None:
-            assert not _wall_feasible(wall, v, w, region)
-
-
 def _brute_force_scan(P0, P1, T2, R, DS, w0_lo, w0_hi, beta_lo, beta_hi,
                       w1_box, t_box):
     """Every (w0, w1, t) of the box with t = w1 (mod 2) that passes the
