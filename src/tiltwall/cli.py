@@ -68,28 +68,26 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", help="write output to file")
     common.add_argument("--precision", type=int, default=4,
                         help="decimals for SVG rendering only")
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("cls")
+    point.add_argument("--beta", required=True)
+    point.add_argument("--alpha", required=True)
+    box = argparse.ArgumentParser(add_help=False)
+    box.add_argument("cls")
+    box.add_argument("--beta-min", required=True)
+    box.add_argument("--beta-max", required=True)
+    box.add_argument("--alpha-max", required=True)
+    box.add_argument("--disc-bound", default="0")
     sub = top.add_subparsers(dest="verb", required=True, parser_class=_Parser)
 
     p = sub.add_parser("class", parents=[common])
     p.add_argument("name")
 
-    p = sub.add_parser("tilt", parents=[common])
-    p.add_argument("cls")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--alpha", required=True)
+    p = sub.add_parser("tilt", parents=[common, point])
     p.add_argument("--a")
 
-    p = sub.add_parser("bg-check", parents=[common])
-    p.add_argument("cls")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--alpha", required=True)
-
-    p = sub.add_parser("walls", parents=[common])
-    p.add_argument("cls")
-    p.add_argument("--beta-min", required=True)
-    p.add_argument("--beta-max", required=True)
-    p.add_argument("--alpha-max", required=True)
-    p.add_argument("--disc-bound", default="0")
+    sub.add_parser("bg-check", parents=[common, point])
+    sub.add_parser("walls", parents=[common, box])
 
     p = sub.add_parser("reduce", parents=[common])
     p.add_argument("beta")
@@ -106,12 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("s_cls")
     p.add_argument("v_cls")
 
-    p = sub.add_parser("plot", parents=[common])
-    p.add_argument("cls")
-    p.add_argument("--beta-min", required=True)
-    p.add_argument("--beta-max", required=True)
-    p.add_argument("--alpha-max", required=True)
-    p.add_argument("--disc-bound", default="0")
+    p = sub.add_parser("plot", parents=[common, box])
     p.add_argument("-o", "--output", dest="svg_out", required=True)
 
     return top
@@ -129,9 +122,7 @@ def _cmd_class(ns) -> int:
 
 def _cmd_tilt(ns) -> int:
     v = _parse_class(ns.cls)
-    p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha))
-    if not p.in_U():
-        raise InputError(f"({p.beta}, {p.alpha}) is not in U")
+    p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha)).require_U()
     tv = twisted_v(v, p.beta)
     nu = tilt_slope_nu(v, p)
     z2 = central_charge_2(v, p)
@@ -155,9 +146,7 @@ def _cmd_tilt(ns) -> int:
 
 def _cmd_bg_check(ns) -> int:
     v = _parse_class(ns.cls)
-    p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha))
-    if not p.in_U():
-        raise InputError(f"({p.beta}, {p.alpha}) is not in U")
+    p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha)).require_U()
     m = bg_margin(v, p)
     passed = m >= 0
     data = {
@@ -174,11 +163,15 @@ def _cmd_bg_check(ns) -> int:
     return 0 if passed else 1
 
 
-def _cmd_walls(ns) -> int:
+def _parse_box(ns) -> tuple[NumClass, Region, Fraction]:
     v = _parse_class(ns.cls)
     region = Region(parse_rational(ns.beta_min), parse_rational(ns.beta_max),
                     parse_rational(ns.alpha_max))
-    disc = parse_rational(ns.disc_bound)
+    return v, region, parse_rational(ns.disc_bound)
+
+
+def _cmd_walls(ns) -> int:
+    v, region, disc = _parse_box(ns)
     walls = enumerate_candidate_walls(v, region, disc)
     if ns.json:
         data = {
@@ -197,9 +190,7 @@ def _cmd_walls(ns) -> int:
 
 
 def _cmd_reduce(ns) -> int:
-    p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha))
-    if not p.in_U():
-        raise InputError(f"({p.beta}, {p.alpha}) is not in U")
+    p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha)).require_U()
     res = reduce_to_fundamental(p)
     if ns.json:
         _emit(_dumps({"beta": str(res.point.beta), "alpha": str(res.point.alpha),
@@ -254,10 +245,7 @@ def _cmd_twist(ns) -> int:
 
 
 def _cmd_plot(ns) -> int:
-    v = _parse_class(ns.cls)
-    region = Region(parse_rational(ns.beta_min), parse_rational(ns.beta_max),
-                    parse_rational(ns.alpha_max))
-    disc = parse_rational(ns.disc_bound)
+    v, region, disc = _parse_box(ns)
     walls = [w for w, _ in enumerate_candidate_walls(v, region, disc)]
     scene = plot_scene(v, region, walls)
     with open(ns.svg_out, "w", encoding="utf-8") as fh:

@@ -16,12 +16,12 @@ from typing import Optional, Sequence, Union
 
 from .errors import DomainError, InputError
 from .euler import chi_pair_p3
-from .numclass import (NumClass, class_of_line_bundle, class_of_named,
-                       is_integral_class, parse_rational, shift)
+from .numclass import (NumClass, class_of_named, is_integral_class,
+                       parse_rational, shift)
 from .surd import Surd
-from .tiltcalc import (ChargeValue, ParamPoint, Slope, alpha_E_beta,
+from .tiltcalc import (ChargeValue, ParamPoint, alpha_E_beta,
                        central_charge_3, discriminant, mu12, slope_mu,
-                       twisted_v)
+                       tilt_slope_nu, twisted_v)
 
 Q = Fraction
 Exact = Union[Fraction, Surd]
@@ -198,11 +198,54 @@ def thm_region_check(p: ParamPoint) -> CheckReport:
     return CheckReport(conds)
 
 
-def _ratio_v3_v1(v: NumClass, beta: Fraction) -> Fraction:
-    _, v1b, _, v3b = twisted_v(v, beta)
-    if v1b == 0:
-        raise DomainError("twisted degree vanishes; ratio undefined")
-    return v3b / v1b
+def _static_conditions(spec: CollectionSpec, beta: Fraction
+                       ) -> tuple[ParamPoint, list[Condition], Fraction]:
+    """Conditions (1)-(3), the ones that do not involve the charge parameter
+    a, at the point of the distinguished class's parabola over beta.
+
+    Returns that point, the conditions and t = v3^b(E)/v1^b(E).  Raises
+    DomainError when the point is not in U.
+    """
+    E = spec.distinguished
+    if discriminant(E) < 0:
+        raise DomainError("distinguished class must have nonnegative discriminant")
+    point = ParamPoint(beta, alpha_E_beta(E, beta)).require_U()
+    F0, F1, F2, _ = spec.classes
+    mu = [slope_mu(c).value for c in spec.classes]
+    mu1_E, _ = mu12(E)
+
+    # (1)
+    conds = [_cond("(1) beta < mu1(E)", mu1_E - beta),
+             _cond("(1) beta > mu(F0)", beta - mu[0])]
+    nu0 = tilt_slope_nu(F0, point)
+    if nu0.is_infinite:
+        conds.append(Condition("(1) F0 slope inequality", False, Q(0)))
+    else:
+        conds.append(_cond("(1) (v2(F0)-alpha*v0(F0))/v1^b(F0) < beta", beta - nu0.value))
+
+    # (2) three-case slot condition; v1^b(F) = v0(F)*(mu(F) - beta) is
+    # nonzero strictly inside a slot, so nu(F1) and nu(F2) are finite there
+    if mu[0] < beta < mu[1]:
+        conds.append(_cond("(2) mu(F0)<beta<mu(F1) and F1 inequality",
+                           beta - tilt_slope_nu(F1, point).value))
+    elif mu[1] <= beta <= mu[2]:
+        conds.append(Condition("(2) mu(F1)<=beta<=mu(F2)", True, Q(0), strict=False))
+    elif mu[2] < beta < mu[3]:
+        conds.append(_cond("(2) mu(F2)<beta<mu(F3) and F2 inequality",
+                           tilt_slope_nu(F2, point).value - beta))
+    else:
+        conds.append(Condition("(2) beta outside (mu(F0), mu(F3))", False, Q(0)))
+
+    # (3); v1^b(E) = 0 would put beta at mu(E), where the parabola has
+    # omega^2 = -disc(E)/v0(E)^2 <= 0, i.e. off U
+    _, e_v1b, _, e_v3b = twisted_v(E, beta)
+    t = e_v3b / e_v1b
+    for name, F, want_less in (("F0", F0, True), ("F1", F1, False), ("F2", F2, True)):
+        _, v1b, _, v3b = twisted_v(F, beta)
+        resid = t * v1b - v3b if want_less else v3b - t * v1b
+        op = "<" if want_less else ">"
+        conds.append(_cond(f"(3) v3^b({name}) {op} t*v1^b({name})", resid))
+    return point, conds, t
 
 
 def general_condition_check(spec: CollectionSpec, beta, a0) -> CheckReport:
@@ -213,110 +256,45 @@ def general_condition_check(spec: CollectionSpec, beta, a0) -> CheckReport:
     its slope inequality; (2) the three-case slot condition on the middle
     members; (3) the three twisted-degree inequalities; (4) strict-left
     cone membership of the four simples' charges at a0.  The gate
-    a0 < v3^b(E)/v1^b(E) is reported alongside.
+    a0 < v3^b(E)/v1^b(E) is reported alongside.  Raises DomainError when
+    the point is not in U.
     """
     beta = Fraction(beta)
     a0 = Fraction(a0)
-    E = spec.distinguished
-    if E.v0 == 0:
-        raise DomainError("distinguished class must have nonzero rank")
-    if discriminant(E) < 0:
-        raise DomainError("distinguished class must have nonnegative discriminant")
-    F0, F1, F2, F3 = spec.classes
-    mu = [slope_mu(c).value for c in spec.classes]
-    mu1_E, _ = mu12(E)
-    alpha = alpha_E_beta(E, beta)
-    conds: list[Condition] = []
-    notes: list[str] = []
-
-    # (1)
-    conds.append(_cond("(1) beta < mu1(E)", mu1_E - beta))
-    conds.append(_cond("(1) beta > mu(F0)", beta - mu[0]))
-    _, f0_v1b, _, _ = twisted_v(F0, beta)
-    if f0_v1b == 0:
-        conds.append(Condition("(1) F0 slope inequality", False, Q(0)))
-    else:
-        frac = (F0.v2 - alpha * F0.v0) / f0_v1b
-        conds.append(_cond("(1) (v2(F0)-alpha*v0(F0))/v1^b(F0) < beta", beta - frac))
-
-    # (2) three-case slot condition
-    if mu[0] < beta < mu[1]:
-        _, f1_v1b, _, _ = twisted_v(F1, beta)
-        if f1_v1b == 0:
-            conds.append(Condition("(2) F1 slope inequality", False, Q(0)))
-        else:
-            frac = (F1.v2 - alpha * F1.v0) / f1_v1b
-            conds.append(_cond("(2) mu(F0)<beta<mu(F1) and F1 inequality", beta - frac))
-    elif mu[1] <= beta <= mu[2]:
-        conds.append(Condition("(2) mu(F1)<=beta<=mu(F2)", True, Q(0), strict=False))
-    elif mu[2] < beta < mu[3]:
-        _, f2_v1b, _, _ = twisted_v(F2, beta)
-        if f2_v1b == 0:
-            conds.append(Condition("(2) F2 slope inequality", False, Q(0)))
-        else:
-            frac = (F2.v2 - alpha * F2.v0) / f2_v1b
-            conds.append(_cond("(2) mu(F2)<beta<mu(F3) and F2 inequality", frac - beta))
-    else:
-        conds.append(Condition("(2) beta outside (mu(F0), mu(F3))", False, Q(0)))
-
-    # (3)
-    try:
-        t = _ratio_v3_v1(E, beta)
-        for name, F, want_less in (("F0", F0, True), ("F1", F1, False), ("F2", F2, True)):
-            _, v1b, _, v3b = twisted_v(F, beta)
-            resid = t * v1b - v3b if want_less else v3b - t * v1b
-            op = "<" if want_less else ">"
-            conds.append(_cond(f"(3) v3^b({name}) {op} t*v1^b({name})", resid))
-    except DomainError:
-        conds.append(Condition("(3) ratio v3^b(E)/v1^b(E) undefined", False, Q(0)))
-        t = None
-
-    # (4) strict-left cone membership of the simples' charges at a0
-    point = ParamPoint(beta, alpha)
+    point, conds, t = _static_conditions(spec, beta)
     charges = [central_charge_3(s, point, a0) for s in simples_classes(spec)]
     ok4 = cone_check(charges, mode="strict-left")
     conds.append(Condition("(4) simples charges strictly left", ok4, Q(0)))
-
-    if t is not None:
-        conds.append(_cond("gate a0 < v3^b(E)/v1^b(E)", t - a0))
+    conds.append(_cond("gate a0 < v3^b(E)/v1^b(E)", t - a0))
+    notes = ()
     if spec.builtin == "custom":
-        notes.append("categorical exceptionality of a custom collection is not verified")
-    return CheckReport(tuple(conds), notes=tuple(notes))
+        notes = ("categorical exceptionality of a custom collection is not verified",)
+    return CheckReport(tuple(conds), notes=notes)
 
 
 def admissible_a_interval(spec: CollectionSpec, beta) -> Optional[tuple[Fraction, Fraction]]:
     """Open interval of charge parameters a for which the condition system
-    can be satisfied: upper bound from the distinguished class (and any
-    simple with positive twisted degree), lower bound the largest of the
-    per-simple linear bounds.  None when conditions (1)-(3) fail or the
-    interval is empty."""
+    can be satisfied: upper bound the gate value v3^b(E)/v1^b(E), lower
+    bound the largest of the per-simple linear bounds.  None when
+    conditions (1)-(3) fail or the interval is empty.  Raises DomainError
+    when the point (beta, alpha) on the distinguished class's parabola is
+    not in U."""
     beta = Fraction(beta)
-    E = spec.distinguished
-    if E.v0 == 0:
-        raise DomainError("distinguished class must have nonzero rank")
-    if discriminant(E) < 0:
-        raise DomainError("distinguished class must have nonnegative discriminant")
-    probe = general_condition_check(spec, beta, Fraction(0))
-    static = [c for c in probe.conditions if c.name.startswith(("(1)", "(2)", "(3)"))]
-    if not all(c.passed for c in static):
+    point, conds, upper = _static_conditions(spec, beta)
+    if not all(c.passed for c in conds):
         return None
-
-    alpha = alpha_E_beta(E, beta)
-    omega_half = alpha - beta * beta / 2
-    upper = _ratio_v3_v1(E, beta)
     lower: Optional[Fraction] = None
     for s in simples_classes(spec):
-        v0b, v1b, v2b, v3b = twisted_v(s, beta)
-        if v1b > 0:
-            upper = min(upper, v3b / v1b)
-        elif v1b < 0:
-            bound = v3b / v1b
+        # Re Z_a(s) = Re Z_0(s) + a*v1^b(s) < 0 bounds a by v3^b(s)/v1^b(s),
+        # from below when v1^b(s) < 0.  When v1^b(s) > 0 the bound is from
+        # above, and (3) puts it at or above the gate's, so it never binds.
+        z = central_charge_3(s, point, 0)
+        _, v1b, _, _ = twisted_v(s, beta)
+        if v1b < 0:
+            bound = -z.re / v1b
             lower = bound if lower is None else max(lower, bound)
-        else:
-            # a-independent: Re = -v3^b must be negative, or zero with Im < 0
-            im = v2b - omega_half * v0b
-            if not (-v3b < 0 or (v3b == 0 and im < 0)):
-                return None
+        elif v1b == 0 and not (z.re < 0 or (z.re == 0 and z.im < 0)):
+            return None
     if lower is None or lower >= upper:
         return None
     return lower, upper

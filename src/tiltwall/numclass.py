@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .errors import InputError
 
-Q = Fraction
-
 
 def parse_rational(tok: str) -> Fraction:
     try:

@@ -11,7 +11,6 @@ a comparison raises instead of silently approximating.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from typing import Union
 
 Rational = Union[int, Fraction]

@@ -17,8 +17,6 @@ from .errors import DomainError
 from .numclass import NumClass
 from .surd import Surd
 
-Q = Fraction
-
 
 @dataclass(frozen=True)
 class ParamPoint:

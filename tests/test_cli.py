@@ -72,6 +72,21 @@ def test_tilt_outside_U_is_input_error():
     assert run(["tilt", "O", "--beta", "0", "--alpha", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv, point", [
+    (["tilt", "O", "--beta", "1", "--alpha", "1/2"], "(1, 1/2)"),
+    (["bg-check", "O", "--beta", "0", "--alpha", "0", "--json"], "(0, 0)"),
+    (["reduce", "1", "1/2"], "(1, 1/2)"),
+    # beta = 1 puts the distinguished O(1) on its parabola at alpha = 1/2
+    (["interval", "beilinson4", "--beta", "1"], "(1, 1/2)"),
+    (["collection-check", "beilinson4", "--beta", "1", "--a0", "0"], "(1, 1/2)"),
+])
+def test_point_off_U_is_input_error(capsys, argv, point):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {point} is not in U\n"
+
+
 def test_bg_check_exit_codes():
     beta = "-1/3"
     assert run(["bg-check", "O", "--beta", beta, "--alpha", "1/9"]) == 0

@@ -2,13 +2,14 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tiltwall import (ChargeValue, CollectionSpec, NumClass, ParamPoint,
                       admissible_a_interval, central_charge_3, class_of_named,
                       cone_check, general_condition_check, simples_classes,
-                      simplecase_z_oracle, thm_region_check)
+                      simplecase_z_oracle, tensor_line, thm_region_check,
+                      twisted_v)
 from tiltwall.errors import DomainError, InputError
 
 Q = Fraction
@@ -124,6 +125,124 @@ def test_mu1_gating():
     assert not rep.passed
     assert any(c.name.startswith("(1) beta < mu1") and not c.passed
                for c in rep.conditions)
+
+
+def test_slot_and_zero_denominator_rows_frozen():
+    # golden reports: the F2 and F1 slot cases of (2), and the v1^b(F0) = 0
+    # row of (1) at beta = mu(F0)
+    rep = general_condition_check(LINES, Q(-1, 4), Q(1, 4))
+    assert [c.describe() for c in rep.conditions] == [
+        "(1) beta < mu1(E): residual 1/4 > 0 -> pass",
+        "(1) beta > mu(F0): residual 11/4 > 0 -> pass",
+        "(1) (v2(F0)-alpha*v0(F0))/v1^b(F0) < beta: residual 15/11 > 0 -> pass",
+        "(2) mu(F2)<beta<mu(F3) and F2 inequality: residual -1/3 > 0 -> FAIL",
+        "(3) v3^b(F0) < t*v1^b(F0): residual 55/16 > 0 -> pass",
+        "(3) v3^b(F1) > t*v1^b(F1): residual -7/8 > 0 -> FAIL",
+        "(3) v3^b(F2) < t*v1^b(F2): residual 1/16 > 0 -> pass",
+        "(4) simples charges strictly left: residual 0 > 0 -> FAIL",
+        "gate a0 < v3^b(E)/v1^b(E): residual -23/96 > 0 -> FAIL",
+    ]
+    rep = general_condition_check(LINES, Q(-9, 4), Q(1, 8))
+    assert [c.describe() for c in rep.conditions] == [
+        "(1) beta < mu1(E): residual 9/4 > 0 -> pass",
+        "(1) beta > mu(F0): residual 3/4 > 0 -> pass",
+        "(1) (v2(F0)-alpha*v0(F0))/v1^b(F0) < beta: residual -3 > 0 -> FAIL",
+        "(2) mu(F0)<beta<mu(F1) and F1 inequality: residual 10 > 0 -> pass",
+        "(3) v3^b(F0) < t*v1^b(F0): residual -9/16 > 0 -> FAIL",
+        "(3) v3^b(F1) > t*v1^b(F1): residual -5/24 > 0 -> FAIL",
+        "(3) v3^b(F2) < t*v1^b(F2): residual 35/48 > 0 -> pass",
+        "(4) simples charges strictly left: residual 0 > 0 -> FAIL",
+        "gate a0 < v3^b(E)/v1^b(E): residual 23/32 > 0 -> pass",
+    ]
+    rep = general_condition_check(LINES, Q(-3), Q(0))
+    assert [c.describe() for c in rep.conditions] == [
+        "(1) beta < mu1(E): residual 3 > 0 -> pass",
+        "(1) beta > mu(F0): residual 0 > 0 -> FAIL",
+        "(1) F0 slope inequality: residual 0 > 0 -> FAIL",
+        "(2) beta outside (mu(F0), mu(F3)): residual 0 > 0 -> FAIL",
+        "(3) v3^b(F0) < t*v1^b(F0): residual 0 > 0 -> FAIL",
+        "(3) v3^b(F1) > t*v1^b(F1): residual -4/3 > 0 -> FAIL",
+        "(3) v3^b(F2) < t*v1^b(F2): residual 5/3 > 0 -> pass",
+        "(4) simples charges strictly left: residual 0 > 0 -> FAIL",
+        "gate a0 < v3^b(E)/v1^b(E): residual 3/2 > 0 -> pass",
+    ]
+
+
+def test_off_U_raises_domain_error():
+    # beta = 1 puts O(1) on its own parabola at alpha = 1/2 = beta^2/2
+    with pytest.raises(DomainError) as exc:
+        general_condition_check(BEILINSON, 1, 0)
+    assert str(exc.value) == "(1, 1/2) is not in U"
+    with pytest.raises(DomainError) as exc:
+        admissible_a_interval(BEILINSON, 1)
+    assert str(exc.value) == "(1, 1/2) is not in U"
+
+
+def _dual_collection(spec: CollectionSpec) -> CollectionSpec:
+    # (E0, .., E3) -> (E3^v, .., E0^v): odd components change sign
+    classes = tuple(NumClass(c.v0, -c.v1, c.v2, -c.v3)
+                    for c in reversed(spec.classes))
+    return CollectionSpec(tuple(n + "^v" for n in reversed(spec.names)), classes)
+
+
+@st.composite
+def collections_and_betas(draw):
+    """A built-in collection, its twist by O(m) and possibly its dual, with
+    beta on a 1/24 grid in a window around the built-in's admissible betas
+    (omega: (-1/2, 0), lines: (-3/2, -1), beilinson4: none); twisting
+    shifts the window by m and dualizing reflects it."""
+    spec, lo, hi = draw(st.sampled_from([(BEILINSON, -2, 1),
+                                         (OMEGA, -1, 1),
+                                         (LINES, -2, 0)]))
+    beta = lo + Q(draw(st.integers(0, 24 * (hi - lo))), 24)
+    m = draw(st.integers(-3, 3))
+    if m:
+        spec = CollectionSpec(spec.names,
+                              tuple(tensor_line(c, m) for c in spec.classes))
+        beta += m
+    if draw(st.booleans()):
+        spec, beta = _dual_collection(spec), -beta
+    return spec, beta
+
+
+def _charge_breakpoints(spec: CollectionSpec, beta: Fraction) -> list[Fraction]:
+    """Every a at which some condition of the system can change verdict:
+    the zero of Re Z_a of each simple.  The first simple is E itself, so
+    the gate value v3^b(E)/v1^b(E) is among them."""
+    pts = set()
+    for v in simples_classes(spec):
+        _, v1b, _, v3b = twisted_v(v, beta)
+        if v1b != 0:
+            pts.add(v3b / v1b)
+    return sorted(pts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(collections_and_betas())
+def test_interval_agrees_with_condition_system(spec_beta):
+    spec, beta = spec_beta
+    try:
+        iv = admissible_a_interval(spec, beta)
+    except DomainError:
+        return
+    # the verdict is constant between consecutive breakpoints, so the
+    # breakpoints, the midpoints between them and one point beyond each
+    # end probe every a that can behave differently
+    pts = _charge_breakpoints(spec, beta)
+    probes = pts + [(x + y) / 2 for x, y in zip(pts, pts[1:])] + \
+        [pts[0] - 1, pts[-1] + 1]
+    if iv is None:
+        assert not any(general_condition_check(spec, beta, a).passed
+                       for a in probes)
+        return
+    lo, hi = iv
+    probes += [(lo + hi) / 2, lo + (hi - lo) / 7, hi - (hi - lo) / 7]
+    for a in probes:
+        passed = general_condition_check(spec, beta, a).passed
+        if lo < a < hi:
+            assert passed, a
+        elif a < lo or a > hi:
+            assert not passed, a
 
 
 def test_admissible_intervals_frozen():
