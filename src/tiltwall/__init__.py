@@ -7,7 +7,7 @@ from .euler import (chi_local, chi_local_restriction_form, chi_p3,
 from .heartgate import (CheckReport, CollectionSpec, admissible_a_interval,
                         cone_check, general_condition_check, simples_classes,
                         simplecase_z_oracle, thm_region_check)
-from .numclass import (NumClass, POINT, ZERO, class_of_line_bundle,
+from .numclass import (NumClass, POINT, class_of_line_bundle,
                        class_of_named, dual_shifted, is_integral_class,
                        shift, tensor_line)
 from .surd import Surd

@@ -1,9 +1,12 @@
 """Command-line surface: exact-fraction I/O, JSON reports, SVG plots.
 
+Each verb's handler ``_cmd_*`` returns ``(data, text, exit_code)``, the
+JSON object, its text rendering and the exit code, and prints nothing;
+``run`` emits one of the two (``--json`` picks) to stdout or ``--out``.
+
 Exit codes: 0 = success / check passed, 1 = a requested check failed,
 2 = invalid input, 3 = internal error (a bug, reported on one stderr
-line).  JSON output is deterministic (compact separators,
-fixed key order).
+line).  JSON output is deterministic (compact separators, fixed key order).
 """
 
 from __future__ import annotations
@@ -60,14 +63,18 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
+def _decimals(tok: str) -> int:
+    if not tok.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {tok!r}")
+    return int(tok)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="tiltwall",
                   description="exact tilt-stability calculator")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="JSON output")
     common.add_argument("--out", metavar="PATH", help="write output to file")
-    common.add_argument("--precision", type=int, default=4,
-                        help="decimals for SVG rendering only")
     point = argparse.ArgumentParser(add_help=False)
     point.add_argument("cls")
     point.add_argument("--beta", required=True)
@@ -106,33 +113,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", parents=[common, box])
     p.add_argument("-o", "--output", dest="svg_out", required=True)
+    p.add_argument("--precision", type=_decimals, default=4,
+                   help="decimals in the SVG")
 
     return top
 
 
-def _cmd_class(ns) -> int:
+def _cmd_class(ns) -> tuple[dict, str, int]:
     v = _parse_class(ns.name)
-    if ns.json:
-        _emit(_dumps({"schema": "tiltwall/class-v1", "class": str(v),
-                      "chi": str(chi_p3(v))}), ns.out)
-    else:
-        _emit(str(v), ns.out)
-    return 0
+    data = {"schema": "tiltwall/class-v1", "class": str(v),
+            "chi": str(chi_p3(v))}
+    return data, str(v), 0
 
 
-def _cmd_tilt(ns) -> int:
+def _cmd_tilt(ns) -> tuple[dict, str, int]:
     v = _parse_class(ns.cls)
     p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha)).require_U()
     tv = twisted_v(v, p.beta)
     nu = tilt_slope_nu(v, p)
     z2 = central_charge_2(v, p)
-    data = {
-        "schema": "tiltwall/tilt-v1",
-        "class": str(v),
-        "twisted": [str(c) for c in tv],
-        "nu": "oo" if nu.is_infinite else str(nu.value),
-        "Z2": [str(z2.re), str(z2.im)],
-    }
+    data = {"schema": "tiltwall/tilt-v1", "class": str(v),
+            "twisted": [str(c) for c in tv],
+            "nu": "oo" if nu.is_infinite else str(nu.value),
+            "Z2": [str(z2.re), str(z2.im)]}
     lines = [f"twisted: {','.join(data['twisted'])}",
              f"nu: {data['nu']}",
              f"Z2: {_charge_str(z2)}"]
@@ -140,27 +143,20 @@ def _cmd_tilt(ns) -> int:
         z3 = central_charge_3(v, p, parse_rational(ns.a))
         data["Z3"] = [str(z3.re), str(z3.im)]
         lines.append(f"Z3: {_charge_str(z3)}")
-    _emit(_dumps(data) if ns.json else "\n".join(lines), ns.out)
-    return 0
+    return data, "\n".join(lines), 0
 
 
-def _cmd_bg_check(ns) -> int:
+def _cmd_bg_check(ns) -> tuple[dict, str, int]:
     v = _parse_class(ns.cls)
     p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha)).require_U()
     m = bg_margin(v, p)
     passed = m >= 0
-    data = {
-        "schema": "tiltwall/bg-v1",
-        "class": str(v),
-        "margin": str(m),
-        "on_curve": bg_margin_meaningful(v, p),
-        "Q": str(quadratic_form_Q(v, p)),
-        "passed": passed,
-    }
+    data = {"schema": "tiltwall/bg-v1", "class": str(v), "margin": str(m),
+            "on_curve": bg_margin_meaningful(v, p),
+            "Q": str(quadratic_form_Q(v, p)), "passed": passed}
     text = (f"margin: {m}\non_curve: {data['on_curve']}\nQ: {data['Q']}\n"
             f"{'pass' if passed else 'FAIL'}")
-    _emit(_dumps(data) if ns.json else text, ns.out)
-    return 0 if passed else 1
+    return data, text, 0 if passed else 1
 
 
 def _parse_box(ns) -> tuple[NumClass, Region, Fraction]:
@@ -170,91 +166,66 @@ def _parse_box(ns) -> tuple[NumClass, Region, Fraction]:
     return v, region, parse_rational(ns.disc_bound)
 
 
-def _cmd_walls(ns) -> int:
+def _cmd_walls(ns) -> tuple[dict, str, int]:
     v, region, disc = _parse_box(ns)
     walls = enumerate_candidate_walls(v, region, disc)
-    if ns.json:
-        data = {
-            "schema": "tiltwall/walls-v1",
-            "class": str(v),
-            "region": region.to_json_dict(),
-            "search_box": search_box(v, disc),
+    data = {"schema": "tiltwall/walls-v1", "class": str(v),
+            "region": region.to_json_dict(), "search_box": search_box(v, disc),
             "walls": [{"A": w.A, "B": w.B, "C": w.C, "witness": str(wit)}
-                      for w, wit in walls],
-        }
-        _emit(_dumps(data), ns.out)
-    else:
-        lines = [f"{w}  (witness {wit})" for w, wit in walls]
-        _emit("\n".join(lines) if lines else "no walls found", ns.out)
-    return 0
+                      for w, wit in walls]}
+    lines = [f"{w}  (witness {wit})" for w, wit in walls]
+    return data, "\n".join(lines) if lines else "no walls found", 0
 
 
-def _cmd_reduce(ns) -> int:
+def _cmd_reduce(ns) -> tuple[dict, str, int]:
     p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha)).require_U()
     res = reduce_to_fundamental(p)
-    if ns.json:
-        _emit(_dumps({"beta": str(res.point.beta), "alpha": str(res.point.alpha),
-                      "log": list(res.log)}), ns.out)
-    else:
-        log = ",".join(res.log) if res.log else "identity"
-        _emit(f"beta={res.point.beta} alpha={res.point.alpha} log={log}", ns.out)
-    return 0
+    data = {"beta": str(res.point.beta), "alpha": str(res.point.alpha),
+            "log": list(res.log)}
+    log = ",".join(res.log) if res.log else "identity"
+    return data, f"beta={res.point.beta} alpha={res.point.alpha} log={log}", 0
 
 
-def _interval_result(spec: CollectionSpec, beta: Fraction, ns) -> int:
+def _interval_result(spec: CollectionSpec, beta: Fraction) -> tuple[dict, str, int]:
     iv = admissible_a_interval(spec, beta)
-    if ns.json:
-        data = {"schema": "tiltwall/interval-v1", "beta": str(beta),
-                "interval": None if iv is None else [str(iv[0]), str(iv[1])]}
-        _emit(_dumps(data), ns.out)
-    else:
-        _emit(f"({iv[0]}, {iv[1]})" if iv else "no admissible interval", ns.out)
-    return 0 if iv is not None else 1
+    data = {"schema": "tiltwall/interval-v1", "beta": str(beta),
+            "interval": None if iv is None else [str(iv[0]), str(iv[1])]}
+    text = f"({iv[0]}, {iv[1]})" if iv else "no admissible interval"
+    return data, text, 0 if iv is not None else 1
 
 
-def _cmd_collection_check(ns) -> int:
+def _cmd_collection_check(ns) -> tuple[dict, str, int]:
     spec = _parse_collection(ns.collection)
     beta = parse_rational(ns.beta)
     if ns.a0 is None:
-        return _interval_result(spec, beta, ns)
+        return _interval_result(spec, beta)
     report = general_condition_check(spec, beta, parse_rational(ns.a0))
-    if ns.json:
-        data = report.to_json_dict()
-        data["schema"] = "tiltwall/check-v1"
-        _emit(_dumps(data), ns.out)
-    else:
-        _emit("\n".join(c.describe() for c in report.conditions), ns.out)
-    return 0 if report.passed else 1
+    data = report.to_json_dict()
+    data["schema"] = "tiltwall/check-v1"
+    text = "\n".join(c.describe() for c in report.conditions)
+    return data, text, 0 if report.passed else 1
 
 
-def _cmd_interval(ns) -> int:
-    spec = _parse_collection(ns.collection)
-    return _interval_result(spec, parse_rational(ns.beta), ns)
+def _cmd_interval(ns) -> tuple[dict, str, int]:
+    return _interval_result(_parse_collection(ns.collection),
+                            parse_rational(ns.beta))
 
 
-def _cmd_twist(ns) -> int:
-    s = _parse_class(ns.s_cls)
-    v = _parse_class(ns.v_cls)
+def _cmd_twist(ns) -> tuple[dict, str, int]:
+    s, v = _parse_class(ns.s_cls), _parse_class(ns.v_cls)
     result = spherical_twist_class(s, v)
-    if ns.json:
-        _emit(_dumps({"schema": "tiltwall/twist-v1", "result": str(result),
-                      "pairing": str(chi_local(s, v))}), ns.out)
-    else:
-        _emit(str(result), ns.out)
-    return 0
+    data = {"schema": "tiltwall/twist-v1", "result": str(result),
+            "pairing": str(chi_local(s, v))}
+    return data, str(result), 0
 
 
-def _cmd_plot(ns) -> int:
+def _cmd_plot(ns) -> tuple[dict, str, int]:
     v, region, disc = _parse_box(ns)
     walls = [w for w, _ in enumerate_candidate_walls(v, region, disc)]
     scene = plot_scene(v, region, walls)
     with open(ns.svg_out, "w", encoding="utf-8") as fh:
         fh.write(scene.to_svg(precision=ns.precision))
-    if ns.json:
-        _emit(_dumps(scene.to_json_dict()), ns.out)
-    else:
-        _emit(f"wrote {ns.svg_out} ({len(walls)} walls)", ns.out)
-    return 0
+    return scene.to_json_dict(), f"wrote {ns.svg_out} ({len(walls)} walls)", 0
 
 
 _HANDLERS = {
@@ -278,7 +249,9 @@ def run(argv) -> int:
         # argparse exits 0 for --help, 2 for bad usage
         return 0 if exc.code == 0 else 2
     try:
-        return _HANDLERS[ns.verb](ns)
+        data, text, code = _HANDLERS[ns.verb](ns)
+        _emit(_dumps(data) if ns.json else text, ns.out)
+        return code
     except (InputError, DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -113,7 +113,6 @@ class Condition:
 @dataclass(frozen=True)
 class CheckReport:
     conditions: tuple[Condition, ...]
-    a_interval: Optional[tuple[Fraction, Fraction]] = None
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -129,8 +128,6 @@ class CheckReport:
                 for c in self.conditions
             ],
         }
-        if self.a_interval is not None:
-            d["a_interval"] = [str(self.a_interval[0]), str(self.a_interval[1])]
         if self.notes:
             d["notes"] = list(self.notes)
         return d

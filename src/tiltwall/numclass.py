@@ -39,9 +39,6 @@ class NumClass:
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.v0, self.v1, self.v2, self.v3)
 
-    def is_zero(self) -> bool:
-        return self == ZERO
-
     def __add__(self, other: "NumClass") -> "NumClass":
         return NumClass(self.v0 + other.v0, self.v1 + other.v1,
                         self.v2 + other.v2, self.v3 + other.v3)
@@ -69,7 +66,6 @@ class NumClass:
         return NumClass(*(parse_rational(p) for p in parts))
 
 
-ZERO = NumClass(0, 0, 0, 0)
 POINT = NumClass(0, 0, 0, 1)
 
 

@@ -218,19 +218,15 @@ def curve_CE(v: NumClass) -> CurveCE:
 
 
 def curve_endpoint(v: NumClass) -> Union[Fraction, Surd]:
-    """Boundary abscissa of the curve: (v1 -+ sqrt(disc))/v0, or v2/v1 in
-    rank zero; exact, a surd when the discriminant is not a square."""
+    """Boundary abscissa of the curve: mu1 of ``mu12``, (v1 -+ sqrt(disc))/v0,
+    or v2/v1 in rank zero; exact, a surd when the discriminant is not a
+    square."""
     c = curve_CE(v)
     if c.is_empty():
         raise DomainError("class has an empty curve")
     if c.kind == "vertical":
         return c.beta0
-    root = Surd.sqrt(discriminant(v))
-    if v.v0 > 0:
-        end = (Fraction(v.v1) - root) / v.v0
-    else:
-        end = (Fraction(v.v1) + root) / v.v0
-    return end.as_fraction() if end.is_rational else end
+    return mu12(v)[0]
 
 
 def alpha_E_beta(v: NumClass, beta) -> Fraction:

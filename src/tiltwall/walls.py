@@ -28,6 +28,17 @@ from .tiltcalc import curve_CE, discriminant
 from . import _wallscan_py
 
 
+def _normal_form(A: int, B: int, C: int) -> Optional[tuple[int, int, int]]:
+    """(A, B, C) divided by their gcd, with the first nonzero entry made
+    positive; None when all three are zero."""
+    g = math.gcd(A, B, C)
+    if g == 0:
+        return None
+    if (A or B or C) < 0:
+        g = -g
+    return A // g, B // g, C // g
+
+
 @dataclass(frozen=True)
 class Wall:
     """Line A*alpha + B*beta + C = 0, canonically normalized: integer
@@ -44,16 +55,11 @@ class Wall:
     @staticmethod
     def from_coefficients(A, B, C) -> "Wall":
         A, B, C = Fraction(A), Fraction(B), Fraction(C)
-        if (A, B, C) == (0, 0, 0):
-            raise DomainError("degenerate wall (0, 0, 0)")
         scale = math.lcm(A.denominator, B.denominator, C.denominator)
-        a, b, c = int(A * scale), int(B * scale), int(C * scale)
-        g = math.gcd(a, b, c)
-        a, b, c = a // g, b // g, c // g
-        first = a if a != 0 else (b if b != 0 else c)
-        if first < 0:
-            a, b, c = -a, -b, -c
-        return Wall(a, b, c)
+        key = _normal_form(int(A * scale), int(B * scale), int(C * scale))
+        if key is None:
+            raise DomainError("degenerate wall (0, 0, 0)")
+        return Wall(*key)
 
     def slope(self) -> Optional[Fraction]:
         """d alpha / d beta, None for a vertical wall (A = 0)."""
@@ -182,20 +188,17 @@ def _wall_window(A: int, B: int, C: int, region: Region):
     region's beta range and under its alpha cap (both non-strict), or None
     when the wall misses region /\\ cap /\\ U.  It depends only on the wall,
     so enumeration computes it once per wall.  A vertical wall beta = -C/B
-    gives the one-point interval [beta0, beta0]; U holds at some alpha under
-    the cap iff alpha_max > beta0^2/2."""
+    pins the interval to [beta0, beta0]; U holds at some alpha under the
+    cap n/m iff n/m > beta0^2/2, that is 2*n*B^2 - m*C^2 > 0."""
     lo, hi, cap = region.beta_min, region.beta_max, region.alpha_max
+    n, m = cap.numerator, cap.denominator
     if A == 0:
-        beta0 = Fraction(-C, B)
-        if not (lo <= beta0 <= hi) or cap <= beta0 * beta0 / 2:
-            return None
-        end = beta0.numerator, beta0.denominator
-        return end, False, end, False
-    # alpha(beta) <= alpha_max, times the cap's denominator
+        constraints = ((B, C, False), (-B, -C, False),
+                       (0, 2 * n * B * B - m * C * C, True))
+    else:  # alpha(beta) <= alpha_max, times m
+        constraints = ((B * m, C * m + A * n, False),)
     return _clip(A, B, C, ((lo.numerator, lo.denominator), False,
-                           (hi.numerator, hi.denominator), False),
-                 ((B * cap.denominator, C * cap.denominator + A * cap.numerator,
-                   False),))
+                           (hi.numerator, hi.denominator), False), constraints)
 
 
 def _wall_feasible(wall: Wall, v: NumClass, w: NumClass, region: Region) -> bool:
@@ -248,17 +251,10 @@ def _scaled_inputs(v: NumClass, region: Region, disc_bound: Fraction):
 def _wall_key(P0: int, P1: int, T2: int, w0: int, w1: int, t: int):
     """(A, B, C) of ``wall_between(v, w)`` in integers, for the class
     v = (P0, P1, T2/2)/R and the scanned witness w = (w0, w1, t/2): the
-    coefficients scaled by 2R > 0, divided by their gcd and signed as in
-    ``Wall.from_coefficients``.  None when all three vanish."""
-    A = 2 * (w0 * P1 - P0 * w1)
-    B = t * P0 - T2 * w0
-    C = T2 * w1 - t * P1
-    g = math.gcd(A, B, C)
-    if g == 0:
-        return None
-    if (A or B or C) < 0:
-        g = -g
-    return A // g, B // g, C // g
+    coefficients scaled by 2R > 0, in ``_normal_form``.  None when all
+    three vanish."""
+    return _normal_form(2 * (w0 * P1 - P0 * w1), t * P0 - T2 * w0,
+                        T2 * w1 - t * P1)
 
 
 def enumerate_candidate_walls(v: NumClass, region: Region,
@@ -327,8 +323,8 @@ class SceneDescription:
             "points": list(self.points),
         }
 
-    def to_svg(self, precision: int = 4, width: int = 480, height: int = 360) -> str:
-        return _render_svg(self, precision, width, height)
+    def to_svg(self, precision: int = 4) -> str:
+        return _render_svg(self, precision)
 
 
 def plot_scene(v: NumClass, region: Region,
@@ -363,10 +359,10 @@ def _wall_in_box(wall: Wall, region: Region) -> bool:
     return min(a1, a2) <= region.alpha_max
 
 
-def _render_svg(scene: SceneDescription, precision: int,
-                width: int, height: int) -> str:
+def _render_svg(scene: SceneDescription, precision: int) -> str:
     """Write-only float rendering; every geometric decision has already
     been made exactly upstream."""
+    width, height = 480, 360
     reg = scene.region
     bmin, bmax = float(reg.beta_min), float(reg.beta_max)
     amax = float(reg.alpha_max)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +128,26 @@ def test_out_flag(tmp_path):
     assert path.read_text().strip() == "3,-2,0,2/3"
 
 
+def test_out_flag_unwritable_is_input_error(tmp_path, capsys):
+    assert run(["class", "O", "--out", str(tmp_path / "missing" / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+PLOT_ARGV = ["plot", "1,0,-1,0", "--beta-min", "-2", "--beta-max", "0",
+             "--alpha-max", "2", "-o"]
+
+
+def test_precision_is_a_plot_option(tmp_path, capsys):
+    svg = tmp_path / "scene.svg"
+    assert run(["class", "O", "--precision", "3"]) == 2
+    assert run(PLOT_ARGV + [str(svg), "--precision", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --precision" in err and "internal error" not in err
+    assert not svg.exists()
+    assert run(PLOT_ARGV + [str(svg), "--precision", "3"]) == 0
+    assert '<rect x="20.000" y="20.000"' in svg.read_text()
+
+
 def test_usage_errors_exit_2():
     assert run(["frobnicate"]) == 2
     assert run(["tilt", "O"]) == 2
@@ -166,3 +188,18 @@ def test_custom_collection_json_accepted(tmp_path, capsys):
                                 "classes": LINES_CLASSES}))
     assert run(["interval", f"@{path}", "--beta", "-5/4"]) == 0
     assert out_of(capsys) == "(3/32, 25/96)"
+
+
+# Exact stdout, exit code and SVG digest of every verb, text and --json,
+# recorded from the CLI before its handlers shared one output path.  The
+# SVG path is written as "{svg}".
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_golden_transcript(tmp_path, capsys, case):
+    svg = tmp_path / "scene.svg"
+    assert run([str(svg) if a == "{svg}" else a for a in case["argv"]]) == case["code"]
+    assert capsys.readouterr().out.replace(str(svg), "{svg}") == case["stdout"]
+    if "svg_sha256" in case:
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == case["svg_sha256"]
