@@ -4,8 +4,9 @@ no overflow limit on the inputs.
 
 The scan works entirely in scaled integers.  The fixed class v is given by
 P0 = R*v0, P1 = R*v1, T2 = 2*R*v2 (all integers, R > 0) and candidates are
-triples (w0, w1, t) with t = 2*w2 and t = w1 (mod 2) — the parity every
-integral class satisfies.  Filters applied, all exact:
+triples (w0, w1, t) with t = 2*w2 and t = w1 (mod 2), the lattice's
+condition that w2 + w1/2 is an integer (see ``numclass``).  Filters
+applied, all exact:
 
   * disc(w) = w1^2 - w0*t >= 0
   * R^2 * disc(v-w) = (P1-R*w1)^2 - (P0-R*w0)*(T2-R*t) >= 0

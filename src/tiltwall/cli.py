@@ -64,8 +64,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _decimals(tok: str) -> int:
-    if not tok.isdecimal():
-        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {tok!r}")
+    # past 17 decimals a float has no digits left to print
+    if not (tok.isdecimal() and int(tok) <= 17):
+        raise argparse.ArgumentTypeError(f"not an integer from 0 to 17: {tok!r}")
     return int(tok)
 
 
@@ -114,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", parents=[common, box])
     p.add_argument("-o", "--output", dest="svg_out", required=True)
     p.add_argument("--precision", type=_decimals, default=4,
-                   help="decimals in the SVG")
+                   help="decimals in the SVG, 0 to 17")
 
     return top
 

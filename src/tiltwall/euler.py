@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .numclass import NumClass, tensor_line
+from .numclass import NumClass, dual, tensor_line
 
 # Todd class of P^3 against (1, H, H^2, H^3).
 TODD = (Fraction(1), Fraction(2), Fraction(11, 6), Fraction(1))
@@ -23,11 +23,6 @@ TODD = (Fraction(1), Fraction(2), Fraction(11, 6), Fraction(1))
 def chi_p3(v: NumClass) -> Fraction:
     """Euler characteristic: v3 + 2 v2 + (11/6) v1 + v0."""
     return v.v3 + TODD[1] * v.v2 + TODD[2] * v.v1 + TODD[0] * v.v0
-
-
-def full_dual(v: NumClass) -> NumClass:
-    """Character of the derived dual: sign (-1)^i on each component."""
-    return NumClass(v.v0, -v.v1, v.v2, -v.v3)
 
 
 def product(v: NumClass, w: NumClass) -> NumClass:
@@ -43,7 +38,7 @@ def product(v: NumClass, w: NumClass) -> NumClass:
 
 def chi_pair_p3(v: NumClass, w: NumClass) -> Fraction:
     """chi(E, F) on P^3 computed as chi of dual(E) * F."""
-    return chi_p3(product(full_dual(v), w))
+    return chi_p3(product(dual(v), w))
 
 
 def chi_local(v: NumClass, w: NumClass) -> Fraction:

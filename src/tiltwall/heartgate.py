@@ -27,6 +27,13 @@ Q = Fraction
 Exact = Union[Fraction, Surd]
 
 
+_BUILTINS = {
+    "beilinson4": ("O(-1)", "T(-2)", "O", "O(1)"),
+    "omega": ("O(-1)", "Omega2(2)", "Omega(1)", "O"),
+    "lines": ("O(-3)", "O(-2)", "O(-1)", "O"),
+}
+
+
 @dataclass(frozen=True)
 class CollectionSpec:
     """Four numerical classes forming an exceptional-collection datum, with
@@ -54,13 +61,8 @@ class CollectionSpec:
 
     @staticmethod
     def builtin_by_name(name: str) -> "CollectionSpec":
-        if name == "beilinson4":
-            names = ("O(-1)", "T(-2)", "O", "O(1)")
-        elif name == "omega":
-            names = ("O(-1)", "Omega2(2)", "Omega(1)", "O")
-        elif name == "lines":
-            names = ("O(-3)", "O(-2)", "O(-1)", "O")
-        else:
+        names = _BUILTINS.get(name)
+        if names is None:
             raise InputError(f"unknown builtin collection {name!r}")
         return CollectionSpec(names, tuple(class_of_named(n) for n in names), name)
 
@@ -154,16 +156,17 @@ def cone_check(charges: Sequence[ChargeValue], mode: str = "half-plane") -> bool
     exact rational feasibility.
 
     "strict-left": every charge satisfies Re < 0, or Re = 0 and Im < 0.
+    A zero charge fails, since a stability function sends no nonzero
+    object to 0.
     """
-    nonzero = [z for z in charges if not z.is_zero()]
     if mode == "strict-left":
-        return all(z.re < 0 or (z.re == 0 and z.im < 0) for z in nonzero)
+        return all(z.re < 0 or (z.re == 0 and z.im < 0) for z in charges)
     if mode != "half-plane":
         raise InputError(f"unknown cone mode {mode!r}")
     lower: Optional[Fraction] = None
     upper: Optional[Fraction] = None
-    for z in nonzero:
-        if z.im == 0:
+    for z in charges:
+        if z.im == 0:  # a zero charge passes here
             if z.re > 0:
                 return False
             continue
@@ -286,11 +289,11 @@ def admissible_a_interval(spec: CollectionSpec, beta) -> Optional[tuple[Fraction
         # from below when v1^b(s) < 0.  When v1^b(s) > 0 the bound is from
         # above, and (3) puts it at or above the gate's, so it never binds.
         z = central_charge_3(s, point, 0)
-        _, v1b, _, _ = twisted_v(s, beta)
+        v1b = s.v1 - beta * s.v0
         if v1b < 0:
             bound = -z.re / v1b
             lower = bound if lower is None else max(lower, bound)
-        elif v1b == 0 and not (z.re < 0 or (z.re == 0 and z.im < 0)):
+        elif v1b == 0 and not cone_check((z,), mode="strict-left"):
             return None
     if lower is None or lower >= upper:
         return None

@@ -1,9 +1,11 @@
 """Numerical classes on P^3 (equivalently, on the local Calabi-Yau via
-pushforward): the quadruple of hyperplane pairings of the Chern character,
-with exact rational components throughout.
+pushforward) with exact rational components, and the character ring they
+live in: the twist by e^{xH}, the dual, the named classes and the lattice.
 
-The lattice is generated by the line-bundle classes, so "integral" below
-means: the Euler characteristic of every line-bundle twist is an integer.
+"Integral" means: in the Z-span of O, O_H, O_L, O_pt (the structure sheaves
+of P^3, a plane, a line and a point), equivalently chi of every line-bundle
+twist is an integer; in components, v0, v1, v2 + v1/2 and v3 + v2 + v1/3
+are integers.
 """
 
 from __future__ import annotations
@@ -69,23 +71,47 @@ class NumClass:
 POINT = NumClass(0, 0, 0, 1)
 
 
+def twist_components(v: NumClass, x: Fraction
+                     ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Components of v * e^{xH}, truncated at degree 3, for a Fraction x;
+    no NumClass is built, so hot paths can call it directly."""
+    v0, v1, v2, v3 = v.v0, v.v1, v.v2, v.v3
+    h = x * x / 2
+    return (v0, v1 + x * v0, v2 + x * v1 + h * v0,
+            v3 + x * v2 + h * v1 + h * x / 3 * v0)
+
+
+def tensor_line(v: NumClass, m: int) -> NumClass:
+    """Multiply the character by e^{mH}, truncated at degree 3."""
+    return NumClass(*twist_components(v, Fraction(m)))
+
+
 def class_of_line_bundle(d: int) -> NumClass:
     """Class of O(d): the degree-3 truncation of e^{dH}."""
-    d = Fraction(d)
-    return NumClass(1, d, d * d / 2, d * d * d / 6)
+    return tensor_line(NumClass(1, 0, 0, 0), d)
 
 
-def class_of_tangent_twisted() -> NumClass:
-    # Euler sequence: ch(T) = 4 ch(O(1)) - 1, then twist by -2.
-    t = 4 * class_of_line_bundle(1) - class_of_line_bundle(0)
-    return tensor_line(t, -2)
+def dual(v: NumClass) -> NumClass:
+    """Character of the derived dual: sign (-1)^i on each component."""
+    return NumClass(v.v0, -v.v1, v.v2, -v.v3)
 
 
-def class_of_cotangent_twisted() -> NumClass:
-    # Omega = T^dual (sign flip on odd components), then twist by +1.
-    t = 4 * class_of_line_bundle(1) - class_of_line_bundle(0)
-    omega = NumClass(t.v0, -t.v1, t.v2, -t.v3)
-    return tensor_line(omega, 1)
+def dual_shifted(v: NumClass) -> NumClass:
+    """Class of the (relative) dual composed with one shift: (-v0, v1, -v2, v3)."""
+    return -dual(v)
+
+
+# Euler sequence 0 -> O -> O(1)^4 -> T -> 0; Omega = dual(T), and
+# Omega^2 = T(-4), so Omega2(2) = T(-2).
+_T = 4 * class_of_line_bundle(1) - class_of_line_bundle(0)
+_NAMED = {
+    "O": class_of_line_bundle(0),
+    "point": POINT,
+    "O^x": class_of_line_bundle(0) - POINT,
+    "T(-2)": tensor_line(_T, -2),
+    "Omega2(2)": tensor_line(_T, -2),
+    "Omega(1)": tensor_line(dual(_T), 1),
+}
 
 
 def class_of_named(name: str) -> NumClass:
@@ -95,16 +121,8 @@ def class_of_named(name: str) -> NumClass:
     "Omega2(2)", "point", "O^x".
     """
     name = name.strip()
-    if name == "point":
-        return POINT
-    if name == "O^x":
-        return class_of_line_bundle(0) - POINT
-    if name == "T(-2)" or name == "Omega2(2)":
-        return class_of_tangent_twisted()
-    if name == "Omega(1)":
-        return class_of_cotangent_twisted()
-    if name == "O":
-        return class_of_line_bundle(0)
+    if name in _NAMED:
+        return _NAMED[name]
     if name.startswith("O(") and name.endswith(")"):
         try:
             d = int(name[2:-1])
@@ -119,28 +137,9 @@ def shift(v: NumClass, k: int) -> NumClass:
     return v if k % 2 == 0 else -v
 
 
-def tensor_line(v: NumClass, m: int) -> NumClass:
-    """Multiply the character by e^{mH}, truncated at degree 3."""
-    m = Fraction(m)
-    return NumClass(
-        v.v0,
-        v.v1 + m * v.v0,
-        v.v2 + m * v.v1 + m * m / 2 * v.v0,
-        v.v3 + m * v.v2 + m * m / 2 * v.v1 + m * m * m / 6 * v.v0,
-    )
-
-
-def dual_shifted(v: NumClass) -> NumClass:
-    """Class of the (relative) dual composed with one shift: (-v0, v1, -v2, v3)."""
-    return NumClass(-v.v0, v.v1, -v.v2, v.v3)
-
-
 def is_integral_class(v: NumClass) -> bool:
-    """True iff chi(v tensor O(m)) is an integer for m = 0..3.
-
-    chi of a twist is a cubic polynomial in m, so four samples decide
-    integrality at every integer twist.
-    """
-    from .euler import chi_p3
-
-    return all(chi_p3(tensor_line(v, m)).denominator == 1 for m in range(4))
+    """True iff v is in the Z-span of O, O_H, O_L, O_pt, whose coordinates
+    are v0, v1, v2 + v1/2 and v3 + v2 + v1/3."""
+    return (v.v0.denominator == 1 and v.v1.denominator == 1
+            and (v.v2 + v.v1 / 2).denominator == 1
+            and (v.v3 + v.v2 + v.v1 / 3).denominator == 1)

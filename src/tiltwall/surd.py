@@ -11,13 +11,17 @@ a comparison raises instead of silently approximating.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Union
 
 Rational = Union[int, Fraction]
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, d) with n = s^2 * d and d square-free (n >= 0)."""
+    """Return (s, d) with n = s^2 * d and d square-free (n >= 0).
+
+    Trial division stops once p^3 > m: the cofactor m then has at most two
+    prime factors, so it is square-free unless it is a perfect square."""
     if n < 0:
         raise ValueError("negative radicand")
     if n in (0, 1):
@@ -25,7 +29,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     s, d = 1, 1
     p = 2
     m = n
-    while p * p <= m:
+    while p * p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -35,8 +39,10 @@ def _squarefree_split(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    d *= m  # leftover prime
-    return s, d
+    r = isqrt(m)
+    if r * r == m:
+        return s * r, d
+    return s, d * m
 
 
 class Surd:

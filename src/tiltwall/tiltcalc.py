@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import DomainError
-from .numclass import NumClass
+from .numclass import NumClass, twist_components
 from .surd import Surd
 
 
@@ -104,13 +104,7 @@ class ChargeValue:
 
 def twisted_v(v: NumClass, beta) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Twisted components (v0^b, v1^b, v2^b, v3^b): pairings of ch * e^{-beta H}."""
-    b = Fraction(beta)
-    return (
-        v.v0,
-        v.v1 - b * v.v0,
-        v.v2 - b * v.v1 + b * b / 2 * v.v0,
-        v.v3 - b * v.v2 + b * b / 2 * v.v1 - b * b * b / 6 * v.v0,
-    )
+    return twist_components(v, -Fraction(beta))
 
 
 def slope_mu(v: NumClass) -> Slope:

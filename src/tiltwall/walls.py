@@ -217,12 +217,9 @@ def _wall_feasible(wall: Wall, v: NumClass, w: NumClass, region: Region) -> bool
 # --- candidate enumeration ---------------------------------------------------
 
 def _witness_class(w0: int, w1: int, t: int) -> NumClass:
-    """Integral class with rank w0, degree w1, 2*ch2 = t, built from line
-    bundles: w = b*[O(2)] + c*[O(1)] + d*[O] with b = (t-w1)/2,
-    c = 2*w1 - t, d the remainder; its ch3 is 4b/3 + c/6."""
-    b = (t - w1) // 2
-    c = 2 * w1 - t
-    return NumClass(w0, w1, Fraction(t, 2), Fraction(4 * b, 3) + Fraction(c, 6))
+    """Integral class with rank w0, degree w1 and 2*ch2 = t, for t = w1
+    (mod 2): the lattice point w0*O + w1*O_H + (t + w1)/2*O_L + t*O_pt."""
+    return NumClass(w0, w1, Fraction(t, 2), Fraction(3 * t - 2 * w1, 6))
 
 
 def search_box(v: NumClass, disc_bound) -> dict:

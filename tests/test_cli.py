@@ -148,6 +148,17 @@ def test_precision_is_a_plot_option(tmp_path, capsys):
     assert '<rect x="20.000" y="20.000"' in svg.read_text()
 
 
+def test_precision_is_bounded(tmp_path, capsys):
+    svg = tmp_path / "scene.svg"
+    for bad in ("18", "20000"):
+        assert run(PLOT_ARGV + [str(svg), "--precision", bad]) == 2
+        err = capsys.readouterr().err
+        assert "argument --precision" in err and "internal error" not in err
+        assert not svg.exists()
+    assert run(PLOT_ARGV + [str(svg), "--precision", "17"]) == 0
+    assert '<rect x="20.00000000000000000"' in svg.read_text()
+
+
 def test_usage_errors_exit_2():
     assert run(["frobnicate"]) == 2
     assert run(["tilt", "O"]) == 2

@@ -67,6 +67,25 @@ def test_cone_check_modes():
         cone_check([], mode="wat")
 
 
+def test_zero_charge_fails_strict_left():
+    # a stability function sends no nonzero object to 0; half-plane mode
+    # still skips a zero charge
+    assert not cone_check([ChargeValue(0, 0)], mode="strict-left")
+    assert not cone_check([ChargeValue(-1, 0), ChargeValue(0, 0)],
+                          mode="strict-left")
+    assert cone_check([ChargeValue(0, 0), ChargeValue(-1, 0)])
+
+
+def test_gate_value_zeroes_the_distinguished_charge():
+    # on E's parabola Im Z(E) = 0, and a0 = v3^b(E)/v1^b(E) makes Re Z(E) = 0
+    _, upper = admissible_a_interval(LINES, Q(-5, 4))
+    assert upper == Q(25, 96)
+    report = general_condition_check(LINES, Q(-5, 4), upper)
+    rows = {c.name: c.passed for c in report.conditions}
+    assert not rows["(4) simples charges strictly left"]
+    assert not rows["gate a0 < v3^b(E)/v1^b(E)"]
+
+
 def test_cone_check_on_beilinson_simples():
     p = ParamPoint(Q(-1, 4), Q(1, 8))
     a0 = p.omega_sq / 6

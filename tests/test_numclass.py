@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from tiltwall import (NumClass, POINT, class_of_line_bundle, class_of_named,
-                      dual_shifted, is_integral_class, shift, tensor_line)
+from tiltwall import (NumClass, POINT, chi_p3, class_of_line_bundle,
+                      class_of_named, dual_shifted, is_integral_class, shift,
+                      tensor_line)
 from tiltwall.errors import InputError
+from tiltwall.numclass import _NAMED, dual
 
 from conftest import integral_classes
 
@@ -29,6 +31,31 @@ def test_named_classes():
     assert class_of_named("O(-3)") == NumClass(1, -3, Q(9, 2), Q(-9, 2))
     with pytest.raises(InputError):
         class_of_named("F(7)")
+
+
+def test_named_table_matches_euler_sequence():
+    # each named class written out on line bundles from its defining
+    # sequence: the Euler sequence twisted by -2 for T(-2), its dual
+    # twisted by 1 for Omega(1), the Koszul complex for Omega2(2) and for
+    # the point
+    o = class_of_line_bundle
+    derived = {
+        "O": o(0),
+        "T(-2)": 4 * o(-1) - o(-2),
+        "Omega(1)": 4 * o(0) - o(1),
+        "Omega2(2)": 6 * o(0) - 4 * o(1) + o(2),
+        "point": o(0) - 3 * o(-1) + 3 * o(-2) - o(-3),
+        "O^x": o(0) - (o(0) - 3 * o(-1) + 3 * o(-2) - o(-3)),
+    }
+    assert set(derived) == set(_NAMED)
+    for name, v in derived.items():
+        assert class_of_named(name) == v, name
+
+
+def test_dual_examples():
+    assert dual(class_of_line_bundle(2)) == class_of_line_bundle(-2)
+    assert dual(POINT) == -POINT
+    assert dual_shifted(class_of_line_bundle(2)) == -class_of_line_bundle(-2)
 
 
 def test_shift_examples():
@@ -94,3 +121,41 @@ def test_dual_shifted_involution(v):
 @given(integral_classes, st.integers(-3, 3))
 def test_dual_shifted_twist_compatibility(v, m):
     assert dual_shifted(tensor_line(v, m)) == tensor_line(dual_shifted(v), -m)
+
+
+def chi_twists_integral(v: NumClass) -> bool:
+    """Integrality oracle: chi(v tensor O(m)) is an integer for m = 0..3.
+    chi of a twist is a cubic polynomial in m, so four samples decide
+    integrality at every integer twist."""
+    return all(chi_p3(tensor_line(v, m)).denominator == 1 for m in range(4))
+
+
+def test_integrality_matches_chi_oracle_on_a_grid():
+    verdicts = set()
+    for v0 in (0, Q(1, 2), 1):
+        for v1 in (-1, 0, 1, Q(1, 3)):
+            for j in range(-2, 3):
+                for k in range(-6, 7):
+                    v = NumClass(v0, v1, Q(j, 2), Q(k, 6))
+                    verdict = is_integral_class(v)
+                    assert verdict == chi_twists_integral(v), v
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+denominators = st.integers(min_value=1, max_value=12)
+
+
+@st.composite
+def rational_classes(draw):
+    """A lattice point, moved by some k/d (d in 1..12) in each component
+    with probability 1/2; many draws stay integral, most do not."""
+    v = draw(integral_classes)
+    moves = [Q(draw(st.integers(-12, 12)), draw(denominators))
+             if draw(st.booleans()) else 0 for _ in range(4)]
+    return v + NumClass(*moves)
+
+
+@given(rational_classes())
+def test_integrality_matches_chi_oracle(v):
+    assert is_integral_class(v) == chi_twists_integral(v)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from tiltwall.surd import Surd
+from tiltwall.surd import Surd, _squarefree_split
 
 nonneg = st.fractions(min_value=0, max_value=1000, max_denominator=60)
 rats = st.fractions(min_value=-30, max_value=30, max_denominator=60)
@@ -88,3 +88,53 @@ def test_comparison_against_rational_consistent(q):
     r = Surd.sqrt(2)
     assert (r < q) == (2 ** 0.5 < float(q))
     assert (r > q) == (2 ** 0.5 > float(q))
+
+
+def squarefree_split_oracle(n: int) -> tuple[int, int]:
+    """(s, d) with n = s^2 * d, d square-free, by trial division up to
+    sqrt(n)."""
+    if n in (0, 1):
+        return 1, n
+    s, d = 1, 1
+    p = 2
+    m = n
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                d *= p
+        p += 1 if p == 2 else 2
+    return s, d * m
+
+
+@given(st.integers(min_value=0, max_value=10**9 - 1))
+def test_squarefree_split_matches_oracle(n):
+    assert _squarefree_split(n) == squarefree_split_oracle(n)
+
+
+PRIMES = (2, 3, 5, 7, 11, 101, 1009, 10007, 10009)
+
+
+def test_squarefree_split_crafted_cases():
+    # p^2 and p^2*q leave a square or a two-prime cofactor after the
+    # cube-root trial division
+    for p in PRIMES:
+        for k in (1, 2, 6, 30):
+            assert _squarefree_split(k * p * p) == squarefree_split_oracle(k * p * p)
+        for q in PRIMES:
+            n = p * p * q
+            assert _squarefree_split(n) == squarefree_split_oracle(n)
+            assert _squarefree_split(n * q) == (p * q, 1)
+
+
+def test_squarefree_split_large_radicands():
+    p, q = 10**9 + 7, 10**9 + 9  # twin primes
+    assert _squarefree_split(2 * p * p) == (p, 2)
+    assert _squarefree_split(p * q) == (1, p * q)
+    assert _squarefree_split(12 * p * p) == (2 * p, 3)
+    s = Surd.sqrt(Fraction(12 * p * p, 5))
+    assert (s.b, s.d) == (Fraction(2 * p, 5), 15)

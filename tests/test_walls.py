@@ -225,6 +225,20 @@ enumeration_cases = st.tuples(enumeration_classes, enumeration_regions(),
                               st.integers(min_value=0, max_value=20))
 
 
+def test_witness_class_is_the_line_bundle_sum():
+    # the witness of a scanned (w0, w1, t), t = w1 (mod 2), written on line
+    # bundles: b*O(2) + c*O(1) + (w0 - b - c)*O with b = (t - w1)/2 and
+    # c = 2*w1 - t
+    o = class_of_line_bundle
+    for w0 in range(-3, 4):
+        for w1 in range(-6, 7):
+            for t in range(w1 - 12, w1 + 13, 2):
+                b, c = (t - w1) // 2, 2 * w1 - t
+                w = _witness_class(w0, w1, t)
+                assert w == b * o(2) + c * o(1) + (w0 - b - c) * o(0)
+                assert is_integral_class(w)
+
+
 def _scanned(v, region, disc):
     """(P0, P1, T2) of v and the scan's candidates (w0, w1, t), exactly as
     enumerate_candidate_walls scans them."""
