@@ -135,7 +135,7 @@ def _cmd_tilt(ns) -> tuple[dict, str, int]:
     z2 = central_charge_2(v, p)
     data = {"schema": "tiltwall/tilt-v1", "class": str(v),
             "twisted": [str(c) for c in tv],
-            "nu": "oo" if nu.is_infinite else str(nu.value),
+            "nu": str(nu),
             "Z2": [str(z2.re), str(z2.im)]}
     lines = [f"twisted: {','.join(data['twisted'])}",
              f"nu: {data['nu']}",

@@ -2,10 +2,12 @@
 pairing on the local Calabi-Yau fourfold, and the spherical-twist action on
 classes.
 
-The pairing on the total space is obtained from the P^3 pairing in two
-independent ways that are cross-checked in the tests: the symmetric closed
-form chi(v, w) + chi(w, v), and the two-term sum coming from restriction of
-the pushforward (the wedge powers of the conormal bundle contribute the
+chi(v, w) on P^3 is one bilinear form, the degree-3 part of
+dual(v) * w * td(P^3), written out degree by degree.  The pairing on the
+total space is its symmetrization chi(v, w) + chi(w, v).  The tests check
+both against independent oracles (tests/oracles.py): chi through the ring
+product of characters, and the two-term sum coming from restriction of the
+pushforward (the wedge powers of the conormal bundle contribute the
 identity class and -O(4)).
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .numclass import NumClass, dual, tensor_line
+from .numclass import NumClass
 
 # Todd class of P^3 against (1, H, H^2, H^3).
 TODD = (Fraction(1), Fraction(2), Fraction(11, 6), Fraction(1))
@@ -25,31 +27,20 @@ def chi_p3(v: NumClass) -> Fraction:
     return v.v3 + TODD[1] * v.v2 + TODD[2] * v.v1 + TODD[0] * v.v0
 
 
-def product(v: NumClass, w: NumClass) -> NumClass:
-    """Truncated ring product of characters (Picard rank 1)."""
-    a, b = v.components(), w.components()
-    return NumClass(
-        a[0] * b[0],
-        a[0] * b[1] + a[1] * b[0],
-        a[0] * b[2] + a[1] * b[1] + a[2] * b[0],
-        a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0],
-    )
-
-
 def chi_pair_p3(v: NumClass, w: NumClass) -> Fraction:
-    """chi(E, F) on P^3 computed as chi of dual(E) * F."""
-    return chi_p3(product(dual(v), w))
+    """chi(E, F) on P^3: sum over k of td_{3-k} * sum_i (-1)^i v_i w_{k-i},
+    the degree-3 part of dual(E) * F * td."""
+    v0, v1, v2, v3 = v.v0, v.v1, v.v2, v.v3
+    w0, w1, w2, w3 = w.v0, w.v1, w.v2, w.v3
+    return (v0 * w3 - v1 * w2 + v2 * w1 - v3 * w0
+            + TODD[1] * (v0 * w2 - v1 * w1 + v2 * w0)
+            + TODD[2] * (v0 * w1 - v1 * w0)
+            + TODD[3] * v0 * w0)
 
 
 def chi_local(v: NumClass, w: NumClass) -> Fraction:
     """Symmetric Euler pairing on the local P^3: chi(v, w) + chi(w, v)."""
     return chi_pair_p3(v, w) + chi_pair_p3(w, v)
-
-
-def chi_local_restriction_form(v: NumClass, w: NumClass) -> Fraction:
-    """Independent form of chi_local from the pushforward restriction:
-    chi(v, w) - chi(v tensor O(4), w)."""
-    return chi_pair_p3(v, w) - chi_pair_p3(tensor_line(v, 4), w)
 
 
 def spherical_twist_class(s: NumClass, v: NumClass) -> NumClass:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence, Union
 
 from .errors import DomainError, InputError
@@ -60,7 +61,9 @@ class CollectionSpec:
         return self.classes[3]
 
     @staticmethod
+    @cache
     def builtin_by_name(name: str) -> "CollectionSpec":
+        """The named built-in collection, built and validated once."""
         names = _BUILTINS.get(name)
         if names is None:
             raise InputError(f"unknown builtin collection {name!r}")
@@ -298,22 +301,3 @@ def admissible_a_interval(spec: CollectionSpec, beta) -> Optional[tuple[Fraction
     if lower is None or lower >= upper:
         return None
     return lower, upper
-
-
-def simplecase_z_oracle(beta, a) -> tuple[ChargeValue, ...]:
-    """Closed forms of the four simples' charges for the standard
-    cotangent-type collection at alpha = beta^2; an independent oracle for
-    the central-charge path."""
-    b = Fraction(beta)
-    a = Fraction(a)
-    z0 = ChargeValue(b ** 3 / 6 - a * b, 0)
-    z1 = ChargeValue(
-        -b ** 3 / 2 - b ** 2 / 2 + b / 2 - Q(1, 6) + a * (3 * b + 1),
-        -b + Q(1, 2),
-    )
-    z2 = ChargeValue(b ** 3 / 2 + b ** 2 - Q(2, 3) - a * (3 * b + 2), 2 * b)
-    z3 = ChargeValue(
-        -b ** 3 / 6 - b ** 2 / 2 - b / 2 - Q(1, 6) + a * (b + 1),
-        -b - Q(1, 2),
-    )
-    return (z0, z1, z2, z3)

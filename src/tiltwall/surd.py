@@ -3,9 +3,12 @@
 Curve endpoints and the slope bounds mu1/mu2 involve square roots of the
 discriminant, which is rational but rarely a perfect square.  Rather than
 fall back to floats, values are kept as quadratic surds with rational a, b
-and a square-free integer radicand d, so every comparison in the library is
-exact.  Surds with different radicands never need to be compared here; such
-a comparison raises instead of silently approximating.
+and a radicand d that is 0 or a square-free integer > 1, so every
+comparison in the library is exact.  ``Surd.sqrt`` is the one place a new
+radicand enters: it factors it once, and arithmetic keeps the factored d.
+Surds with different radicands are never equal (1, sqrt(d1) and sqrt(d2)
+are linearly independent over Q for distinct square-free d1, d2 > 1);
+ordering them raises instead of silently approximating.
 """
 
 from __future__ import annotations
@@ -51,16 +54,13 @@ class Surd:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Rational, b: Rational = 0, d: int = 0):
+        """a + b*sqrt(d) for d = 0 or a square-free integer > 1, which is
+        not checked; ``Surd.sqrt`` builds one from any rational.  b = 0, d = 0
+        or d = 1 gives the rational a + b*d."""
         a = Fraction(a)
         b = Fraction(b)
-        if b != 0 and d > 1:
-            s, d0 = _squarefree_split(d)
-            b *= s
-            d = d0
-        if b == 0 or d == 0:
-            a, b, d = a + b * 0, Fraction(0), 0
-        elif d == 1:
-            a, b, d = a + b, Fraction(0), 0
+        if b == 0 or d in (0, 1):
+            a, b, d = a + b * d, Fraction(0), 0
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
@@ -74,8 +74,9 @@ class Surd:
         x = Fraction(x)
         if x < 0:
             raise ValueError("square root of a negative rational")
-        # sqrt(p/q) = sqrt(p*q)/q
-        return Surd(0, Fraction(1, x.denominator), x.numerator * x.denominator)
+        # sqrt(p/q) = sqrt(p*q)/q = s*sqrt(d)/q
+        s, d = _squarefree_split(x.numerator * x.denominator)
+        return Surd(0, Fraction(s, x.denominator), d)
 
     @property
     def is_rational(self) -> bool:
@@ -102,15 +103,8 @@ class Surd:
             return 0
         return (1 if t > 0 else -1) * (1 if a > 0 else -1)
 
-    def _sub(self, other) -> "Surd":
-        if isinstance(other, Surd):
-            if self.b != 0 and other.b != 0 and self.d != other.d:
-                raise ValueError("cannot compare surds with different radicands")
-            d = self.d if self.b != 0 else other.d
-            return Surd(self.a - other.a, self.b - other.b, d)
-        return Surd(self.a - Fraction(other), self.b, self.d)
-
-    # arithmetic with rationals (enough for this library)
+    # arithmetic with rationals, and differences of surds (enough for this
+    # library); the radicand d is kept as it is
     def __add__(self, other: Rational) -> "Surd":
         return Surd(self.a + Fraction(other), self.b, self.d)
 
@@ -119,8 +113,14 @@ class Surd:
     def __neg__(self) -> "Surd":
         return Surd(-self.a, -self.b, self.d)
 
-    def __sub__(self, other: Rational) -> "Surd":
-        return self + (-Fraction(other))
+    def __sub__(self, other) -> "Surd":
+        """Difference with a rational or a surd of the same radicand."""
+        if isinstance(other, Surd):
+            if self.b != 0 and other.b != 0 and self.d != other.d:
+                raise ValueError("cannot combine surds with different radicands")
+            d = self.d if self.b != 0 else other.d
+            return Surd(self.a - other.a, self.b - other.b, d)
+        return Surd(self.a - Fraction(other), self.b, self.d)
 
     def __rsub__(self, other: Rational) -> "Surd":
         return -(self - other)
@@ -135,21 +135,23 @@ class Surd:
         return self * (1 / Fraction(other))
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Surd) and self.b and other.b and self.d != other.d:
+            return False  # 1, sqrt(d1), sqrt(d2) are independent over Q
         if isinstance(other, (int, Fraction, Surd)):
-            return self._sub(other).sign() == 0
+            return (self - other).sign() == 0
         return NotImplemented
 
     def __lt__(self, other) -> bool:
-        return self._sub(other).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other) -> bool:
-        return self._sub(other).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other) -> bool:
-        return self._sub(other).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other) -> bool:
-        return self._sub(other).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __hash__(self):
         if self.is_rational:

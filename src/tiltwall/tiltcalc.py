@@ -98,9 +98,6 @@ class ChargeValue:
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
 
 def twisted_v(v: NumClass, beta) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Twisted components (v0^b, v1^b, v2^b, v3^b): pairings of ch * e^{-beta H}."""

@@ -201,19 +201,6 @@ def _wall_window(A: int, B: int, C: int, region: Region):
                            (hi.numerator, hi.denominator), False), constraints)
 
 
-def _wall_feasible(wall: Wall, v: NumClass, w: NumClass, region: Region) -> bool:
-    """Does the wall meet region /\\ U at a point with 0 < Im Z(w) < Im Z(v)?
-
-    Exact and rational: the wall's window, cut by the two strict Im-window
-    constraints w1 - beta*w0 > 0 and (v1 - w1) - beta*(v0 - w0) > 0.
-    """
-    A, B, C = wall.A, wall.B, wall.C
-    window = _wall_window(A, B, C, region)
-    return window is not None and _clip(
-        A, B, C, window, ((-w.v0, w.v1, True),
-                          (w.v0 - v.v0, v.v1 - w.v1, True))) is not None
-
-
 # --- candidate enumeration ---------------------------------------------------
 
 def _witness_class(w0: int, w1: int, t: int) -> NumClass:

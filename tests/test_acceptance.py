@@ -20,9 +20,9 @@ from tiltwall import (ChargeValue, CollectionSpec, NumClass, ParamPoint,
                       twisted_v, wall_between, passes_through)
 from tiltwall import thm_region_check
 from tiltwall.cli import run as cli_run
-from tiltwall.heartgate import simplecase_z_oracle
 
 from conftest import lattice_class
+from oracles import simplecase_z_oracle
 
 Q = Fraction
 POINT = NumClass(0, 0, 0, 1)

@@ -70,6 +70,15 @@ def test_tilt_verb_json_deterministic(capsys):
     assert data["twisted"] == ["1", "5/4", "25/32", "125/384"]
 
 
+def test_tilt_infinite_slope_is_oo(capsys):
+    # Im Z = 0: the tilt slope is +infinity, spelled as Slope spells it
+    args = ["tilt", "0,0,1,0", "--beta", "0", "--alpha", "1"]
+    assert run(args) == 0
+    assert "nu: oo" in out_of(capsys).splitlines()
+    assert run(args + ["--json"]) == 0
+    assert json.loads(out_of(capsys))["nu"] == "oo"
+
+
 def test_tilt_outside_U_is_input_error():
     assert run(["tilt", "O", "--beta", "0", "--alpha", "0"]) == 2
 

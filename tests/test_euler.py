@@ -3,14 +3,15 @@ from math import comb
 
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
-from tiltwall import (NumClass, POINT, chi_local, chi_p3,
-                      chi_local_restriction_form, chi_pair_p3,
-                      class_of_line_bundle, class_of_named, shift,
-                      spherical_twist_class)
+from tiltwall import (CollectionSpec, NumClass, POINT, chi_local, chi_p3,
+                      chi_pair_p3, class_of_line_bundle, class_of_named,
+                      shift, spherical_twist_class)
 from tiltwall.errors import DomainError
 
 from conftest import integral_classes
+from oracles import chi_local_restriction_form, chi_pair_ring_product
 
 Q = Fraction
 
@@ -35,6 +36,25 @@ def test_chi_pair_between_line_bundles():
         for b in range(-3, 4):
             assert chi_pair_p3(class_of_line_bundle(a),
                                class_of_line_bundle(b)) == chi_line_oracle(b - a)
+
+
+# rational classes with component denominators 1-12
+rational_classes = st.tuples(
+    *[st.fractions(min_value=-20, max_value=20, max_denominator=12)] * 4
+).map(lambda c: NumClass(*c))
+
+
+@given(rational_classes, rational_classes)
+def test_chi_pair_matches_ring_product(v, w):
+    assert chi_pair_p3(v, w) == chi_pair_ring_product(v, w)
+
+
+def test_chi_pair_matches_ring_product_on_builtins():
+    members = [c for name in ("beilinson4", "omega", "lines")
+               for c in CollectionSpec.builtin_by_name(name).classes]
+    for v in members:
+        for w in members:
+            assert chi_pair_p3(v, w) == chi_pair_ring_product(v, w)
 
 
 def test_exceptional_squares():

@@ -8,9 +8,10 @@ import hypothesis.strategies as st
 from tiltwall import (ChargeValue, CollectionSpec, NumClass, ParamPoint,
                       admissible_a_interval, central_charge_3, class_of_named,
                       cone_check, general_condition_check, simples_classes,
-                      simplecase_z_oracle, tensor_line, thm_region_check,
-                      twisted_v)
+                      tensor_line, thm_region_check, twisted_v)
 from tiltwall.errors import DomainError, InputError
+
+from oracles import simplecase_z_oracle
 
 Q = Fraction
 
@@ -29,6 +30,15 @@ def test_builtin_collections_valid():
     assert LINES.names == ("O(-3)", "O(-2)", "O(-1)", "O")
     with pytest.raises(InputError):
         CollectionSpec.builtin_by_name("nope")
+
+
+def test_builtins_are_built_once():
+    for name in ("beilinson4", "omega", "lines"):
+        assert CollectionSpec.builtin_by_name(name) is CollectionSpec.builtin_by_name(name)
+    # an unknown name is not cached: it raises on every call
+    for _ in range(2):
+        with pytest.raises(InputError):
+            CollectionSpec.builtin_by_name("nope")
 
 
 def test_simples_classes_examples():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from tiltwall import NumClass, mu12
+from tiltwall import surd
 from tiltwall.surd import Surd, _squarefree_split
 
 nonneg = st.fractions(min_value=0, max_value=1000, max_denominator=60)
@@ -38,6 +40,47 @@ def test_mixed_sign_comparison():
 def test_different_radicands_raise():
     with pytest.raises(ValueError):
         Surd.sqrt(2) < Surd.sqrt(3)
+
+
+def test_different_radicands_are_unequal():
+    # 1, sqrt(2) and sqrt(3) are linearly independent over Q
+    assert Surd.sqrt(2) != Surd.sqrt(3)
+    assert not Surd(1, 1, 2) == Surd(1, 1, 3)
+    assert Surd.sqrt(8) != Surd.sqrt(12)
+
+
+def test_difference_of_surds():
+    assert Surd.sqrt(8) - Surd.sqrt(2) == Surd.sqrt(2)
+    assert (Surd.sqrt(2) - Surd.sqrt(2)).is_rational
+    assert Surd(1, 0, 0) - Surd.sqrt(3) == 1 - Surd.sqrt(3)
+
+
+@given(nonneg, rats)
+def test_arithmetic_keeps_the_radicand(x, q):
+    s = Surd.sqrt(x)
+    results = [s + q, q + s, s - q, q - s, s * q, q * s, -s]
+    if q != 0:
+        results.append(s / q)
+    for r in results:
+        assert r.d == s.d or r.is_rational
+        assert hash(r) == hash(Surd(r.a, r.b, r.d))
+        assert r == Surd(r.a, r.b, r.d)
+
+
+def test_mu12_factors_the_radicand_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return _squarefree_split(n)
+
+    monkeypatch.setattr(surd, "_squarefree_split", counting)
+    p, q = 10**9 + 7, 10**9 + 9
+    for disc in (2, 12, p * q):
+        calls.clear()
+        mu1, mu2 = mu12(NumClass(2, 0, Fraction(-disc, 4), 0))
+        assert calls == [disc]
+        assert (mu1.b, mu2.b) == (-mu2.b, mu2.b) and mu2.b > 0
 
 
 def test_negative_radicand_raises():

@@ -14,10 +14,11 @@ from tiltwall import (NumClass, ParamPoint, Region, Wall, class_of_line_bundle,
                       tilt_slope_nu, wall_between)
 from tiltwall.errors import DomainError, InputError
 from tiltwall import _wallscan_py
-from tiltwall.walls import (_scaled_inputs, _wall_feasible, _wall_key,
-                            _wall_window, _witness_class, search_box)
+from tiltwall.walls import (_scaled_inputs, _wall_key, _wall_window,
+                            _witness_class, search_box)
 
 from conftest import integral_classes, lattice_class
+from oracles import wall_feasible as _wall_feasible
 
 Q = Fraction
 
