@@ -16,8 +16,8 @@ from .tiltcalc import (ChargeValue, CurveCE, ParamPoint, Slope, alpha_E_beta,
                        min_positive_v1beta, mu12, quadratic_form_Q,
                        reduce_to_fundamental, shift_transform, slope_mu,
                        tilt_slope_nu, twisted_v)
-from .walls import (Region, SceneDescription, Wall, common_slope,
-                    enumerate_candidate_walls, passes_through, pi_point,
-                    plot_scene, wall_between)
+from .walls import (Region, Wall, common_slope, enumerate_candidate_walls,
+                    passes_through, pi_point, plot_scene, scene_svg,
+                    wall_between)
 
 __version__ = "0.1.0"

@@ -25,7 +25,8 @@ from .numclass import NumClass, class_of_named, parse_rational
 from .tiltcalc import (ParamPoint, bg_margin, bg_margin_meaningful,
                        central_charge_2, central_charge_3, quadratic_form_Q,
                        reduce_to_fundamental, tilt_slope_nu, twisted_v)
-from .walls import Region, enumerate_candidate_walls, plot_scene, search_box
+from .walls import (Region, enumerate_candidate_walls, plot_scene, scene_svg,
+                    search_box)
 
 
 def _parse_class(tok: str) -> NumClass:
@@ -129,7 +130,7 @@ def _cmd_class(ns) -> tuple[dict, str, int]:
 
 def _cmd_tilt(ns) -> tuple[dict, str, int]:
     v = _parse_class(ns.cls)
-    p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha)).require_U()
+    p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha))
     tv = twisted_v(v, p.beta)
     nu = tilt_slope_nu(v, p)
     z2 = central_charge_2(v, p)
@@ -149,7 +150,7 @@ def _cmd_tilt(ns) -> tuple[dict, str, int]:
 
 def _cmd_bg_check(ns) -> tuple[dict, str, int]:
     v = _parse_class(ns.cls)
-    p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha)).require_U()
+    p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha))
     m = bg_margin(v, p)
     passed = m >= 0
     data = {"schema": "tiltwall/bg-v1", "class": str(v), "margin": str(m),
@@ -179,7 +180,7 @@ def _cmd_walls(ns) -> tuple[dict, str, int]:
 
 
 def _cmd_reduce(ns) -> tuple[dict, str, int]:
-    p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha)).require_U()
+    p = ParamPoint(parse_rational(ns.beta), parse_rational(ns.alpha))
     res = reduce_to_fundamental(p)
     data = {"beta": str(res.point.beta), "alpha": str(res.point.alpha),
             "log": list(res.log)}
@@ -225,8 +226,8 @@ def _cmd_plot(ns) -> tuple[dict, str, int]:
     walls = [w for w, _ in enumerate_candidate_walls(v, region, disc)]
     scene = plot_scene(v, region, walls)
     with open(ns.svg_out, "w", encoding="utf-8") as fh:
-        fh.write(scene.to_svg(precision=ns.precision))
-    return scene.to_json_dict(), f"wrote {ns.svg_out} ({len(walls)} walls)", 0
+        fh.write(scene_svg(scene, precision=ns.precision))
+    return scene, f"wrote {ns.svg_out} ({len(walls)} walls)", 0
 
 
 _HANDLERS = {
@@ -253,7 +254,7 @@ def run(argv) -> int:
         data, text, code = _HANDLERS[ns.verb](ns)
         _emit(_dumps(data) if ns.json else text, ns.out)
         return code
-    except (InputError, DomainError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 is reserved for a failed check

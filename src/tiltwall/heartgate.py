@@ -21,7 +21,7 @@ from .numclass import (NumClass, class_of_named, is_integral_class,
                        parse_rational, shift)
 from .surd import Surd
 from .tiltcalc import (ChargeValue, ParamPoint, alpha_E_beta,
-                       central_charge_3, discriminant, mu12, slope_mu,
+                       central_charge_3, mu12, slope_mu,
                        tilt_slope_nu, twisted_v)
 
 Q = Fraction
@@ -91,8 +91,15 @@ class CollectionSpec:
 
     @staticmethod
     def from_json_file(path: str) -> "CollectionSpec":
+        """Read a collection JSON file; undecodable or malformed JSON, or
+        nesting too deep to parse, raises InputError."""
         with open(path, encoding="utf-8") as fh:
-            return CollectionSpec.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError and UnicodeDecodeError
+                raise InputError(str(exc)) from exc
+        return CollectionSpec.from_json_dict(data)
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,11 +190,12 @@ def cone_check(charges: Sequence[ChargeValue], mode: str = "half-plane") -> bool
     return lower <= upper
 
 
-def thm_region_check(p: ParamPoint) -> CheckReport:
-    """Region and inequality system for the rank-four quiver heart: the
-    fundamental strip, the small-width band, and the three slope
-    inequalities of the four standard objects."""
-    b, a = p.beta, p.alpha
+def thm_region_check(beta, alpha) -> CheckReport:
+    """Region and inequality system for the rank-four quiver heart at
+    (beta, alpha): the fundamental strip, the small-width band, and the
+    three slope inequalities of the four standard objects.  The point may
+    lie off U, which the omega^2 > 0 row reports."""
+    b, a = Fraction(beta), Fraction(alpha)
     w2 = 2 * a - b * b
     conds = (
         _cond("beta >= -1/2", b + Q(1, 2), strict=False),
@@ -209,10 +217,10 @@ def _static_conditions(spec: CollectionSpec, beta: Fraction
     Returns that point, the conditions and t = v3^b(E)/v1^b(E).  Raises
     DomainError when the point is not in U.
     """
+    # CollectionSpec makes chi(E, E) = v0(E)^2 - 2 disc(E) = 1 with
+    # v0(E) != 0, so disc(E) = (v0(E)^2 - 1)/2 >= 0 and mu12(E) exists
     E = spec.distinguished
-    if discriminant(E) < 0:
-        raise DomainError("distinguished class must have nonnegative discriminant")
-    point = ParamPoint(beta, alpha_E_beta(E, beta)).require_U()
+    point = ParamPoint(beta, alpha_E_beta(E, beta))
     F0, F1, F2, _ = spec.classes
     mu = [slope_mu(c).value for c in spec.classes]
     mu1_E, _ = mu12(E)
@@ -259,8 +267,8 @@ def general_condition_check(spec: CollectionSpec, beta, a0) -> CheckReport:
     its slope inequality; (2) the three-case slot condition on the middle
     members; (3) the three twisted-degree inequalities; (4) strict-left
     cone membership of the four simples' charges at a0.  The gate
-    a0 < v3^b(E)/v1^b(E) is reported alongside.  Raises DomainError when
-    the point is not in U.
+    a0 < v3^b(E)/v1^b(E) is reported alongside.  Raises DomainError, from
+    ``ParamPoint``, when the point is not in U.
     """
     beta = Fraction(beta)
     a0 = Fraction(a0)
@@ -279,9 +287,9 @@ def admissible_a_interval(spec: CollectionSpec, beta) -> Optional[tuple[Fraction
     """Open interval of charge parameters a for which the condition system
     can be satisfied: upper bound the gate value v3^b(E)/v1^b(E), lower
     bound the largest of the per-simple linear bounds.  None when
-    conditions (1)-(3) fail or the interval is empty.  Raises DomainError
-    when the point (beta, alpha) on the distinguished class's parabola is
-    not in U."""
+    conditions (1)-(3) fail or the interval is empty.  Raises DomainError,
+    from ``ParamPoint``, when the point (beta, alpha) on the distinguished
+    class's parabola is not in U."""
     beta = Fraction(beta)
     point, conds, upper = _static_conditions(spec, beta)
     if not all(c.passed for c in conds):

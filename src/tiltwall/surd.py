@@ -3,12 +3,12 @@
 Curve endpoints and the slope bounds mu1/mu2 involve square roots of the
 discriminant, which is rational but rarely a perfect square.  Rather than
 fall back to floats, values are kept as quadratic surds with rational a, b
-and a radicand d that is 0 or a square-free integer > 1, so every
-comparison in the library is exact.  ``Surd.sqrt`` is the one place a new
-radicand enters: it factors it once, and arithmetic keeps the factored d.
-Surds with different radicands are never equal (1, sqrt(d1) and sqrt(d2)
-are linearly independent over Q for distinct square-free d1, d2 > 1);
-ordering them raises instead of silently approximating.
+and a nonnegative integer radicand d, so every comparison in the library is
+exact.  ``Surd.sqrt`` is the one place a new radicand enters: it factors it
+once into a square-free d, and arithmetic keeps that d.  Surds with radicands
+d != e combine when d*e = s^2, since then sqrt(e) = (s/d)*sqrt(d); otherwise
+they are never equal (1, sqrt(d) and sqrt(e) are linearly independent over
+Q), and ordering them raises instead of silently approximating.
 """
 
 from __future__ import annotations
@@ -54,13 +54,14 @@ class Surd:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Rational, b: Rational = 0, d: int = 0):
-        """a + b*sqrt(d) for d = 0 or a square-free integer > 1, which is
-        not checked; ``Surd.sqrt`` builds one from any rational.  b = 0, d = 0
-        or d = 1 gives the rational a + b*d."""
+        """a + b*sqrt(d) for an integer d >= 0; ``Surd.sqrt`` builds one
+        with square-free d from any rational.  b = 0 or a perfect square
+        d = r^2 gives the rational a + b*r."""
         a = Fraction(a)
         b = Fraction(b)
-        if b == 0 or d in (0, 1):
-            a, b, d = a + b * d, Fraction(0), 0
+        r = isqrt(d)
+        if b == 0 or r * r == d:
+            a, b, d = a + b * r, Fraction(0), 0
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
@@ -114,13 +115,19 @@ class Surd:
         return Surd(-self.a, -self.b, self.d)
 
     def __sub__(self, other) -> "Surd":
-        """Difference with a rational or a surd of the same radicand."""
-        if isinstance(other, Surd):
-            if self.b != 0 and other.b != 0 and self.d != other.d:
-                raise ValueError("cannot combine surds with different radicands")
+        """Difference with a rational or a surd.  A surd c + f*sqrt(e) with
+        e != d is rewritten over d, f*sqrt(e) = (f*s/d)*sqrt(d), when
+        d*e = s^2; otherwise the two cannot combine and ValueError is
+        raised."""
+        if not isinstance(other, Surd):
+            return Surd(self.a - Fraction(other), self.b, self.d)
+        if self.b == 0 or other.b == 0 or self.d == other.d:
             d = self.d if self.b != 0 else other.d
             return Surd(self.a - other.a, self.b - other.b, d)
-        return Surd(self.a - Fraction(other), self.b, self.d)
+        s = isqrt(self.d * other.d)
+        if s * s != self.d * other.d:
+            raise ValueError("cannot combine surds with different radicands")
+        return Surd(self.a - other.a, self.b - other.b * s / self.d, self.d)
 
     def __rsub__(self, other: Rational) -> "Surd":
         return -(self - other)
@@ -135,11 +142,13 @@ class Surd:
         return self * (1 / Fraction(other))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Surd) and self.b and other.b and self.d != other.d:
-            return False  # 1, sqrt(d1), sqrt(d2) are independent over Q
-        if isinstance(other, (int, Fraction, Surd)):
+        if not isinstance(other, (int, Fraction, Surd)):
+            return NotImplemented
+        try:
             return (self - other).sign() == 0
-        return NotImplemented
+        except ValueError:
+            # d*e is not a square, so 1, sqrt(d), sqrt(e) are independent over Q
+            return False
 
     def __lt__(self, other) -> bool:
         return (self - other).sign() < 0
@@ -154,9 +163,10 @@ class Surd:
         return (self - other).sign() >= 0
 
     def __hash__(self):
+        # equal irrational surds share a, b^2*d and the sign of b
         if self.is_rational:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.a, self.b * self.b * self.d, self.b > 0))
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * self.d ** 0.5

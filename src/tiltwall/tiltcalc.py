@@ -20,27 +20,26 @@ from .surd import Surd
 
 @dataclass(frozen=True)
 class ParamPoint:
-    """Point (beta, alpha) of the half-plane U = {alpha > beta^2/2}."""
+    """Point (beta, alpha) of the half-plane U = {alpha > beta^2/2}.
+
+    Every ParamPoint is in U: the constructor raises DomainError when
+    omega^2 = 2*alpha - beta^2 <= 0, so no function taking one checks
+    again."""
 
     beta: Fraction
     alpha: Fraction
 
     def __init__(self, beta, alpha):
-        object.__setattr__(self, "beta", Fraction(beta))
-        object.__setattr__(self, "alpha", Fraction(alpha))
+        beta, alpha = Fraction(beta), Fraction(alpha)
+        if 2 * alpha - beta * beta <= 0:
+            raise DomainError(f"({beta}, {alpha}) is not in U")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def omega_sq(self) -> Fraction:
-        """2*alpha - beta^2; positive exactly on U."""
+        """2*alpha - beta^2, positive."""
         return 2 * self.alpha - self.beta * self.beta
-
-    def in_U(self) -> bool:
-        return self.omega_sq > 0
-
-    def require_U(self) -> "ParamPoint":
-        if not self.in_U():
-            raise DomainError(f"({self.beta}, {self.alpha}) is not in U")
-        return self
 
 
 class Slope:
@@ -114,7 +113,6 @@ def slope_mu(v: NumClass) -> Slope:
 def tilt_slope_nu(v: NumClass, p: ParamPoint) -> Slope:
     """Tilt slope (v2 - alpha v0)/(v1 - beta v0); +infinity when the
     denominator vanishes (the Im Z = 0 convention, including 0/0)."""
-    p.require_U()
     den = v.v1 - p.beta * v.v0
     if den == 0:
         return Slope.INFINITY
@@ -128,13 +126,11 @@ def discriminant(v: NumClass) -> Fraction:
 
 def central_charge_2(v: NumClass, p: ParamPoint) -> ChargeValue:
     """Rank-two charge -v2 + alpha v0 + i (v1 - beta v0)."""
-    p.require_U()
     return ChargeValue(-v.v2 + p.alpha * v.v0, v.v1 - p.beta * v.v0)
 
 
 def central_charge_3(v: NumClass, p: ParamPoint, a) -> ChargeValue:
     """Degree-three charge -v3^b + a v1^b + i (v2^b - (alpha - beta^2/2) v0^b)."""
-    p.require_U()
     a = Fraction(a)
     _, v1b, v2b, v3b = twisted_v(v, p.beta)
     return ChargeValue(-v3b + a * v1b, v2b - (p.alpha - p.beta * p.beta / 2) * v.v0)
@@ -147,7 +143,6 @@ def bg_margin(v: NumClass, p: ParamPoint) -> Fraction:
     tilt-semistable class holds iff this is >= 0.  Whether nu(v) actually
     equals beta at p is reported by bg_margin_meaningful, not enforced.
     """
-    p.require_U()
     _, v1b, _, v3b = twisted_v(v, p.beta)
     return p.omega_sq / 6 * v1b - v3b
 
@@ -160,7 +155,6 @@ def bg_margin_meaningful(v: NumClass, p: ParamPoint) -> bool:
 
 def quadratic_form_Q(v: NumClass, p: ParamPoint) -> Fraction:
     """omega^2 * disc + 4 (v2^b)^2 - 6 v3^b v1^b."""
-    p.require_U()
     _, v1b, v2b, v3b = twisted_v(v, p.beta)
     return p.omega_sq * discriminant(v) + 4 * v2b * v2b - 6 * v3b * v1b
 
@@ -249,14 +243,12 @@ def mu12(v: NumClass) -> tuple[Union[Fraction, Surd], Union[Fraction, Surd]]:
 
 def shift_transform(p: ParamPoint, n: int) -> ParamPoint:
     """(beta, alpha) -> (beta + n, alpha + n beta + n^2/2); preserves omega^2."""
-    p.require_U()
     n = Fraction(n)
     return ParamPoint(p.beta + n, p.alpha + n * p.beta + n * n / 2)
 
 
 def dual_transform(p: ParamPoint) -> ParamPoint:
     """(beta, alpha) -> (-beta, alpha)."""
-    p.require_U()
     return ParamPoint(-p.beta, p.alpha)
 
 
@@ -269,7 +261,6 @@ class ReduceResult:
 def reduce_to_fundamental(p: ParamPoint) -> ReduceResult:
     """Move p to the fundamental strip beta in [-1/2, 0] by a line-bundle
     twist and, if needed, the dual transform; the log replays the steps."""
-    p.require_U()
     log: list[str] = []
     # unique n with beta + n in [-1/2, 1/2)
     n = math.ceil(Fraction(-1, 2) - p.beta)

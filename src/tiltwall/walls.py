@@ -67,12 +67,6 @@ class Wall:
             return None
         return Fraction(-self.B, self.A)
 
-    def alpha_at(self, beta) -> Fraction:
-        if self.A == 0:
-            raise DomainError("vertical wall has no alpha(beta)")
-        b = Fraction(beta)
-        return Fraction(-(self.B * b + self.C), self.A)
-
     def __str__(self) -> str:
         return f"{self.A}*alpha + {self.B}*beta + {self.C} = 0"
 
@@ -290,29 +284,11 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
 
 # --- plot scene --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SceneDescription:
-    """Serializable picture of the region: boundary parabola, the class's
-    curve, wall lines clipped to the region, and labeled points."""
-
-    region: Region
-    curves: tuple[dict, ...]
-    points: tuple[dict, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "tiltwall/scene-v1",
-            "region": self.region.to_json_dict(),
-            "curves": list(self.curves),
-            "points": list(self.points),
-        }
-
-    def to_svg(self, precision: int = 4) -> str:
-        return _render_svg(self, precision)
-
-
-def plot_scene(v: NumClass, region: Region,
-               walls: Sequence[Wall] = ()) -> SceneDescription:
+def plot_scene(v: NumClass, region: Region, walls: Sequence[Wall] = ()) -> dict:
+    """The ``tiltwall/scene-v1`` document of the region: the boundary
+    parabola, the class's curve, the given walls and the point Pi.  The
+    walls are drawn as given; those of ``enumerate_candidate_walls`` all
+    meet the region under its alpha cap."""
     curves: list[dict] = [{"kind": "boundary-parabola", "eq": "alpha = beta^2/2"}]
     ce = curve_CE(v)
     if ce.kind == "parabola":
@@ -321,35 +297,23 @@ def plot_scene(v: NumClass, region: Region,
     elif ce.kind == "vertical" and region.beta_min <= ce.beta0 <= region.beta_max:
         curves.append({"kind": "curve-CE", "shape": "vertical",
                        "beta": str(ce.beta0)})
-    for wall in walls:
-        if _wall_in_box(wall, region):
-            curves.append({"kind": "wall", "A": wall.A, "B": wall.B, "C": wall.C})
+    curves += [{"kind": "wall", "A": w.A, "B": w.B, "C": w.C} for w in walls]
     points: list[dict] = []
     pi = pi_point(v)
     if pi is not None and (region.beta_min <= pi[0] <= region.beta_max
                            and pi[1] <= region.alpha_max):
         points.append({"label": "Pi", "beta": str(pi[0]), "alpha": str(pi[1])})
-    return SceneDescription(region, tuple(curves), tuple(points))
+    return {"schema": "tiltwall/scene-v1", "region": region.to_json_dict(),
+            "curves": curves, "points": points}
 
 
-def _wall_in_box(wall: Wall, region: Region) -> bool:
-    """Does the wall line meet the drawing box [beta_min, beta_max] x
-    (-inf, alpha_max]?"""
-    if wall.A == 0:
-        beta0 = Fraction(-wall.C, wall.B)
-        return region.beta_min <= beta0 <= region.beta_max
-    a1 = wall.alpha_at(region.beta_min)
-    a2 = wall.alpha_at(region.beta_max)
-    return min(a1, a2) <= region.alpha_max
-
-
-def _render_svg(scene: SceneDescription, precision: int) -> str:
-    """Write-only float rendering; every geometric decision has already
-    been made exactly upstream."""
+def scene_svg(scene: dict, precision: int = 4) -> str:
+    """SVG drawing of a ``plot_scene`` document with ``precision`` decimals:
+    write-only float rendering, every geometric decision has already been
+    made exactly upstream."""
     width, height = 480, 360
-    reg = scene.region
-    bmin, bmax = float(reg.beta_min), float(reg.beta_max)
-    amax = float(reg.alpha_max)
+    bmin, bmax, amax = (float(Fraction(scene["region"][k]))
+                        for k in ("beta_min", "beta_max", "alpha_max"))
     amin = 0.0 if amax > 0 else amax - 1.0
     if bmax == bmin:
         bmax = bmin + 1.0
@@ -383,7 +347,7 @@ def _render_svg(scene: SceneDescription, precision: int) -> str:
         f'<rect x="{fmt(pad)}" y="{fmt(pad)}" width="{fmt(width - 2 * pad)}" '
         f'height="{fmt(height - 2 * pad)}" fill="white" stroke="black"/>',
     ]
-    for cv in scene.curves:
+    for cv in scene["curves"]:
         if cv["kind"] == "boundary-parabola":
             parts.append(polyline(lambda b: b * b / 2, "gray"))
         elif cv["kind"] == "curve-CE" and cv.get("shape") == "parabola":
@@ -402,7 +366,7 @@ def _render_svg(scene: SceneDescription, precision: int) -> str:
             else:
                 parts.append(polyline(lambda b, A=A, B=B, C=C: -(B * b + C) / A,
                                       "red"))
-    for pt in scene.points:
+    for pt in scene["points"]:
         x = fmt(to_x(float(Fraction(pt["beta"]))))
         y = fmt(to_y(float(Fraction(pt["alpha"]))))
         parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="black"/>')

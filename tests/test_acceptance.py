@@ -61,7 +61,7 @@ def test_criterion_1_first_collection_closed_form_charges():
         w2 = Q(rng.randint(1, 24), 100)  # omega^2 in (0, 1/4)
         a_param = (w2 + b * b) / 2
         p = ParamPoint(b, a_param)
-        if not thm_region_check(p).passed:
+        if not thm_region_check(b, a_param).passed:
             continue
         done += 1
         a0 = w2 / 6

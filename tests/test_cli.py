@@ -193,10 +193,13 @@ LINES_CLASSES = [["1", "-3", "9/2", "-9/2"], ["1", "-2", "2", "-4/3"],
 @pytest.mark.parametrize("spec", [
     {"names": ["O(-3)", "O(-2)", "O(-1)", "O"], "classes": [1, 2, 3, 4]},
     {"names": "abcd", "classes": LINES_CLASSES},
+    pytest.param(b'{"names": ', id="truncated"),
+    pytest.param(b"\xff\xfe", id="not-utf-8"),
+    pytest.param(b"[" * 100_000, id="nested-too-deep"),
 ])
 def test_malformed_collection_json_is_input_error(tmp_path, capsys, spec):
     path = tmp_path / "collection.json"
-    path.write_text(json.dumps(spec))
+    path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
     assert run(["collection-check", f"@{path}", "--beta", "-5/4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

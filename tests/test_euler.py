@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from tiltwall import (CollectionSpec, NumClass, POINT, chi_local, chi_p3,
                       chi_pair_p3, class_of_line_bundle, class_of_named,
-                      shift, spherical_twist_class)
+                      discriminant, shift, spherical_twist_class)
 from tiltwall.errors import DomainError
 
 from conftest import integral_classes
@@ -47,6 +47,7 @@ rational_classes = st.tuples(
 @given(rational_classes, rational_classes)
 def test_chi_pair_matches_ring_product(v, w):
     assert chi_pair_p3(v, w) == chi_pair_ring_product(v, w)
+    assert chi_pair_p3(v, v) == v.v0 ** 2 - 2 * discriminant(v)
 
 
 def test_chi_pair_matches_ring_product_on_builtins():

@@ -112,13 +112,13 @@ def test_cone_check_omega_boundary():
 
 
 def test_thm_region_examples():
-    assert thm_region_check(ParamPoint(Q(-1, 4), Q(1, 8))).passed
-    assert not thm_region_check(ParamPoint(0, 1)).passed
-    assert not thm_region_check(ParamPoint(Q(-1, 2), Q(1, 8))).passed
+    assert thm_region_check(Q(-1, 4), Q(1, 8)).passed
+    assert not thm_region_check(0, 1).passed
+    assert not thm_region_check(Q(-1, 2), Q(1, 8)).passed
 
 
 def test_thm_region_reports_residuals():
-    rep = thm_region_check(ParamPoint(Q(-1, 4), Q(1, 8)))
+    rep = thm_region_check(Q(-1, 4), Q(1, 8))
     assert all(c.passed for c in rep.conditions)
     names = [c.name for c in rep.conditions]
     assert "omega^2 < 1/4" in names

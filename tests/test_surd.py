@@ -49,6 +49,23 @@ def test_different_radicands_are_unequal():
     assert Surd.sqrt(8) != Surd.sqrt(12)
 
 
+def test_unreduced_radicands_are_exact():
+    assert Surd(0, 1, 8) == Surd.sqrt(8)
+    assert hash(Surd(0, 1, 8)) == hash(Surd.sqrt(8))
+    assert Surd(0, 1, 8) - Surd.sqrt(2) == Surd.sqrt(2)
+    assert Surd(0, 1, 9) == 3 and Surd(0, 1, 9).is_rational
+    with pytest.raises(ValueError):
+        Surd(0, 1, 8) < Surd.sqrt(3)
+
+
+@given(rats, rats, st.integers(1, 12), st.sampled_from([2, 3, 5, 6, 7, 10]))
+def test_square_factor_in_the_radicand(a, b, k, d):
+    # a + b*sqrt(k^2 d) is a + b*k*sqrt(d), whichever way it is written
+    s, t = Surd(a, b, k * k * d), Surd(a, b * k, d)
+    assert s == t and t == s and hash(s) == hash(t)
+    assert (s - t).is_rational and (t - s).is_rational
+
+
 def test_difference_of_surds():
     assert Surd.sqrt(8) - Surd.sqrt(2) == Surd.sqrt(2)
     assert (Surd.sqrt(2) - Surd.sqrt(2)).is_rational

@@ -49,6 +49,14 @@ def test_slope_examples():
     assert slope_mu(class_of_named("point")).is_infinite
 
 
+@pytest.mark.parametrize("beta, alpha", [(0, -1), (Q(-1, 2), Q(1, 8))])
+def test_param_point_off_U_raises(beta, alpha):
+    # (-1/2, 1/8) is on the boundary: omega^2 = 0
+    with pytest.raises(DomainError) as exc:
+        ParamPoint(beta, alpha)
+    assert str(exc.value) == f"({beta}, {alpha}) is not in U"
+
+
 def test_slope_order():
     assert Slope(None) > Slope(10 ** 9)
     assert Slope(Q(1, 2)) < Slope(1) < Slope.INFINITY

@@ -10,8 +10,8 @@ from sympy.solvers.inequalities import solve_poly_inequality
 from tiltwall import (NumClass, ParamPoint, Region, Wall, class_of_line_bundle,
                       class_of_named, common_slope, discriminant,
                       enumerate_candidate_walls, is_integral_class,
-                      passes_through, pi_point, plot_scene, shift,
-                      tilt_slope_nu, wall_between)
+                      passes_through, pi_point, plot_scene, scene_svg,
+                      shift, tilt_slope_nu, wall_between)
 from tiltwall.errors import DomainError, InputError
 from tiltwall import _wallscan_py
 from tiltwall.walls import (_scaled_inputs, _wall_key, _wall_window,
@@ -265,6 +265,14 @@ def _reference_walls(v, region, disc):
     return [key + (found[key],) for key in sorted(found)]
 
 
+def _meets_drawing_box(wall, region):
+    """Does the wall line meet [beta_min, beta_max] x (-inf, alpha_max]?"""
+    if wall.A == 0:
+        return region.beta_min <= Q(-wall.C, wall.B) <= region.beta_max
+    return min(-(wall.B * b + wall.C) / wall.A
+               for b in (region.beta_min, region.beta_max)) <= region.alpha_max
+
+
 @given(enumeration_cases)
 @settings(max_examples=150, deadline=None)
 def test_enumeration_matches_reference(case):
@@ -272,6 +280,7 @@ def test_enumeration_matches_reference(case):
     walls = enumerate_candidate_walls(v, region, disc)
     assert ([(w.A, w.B, w.C, str(wit)) for w, wit in walls]
             == _reference_walls(v, region, disc))
+    assert all(_meets_drawing_box(w, region) for w, _ in walls)
 
 
 @given(enumeration_cases)
@@ -463,24 +472,24 @@ def test_search_box_reported():
 def test_scene_for_O():
     region = Region(-1, 0, 1)
     scene = plot_scene(class_of_line_bundle(0), region)
-    kinds = [c["kind"] for c in scene.curves]
+    kinds = [c["kind"] for c in scene["curves"]]
     assert "boundary-parabola" in kinds
-    ce = next(c for c in scene.curves if c["kind"] == "curve-CE")
+    ce = next(c for c in scene["curves"] if c["kind"] == "curve-CE")
     assert ce["lin"] == "0" and ce["const"] == "0"
     assert any(p["label"] == "Pi" and p["beta"] == "0" and p["alpha"] == "0"
-               for p in scene.points)
+               for p in scene["points"])
 
 
 def test_scene_for_point_class():
     scene = plot_scene(class_of_named("point"), Region(-1, 0, 1))
-    assert [c["kind"] for c in scene.curves] == ["boundary-parabola"]
-    assert scene.points == ()
+    assert [c["kind"] for c in scene["curves"]] == ["boundary-parabola"]
+    assert scene["points"] == []
 
 
 def test_scene_marks_pi_of_tangent():
     scene = plot_scene(class_of_named("T(-2)"), Region(-1, 0, 1))
     assert any(p["label"] == "Pi" and Fraction(p["beta"]) == Q(-2, 3)
-               and Fraction(p["alpha"]) == 0 for p in scene.points)
+               and Fraction(p["alpha"]) == 0 for p in scene["points"])
 
 
 def test_scene_serialization():
@@ -488,9 +497,8 @@ def test_scene_serialization():
     region = Region(-2, 0, 2)
     walls = [w for w, _ in enumerate_candidate_walls(v, region, 0)]
     scene = plot_scene(v, region, walls)
-    data = scene.to_json_dict()
-    assert data["schema"] == "tiltwall/scene-v1"
-    assert any(c["kind"] == "wall" for c in data["curves"])
-    svg = scene.to_svg(precision=3)
+    assert scene["schema"] == "tiltwall/scene-v1"
+    assert any(c["kind"] == "wall" for c in scene["curves"])
+    svg = scene_svg(scene, precision=3)
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert "polyline" in svg
