@@ -10,11 +10,11 @@ non-strict character of each inequality is preserved in the report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence, Union
 
+from ._record import Record
 from .errors import DomainError, InputError
 from .euler import chi_pair_p3
 from .numclass import (NumClass, class_of_named, is_integral_class,
@@ -35,26 +35,28 @@ _BUILTINS = {
 }
 
 
-@dataclass(frozen=True)
-class CollectionSpec:
+class CollectionSpec(Record):
     """Four numerical classes forming an exceptional-collection datum, with
     the last one distinguished."""
 
-    names: tuple[str, str, str, str]
-    classes: tuple[NumClass, NumClass, NumClass, NumClass]
-    builtin: str = "custom"  # beilinson4 | omega | lines | custom
+    __slots__ = ("names", "classes", "builtin")
 
-    def __post_init__(self):
-        mus = [slope_mu(c) for c in self.classes]
+    def __init__(self, names: tuple[str, str, str, str],
+                 classes: tuple[NumClass, NumClass, NumClass, NumClass],
+                 builtin: str = "custom"):  # beilinson4 | omega | lines | custom
+        mus = [slope_mu(c) for c in classes]
         if any(m.is_infinite for m in mus):
             raise DomainError("collection members must have nonzero rank")
         if not all(a < b for a, b in zip(mus, mus[1:])):
             raise DomainError("collection slopes must strictly increase")
-        for name, c in zip(self.names, self.classes):
+        for name, c in zip(names, classes):
             if not is_integral_class(c):
                 raise DomainError(f"class of {name} is not integral")
             if chi_pair_p3(c, c) != 1:
                 raise DomainError(f"class of {name} is not Euler-exceptional")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "builtin", builtin)
 
     @property
     def distinguished(self) -> NumClass:
@@ -108,24 +110,33 @@ class CollectionSpec:
         }
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Record):
     """One inequality verdict: exact residual, pass flag, strictness."""
 
-    name: str
-    passed: bool
-    residual: Exact
-    strict: bool = True
+    __slots__ = ("name", "passed", "residual", "strict")
+
+    def __init__(self, name: str, passed: bool, residual: Exact,
+                 strict: bool = True):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "strict", strict)
 
     def describe(self) -> str:
         op = ">" if self.strict else ">="
         return f"{self.name}: residual {self.residual} {op} 0 -> {'pass' if self.passed else 'FAIL'}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    conditions: tuple[Condition, ...]
-    notes: tuple[str, ...] = field(default_factory=tuple)
+class CheckReport(Record):
+    """The verdicts of one condition system, with notes on what it leaves
+    unchecked."""
+
+    __slots__ = ("conditions", "notes")
+
+    def __init__(self, conditions: tuple[Condition, ...],
+                 notes: tuple[str, ...] = ()):
+        object.__setattr__(self, "conditions", conditions)
+        object.__setattr__(self, "notes", notes)
 
     @property
     def passed(self) -> bool:

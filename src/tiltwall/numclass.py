@@ -10,27 +10,45 @@ are integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import InputError
 
 
+# Digits a rational literal may spell out, counting its mantissa digits plus
+# the absolute value of its exponent.  A printed value has up to about eight
+# times the digits of its inputs (Re Z3 = -v3^b + a*v1^b has the denominators
+# of v0..v3, beta^3 and a), so 500 keeps every output under Python's
+# 4300-digit limit on int-to-str conversion.
+DIGIT_BUDGET = 500
+
+
 def parse_rational(tok: str) -> Fraction:
+    """Exact rational from a literal such as "3", "-3/4" or "1.5e-3".
+
+    The digit count is made on the text, so a literal over DIGIT_BUDGET
+    raises InputError before any integer is built."""
+    mantissa, _, exponent = tok.lower().partition("e")
+    size = sum(map(str.isdecimal, mantissa))
+    if exponent:
+        try:
+            size += abs(int(exponent))
+        except ValueError:  # malformed, or too long for int(): count its length
+            size += len(exponent)
+    if size > DIGIT_BUDGET:
+        raise InputError(f"rational literal over the budget of {DIGIT_BUDGET} "
+                         "digits (mantissa digits plus |exponent|)")
     try:
         return Fraction(tok.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational literal {tok!r}") from exc
 
 
-@dataclass(frozen=True)
-class NumClass:
+class NumClass(Record):
     """Lattice point (v0, v1, v2, v3) = (H^3 ch0, H^2 ch1, H ch2, ch3)."""
 
-    v0: Fraction
-    v1: Fraction
-    v2: Fraction
-    v3: Fraction
+    __slots__ = ("v0", "v1", "v2", "v3")
 
     def __init__(self, v0, v1, v2, v3):
         object.__setattr__(self, "v0", Fraction(v0))

@@ -8,7 +8,8 @@ exact.  ``Surd.sqrt`` is the one place a new radicand enters: it factors it
 once into a square-free d, and arithmetic keeps that d.  Surds with radicands
 d != e combine when d*e = s^2, since then sqrt(e) = (s/d)*sqrt(d); otherwise
 they are never equal (1, sqrt(d) and sqrt(e) are linearly independent over
-Q), and ordering them raises instead of silently approximating.
+Q), their difference is not a Surd, and they are ordered exactly by
+comparing squares.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
+from .errors import DomainError
+
 Rational = Union[int, Fraction]
+
+# Largest radicand p*q that Surd.sqrt factors for a rational p/q: the split
+# trial-divides up to the cube root, some 2.3 million odd divisors at 10^20.
+RADICAND_BUDGET = 10**20
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -71,12 +78,17 @@ class Surd:
 
     @staticmethod
     def sqrt(x: Rational) -> "Surd":
-        """Exact square root of a nonnegative rational."""
+        """Exact square root of a nonnegative rational p/q; DomainError when
+        p*q exceeds RADICAND_BUDGET."""
         x = Fraction(x)
         if x < 0:
             raise ValueError("square root of a negative rational")
         # sqrt(p/q) = sqrt(p*q)/q = s*sqrt(d)/q
-        s, d = _squarefree_split(x.numerator * x.denominator)
+        n = x.numerator * x.denominator
+        if n > RADICAND_BUDGET:
+            raise DomainError("square root of a rational p/q with p*q over "
+                              "the radicand budget of 10^20")
+        s, d = _squarefree_split(n)
         return Surd(0, Fraction(s, x.denominator), d)
 
     @property
@@ -141,26 +153,42 @@ class Surd:
     def __truediv__(self, other: Rational) -> "Surd":
         return self * (1 / Fraction(other))
 
+    def _cmp(self, other) -> int:
+        """Sign of self - other, for a rational or a surd of any radicand.
+
+        When the radicands d and e do not combine, self - other is X - Y
+        with X = (a - c) + b*sqrt(d) and Y = f*sqrt(e).  X - Y has the sign
+        of X when the signs of X and Y differ; otherwise it has that common
+        sign times the sign of X^2 - Y^2, a surd of radicand d minus the
+        rational f^2*e."""
+        try:
+            return (self - other).sign()
+        except ValueError:
+            if not isinstance(other, Surd):
+                raise
+        p, b, d = self.a - other.a, self.b, self.d
+        sx, sy = Surd(p, b, d).sign(), (1 if other.b > 0 else -1)
+        if sx != sy:
+            return 1 if sx > sy else -1
+        return sx * Surd(p * p + b * b * d - other.b * other.b * other.d,
+                         2 * p * b, d).sign()
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, (int, Fraction, Surd)):
             return NotImplemented
-        try:
-            return (self - other).sign() == 0
-        except ValueError:
-            # d*e is not a square, so 1, sqrt(d), sqrt(e) are independent over Q
-            return False
+        return self._cmp(other) == 0
 
     def __lt__(self, other) -> bool:
-        return (self - other).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other) -> bool:
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other) -> bool:
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other) -> bool:
-        return (self - other).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __hash__(self):
         # equal irrational surds share a, b^2*d and the sign of b

@@ -9,25 +9,23 @@ square roots of the discriminant, kept as quadratic surds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._record import Record
 from .errors import DomainError
 from .numclass import NumClass, twist_components
 from .surd import Surd
 
 
-@dataclass(frozen=True)
-class ParamPoint:
+class ParamPoint(Record):
     """Point (beta, alpha) of the half-plane U = {alpha > beta^2/2}.
 
     Every ParamPoint is in U: the constructor raises DomainError when
     omega^2 = 2*alpha - beta^2 <= 0, so no function taking one checks
     again."""
 
-    beta: Fraction
-    alpha: Fraction
+    __slots__ = ("beta", "alpha")
 
     def __init__(self, beta, alpha):
         beta, alpha = Fraction(beta), Fraction(alpha)
@@ -86,12 +84,10 @@ class Slope:
 Slope.INFINITY = Slope(None)
 
 
-@dataclass(frozen=True)
-class ChargeValue:
+class ChargeValue(Record):
     """Exact (Re, Im) of a central-charge evaluation."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
 
     def __init__(self, re, im):
         object.__setattr__(self, "re", Fraction(re))
@@ -161,21 +157,27 @@ def quadratic_form_Q(v: NumClass, p: ParamPoint) -> Fraction:
 
 # --- the curve where nu = beta ------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveCE:
+class CurveCE(Record):
     """The locus nu^{beta,alpha} = beta inside U for a fixed class.
 
     kind "parabola": alpha = beta^2 - (v1/v0) beta + v2/v0, restricted to
-    v1 > beta v0; kind "vertical": the line beta = v2/v1; kind "empty".
+    v1 > beta v0, stored as alpha = beta^2 + lin*beta + const, with
+    direction +1 when the constraint is beta < v1/v0 (v0 > 0) and -1 for
+    beta > v1/v0; kind "vertical": the line beta = beta0 = v2/v1; kind
+    "empty".  Fields a kind does not use are None.
     """
 
-    kind: str  # "parabola" | "vertical" | "empty"
-    # parabola: alpha = beta^2 + lin*beta + const
-    lin: Optional[Fraction] = None
-    const: Optional[Fraction] = None
-    # +1 when the constraint is beta < v1/v0 (v0 > 0), -1 for beta > v1/v0
-    direction: Optional[int] = None
-    beta0: Optional[Fraction] = None  # vertical line abscissa
+    __slots__ = ("kind", "lin", "const", "direction", "beta0")
+
+    def __init__(self, kind: str, lin: Optional[Fraction] = None,
+                 const: Optional[Fraction] = None,
+                 direction: Optional[int] = None,
+                 beta0: Optional[Fraction] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "lin", lin)
+        object.__setattr__(self, "const", const)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "beta0", beta0)
 
     def alpha_at(self, beta) -> Fraction:
         if self.kind != "parabola":
@@ -252,10 +254,14 @@ def dual_transform(p: ParamPoint) -> ParamPoint:
     return ParamPoint(-p.beta, p.alpha)
 
 
-@dataclass(frozen=True)
-class ReduceResult:
-    point: ParamPoint
-    log: tuple[str, ...] = field(default_factory=tuple)
+class ReduceResult(Record):
+    """The reduced point and the steps that reach it."""
+
+    __slots__ = ("point", "log")
+
+    def __init__(self, point: ParamPoint, log: tuple[str, ...] = ()):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "log", log)
 
 
 def reduce_to_fundamental(p: ParamPoint) -> ReduceResult:

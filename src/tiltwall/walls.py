@@ -17,10 +17,10 @@ verdict is exact, in integers and ``Fraction`` only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import Record
 from .errors import DomainError, InputError
 from .numclass import NumClass
 from .tiltcalc import curve_CE, discriminant
@@ -39,18 +39,18 @@ def _normal_form(A: int, B: int, C: int) -> Optional[tuple[int, int, int]]:
     return A // g, B // g, C // g
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(Record):
     """Line A*alpha + B*beta + C = 0, canonically normalized: integer
     coprime coefficients with the first nonzero one positive."""
 
-    A: int
-    B: int
-    C: int
+    __slots__ = ("A", "B", "C")
 
-    def __post_init__(self):
-        if (self.A, self.B, self.C) == (0, 0, 0):
+    def __init__(self, A: int, B: int, C: int):
+        if A == 0 and B == 0 and C == 0:
             raise DomainError("degenerate wall (0, 0, 0)")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "C", C)
 
     @staticmethod
     def from_coefficients(A, B, C) -> "Wall":
@@ -106,21 +106,20 @@ def passes_through(wall: Wall, q: tuple) -> bool:
     return wall.A * alpha + wall.B * beta + wall.C == 0
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """Rational box of parameters: beta in [beta_min, beta_max], alpha up
     to alpha_max, always intersected with the open half-plane U."""
 
-    beta_min: Fraction
-    beta_max: Fraction
-    alpha_max: Fraction
+    __slots__ = ("beta_min", "beta_max", "alpha_max")
 
     def __init__(self, beta_min, beta_max, alpha_max):
-        object.__setattr__(self, "beta_min", Fraction(beta_min))
-        object.__setattr__(self, "beta_max", Fraction(beta_max))
-        object.__setattr__(self, "alpha_max", Fraction(alpha_max))
-        if self.beta_min > self.beta_max:
+        beta_min, beta_max = Fraction(beta_min), Fraction(beta_max)
+        alpha_max = Fraction(alpha_max)
+        if beta_min > beta_max:
             raise InputError("empty beta range")
+        object.__setattr__(self, "beta_min", beta_min)
+        object.__setattr__(self, "beta_max", beta_max)
+        object.__setattr__(self, "alpha_max", alpha_max)
 
     def to_json_dict(self) -> dict:
         return {"beta_min": str(self.beta_min), "beta_max": str(self.beta_max),

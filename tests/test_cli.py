@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from tiltwall import NumClass
-from tiltwall import cli
+from tiltwall import cli, numclass
 from tiltwall.cli import run
 
 
@@ -166,6 +167,34 @@ def test_precision_is_bounded(tmp_path, capsys):
         assert not svg.exists()
     assert run(PLOT_ARGV + [str(svg), "--precision", "17"]) == 0
     assert '<rect x="20.00000000000000000"' in svg.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tilt", "O", "--beta", "1e99999", "--alpha", "1"],
+    ["class", "1e5000,0,0,0"],
+    ["class", "1e999999999,0,0,0"],
+    ["reduce", "1/" + "3" * 500, "1"],
+])
+def test_literal_over_the_digit_budget_is_input_error(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"budget of {numclass.DIGIT_BUDGET} digits" in err
+
+
+def test_literals_at_the_digit_budget_print(capsys):
+    # unit fractions with B - 1 denominator digits: Re Z3 carries the
+    # denominators of v0..v3, beta^3 and a, about 8*B digits
+    B = numclass.DIGIT_BUDGET
+    u = [f"1/{10 ** (B - 2) + k}" for k in (1, 3, 7, 9, 13, 19)]
+    cls = ",".join(u[:4])
+    for argv in (["tilt", cls, "--beta", u[4], "--alpha", "9" * B, "--a", u[5]],
+                 ["bg-check", cls, "--beta", u[4], "--alpha", "9" * B]):
+        assert run(argv + ["--json"]) in (0, 1)
+        longest = max(len(t) for t in re.findall(r"\d+", capsys.readouterr().out))
+        assert longest > 6 * B
+    assert run(["class", "1e499,0,0,0"]) == 0
+    assert out_of(capsys) == f"{10 ** 499},0,0,0"
 
 
 def test_usage_errors_exit_2():

@@ -8,7 +8,7 @@ from tiltwall import (NumClass, POINT, chi_p3, class_of_line_bundle,
                       class_of_named, dual_shifted, is_integral_class, shift,
                       tensor_line)
 from tiltwall.errors import InputError
-from tiltwall.numclass import _NAMED, dual
+from tiltwall.numclass import _NAMED, DIGIT_BUDGET, dual, parse_rational
 
 from conftest import integral_classes
 
@@ -101,6 +101,20 @@ def test_parse_format_roundtrip():
         NumClass.parse("1,2,3")
     with pytest.raises(InputError):
         NumClass.parse("1,2,3,x")
+
+
+def test_parse_rational_digit_budget():
+    B = DIGIT_BUDGET
+    # mantissa digits plus |exponent|, counted on the text
+    for tok in ("9" * B, "1/" + "9" * (B - 1), "1e499", "-1.5e-498", "1e+0_499"):
+        assert parse_rational(tok) == Fraction(tok)
+    for tok in ("9" * (B + 1), "1/" + "9" * B, "1e500", "-1.5e-499",
+                "1e999999999", "1e-" + "9" * 5000):
+        with pytest.raises(InputError, match=f"budget of {B} digits"):
+            parse_rational(tok)
+    for tok in ("1e5e5", "1e", "e5", "1ex"):
+        with pytest.raises(InputError, match="bad rational literal"):
+            parse_rational(tok)
 
 
 @given(integral_classes)

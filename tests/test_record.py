@@ -1,0 +1,119 @@
+"""The ten value classes share one immutable-record base: equality and hash
+on the fields, the field repr in slot order, no assignment or deletion, and
+nothing of it costs the CLI an import of dataclasses or inspect."""
+
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from tiltwall import (ChargeValue, CheckReport, CollectionSpec, CurveCE,
+                      DomainError, InputError, NumClass, ParamPoint, Region,
+                      Wall)
+from tiltwall.heartgate import Condition
+from tiltwall.tiltcalc import ReduceResult
+
+Q = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _lines():
+    return CollectionSpec.builtin_by_name("lines")
+
+
+# each class with two argument tuples that give different values
+CASES = {
+    NumClass: ((1, Q(-1, 2), Q(3, 4), 0), (1, Q(-1, 2), Q(3, 4), 1)),
+    ParamPoint: ((Q(-1, 4), Q(1, 8)), (0, 1)),
+    ChargeValue: ((1, 2), (1, 3)),
+    CurveCE: (("vertical", None, None, None, Q(1, 2)), ("empty",)),
+    ReduceResult: ((ParamPoint(0, 1),), (ParamPoint(0, 1), ("dual",))),
+    CollectionSpec: ((_lines().names, _lines().classes),
+                     (_lines().names, _lines().classes, "lines")),
+    Condition: (("x", True, Q(1, 3)), ("x", True, Q(1, 3), False)),
+    CheckReport: (((Condition("x", True, Q(1)),),), ((), ("a note",))),
+    Wall: ((1, -2, 3), (0, 1, 3)),
+    Region: ((-2, 0, 2), (Q(-1, 3), Q(1, 2), Q(5, 7))),
+}
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda c: c.__name__)
+def test_equal_fields_give_equal_values_and_hashes(cls):
+    first, second = CASES[cls]
+    a, b, c = cls(*first), cls(*first), cls(*second)
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert a != c and not a == c
+    assert len({a, b, c}) == 2
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda c: c.__name__)
+def test_fields_cannot_be_set_or_deleted(cls):
+    value = cls(*CASES[cls][0])
+    for name in cls.__match_args__:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_equality_is_per_class():
+    assert ChargeValue(1, 2) != ParamPoint(1, 2)
+    assert ParamPoint(1, 2) != ChargeValue(1, 2)
+    assert Region(0, 1, 2) != Wall(0, 1, 2) and Wall(0, 1, 2) != Region(0, 1, 2)
+    assert NumClass(1, 0, 0, 0) != (1, 0, 0, 0)
+    assert CurveCE("empty") != "empty"
+
+
+def test_defaults():
+    assert CollectionSpec(_lines().names, _lines().classes).builtin == "custom"
+    assert Condition("x", True, Q(0)).strict is True
+    assert CheckReport(()).notes == () and ReduceResult(ParamPoint(0, 1)).log == ()
+
+
+def test_constructors_validate():
+    names, (F0, F1, F2, E) = _lines().names, _lines().classes
+    for classes, message in (
+            ((F0, F1, F2, NumClass(0, 1, 0, 0)), "nonzero rank"),
+            ((F1, F0, F2, E), "strictly increase"),
+            ((F0, F1, F2, NumClass(1, 0, Q(1, 3), 0)), "not integral"),
+            ((F0, F1, F2, NumClass(2, 0, 0, 0)), "not Euler-exceptional")):
+        with pytest.raises(DomainError, match=message):
+            CollectionSpec(names, classes)
+    with pytest.raises(DomainError, match="degenerate wall"):
+        Wall(0, 0, 0)
+    with pytest.raises(InputError, match="empty beta range"):
+        Region(1, 0, 2)
+    with pytest.raises(DomainError, match="not in U"):
+        ParamPoint(0, 0)
+
+
+def test_pinned_reprs():
+    assert repr(NumClass(1, Q(-1, 2), 0, 2)) == (
+        "NumClass(v0=Fraction(1, 1), v1=Fraction(-1, 2), v2=Fraction(0, 1), "
+        "v3=Fraction(2, 1))")
+    assert repr(CurveCE("parabola", lin=Q(1), const=Q(-1, 2))) == (
+        "CurveCE(kind='parabola', lin=Fraction(1, 1), "
+        "const=Fraction(-1, 2), direction=None, beta0=None)")
+    assert repr(CurveCE("empty")) == (
+        "CurveCE(kind='empty', lin=None, const=None, direction=None, beta0=None)")
+    assert repr(ReduceResult(ParamPoint(Q(-1, 3), Q(1, 3)), ("shift:-2", "dual"))) == (
+        "ReduceResult(point=ParamPoint(beta=Fraction(-1, 3), alpha=Fraction(1, 3)), "
+        "log=('shift:-2', 'dual'))")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, tiltwall.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 import hypothesis.strategies as st
 
-from tiltwall import NumClass, mu12
+from tiltwall import DomainError, NumClass, mu12
 from tiltwall import surd
 from tiltwall.surd import Surd, _squarefree_split
 
@@ -38,8 +39,9 @@ def test_mixed_sign_comparison():
 
 
 def test_different_radicands_raise():
+    # their difference is not a Surd
     with pytest.raises(ValueError):
-        Surd.sqrt(2) < Surd.sqrt(3)
+        Surd.sqrt(2) - Surd.sqrt(3)
 
 
 def test_different_radicands_are_unequal():
@@ -54,8 +56,7 @@ def test_unreduced_radicands_are_exact():
     assert hash(Surd(0, 1, 8)) == hash(Surd.sqrt(8))
     assert Surd(0, 1, 8) - Surd.sqrt(2) == Surd.sqrt(2)
     assert Surd(0, 1, 9) == 3 and Surd(0, 1, 9).is_rational
-    with pytest.raises(ValueError):
-        Surd(0, 1, 8) < Surd.sqrt(3)
+    assert Surd(0, 1, 8) > Surd.sqrt(3)
 
 
 @given(rats, rats, st.integers(1, 12), st.sampled_from([2, 3, 5, 6, 7, 10]))
@@ -64,6 +65,32 @@ def test_square_factor_in_the_radicand(a, b, k, d):
     s, t = Surd(a, b, k * k * d), Surd(a, b * k, d)
     assert s == t and t == s and hash(s) == hash(t)
     assert (s - t).is_rational and (t - s).is_rational
+
+
+def test_different_radicands_are_ordered():
+    assert Surd.sqrt(2) < Surd.sqrt(3) and Surd.sqrt(3) > Surd.sqrt(2)
+    # 1 + sqrt(2) = 2.414... against sqrt(5) = 2.236... and sqrt(6) = 2.449...
+    assert Surd(1, 1, 2) > Surd.sqrt(5) and Surd(1, 1, 2) < Surd.sqrt(6)
+    # both sides negative: -1 - sqrt(2) = -2.414... < -sqrt(5)
+    assert Surd(-1, -1, 2) < -Surd.sqrt(5) and Surd(-1, -1, 2) <= -Surd.sqrt(5)
+    # opposite signs: sqrt(2) - 1 > 0 > -sqrt(3)/100
+    assert Surd(-1, 1, 2) > Surd(0, Fraction(-1, 100), 3)
+    assert sorted([Surd.sqrt(7), Surd.sqrt(2), Fraction(2), Surd(1, 1, 3)]) == [
+        Surd.sqrt(2), Fraction(2), Surd.sqrt(7), Surd(1, 1, 3)]
+
+
+SQUAREFREE = (2, 3, 5, 6, 7, 10, 11, 13, 15)
+
+
+@given(rats, rats.filter(bool), st.sampled_from(SQUAREFREE),
+       rats, rats.filter(bool), st.sampled_from(SQUAREFREE))
+def test_ordering_matches_sympy(a, b, d, c, f, e):
+    x, y = Surd(a, b, d), Surd(c, f, e)
+    diff = (sympy.Rational(a) + sympy.Rational(b) * sympy.sqrt(d)
+            - sympy.Rational(c) - sympy.Rational(f) * sympy.sqrt(e))
+    want = int(sympy.sign(diff))
+    assert (x < y, x == y, x > y) == (want < 0, want == 0, want > 0)
+    assert (x <= y, x >= y, x != y) == (want <= 0, want >= 0, want != 0)
 
 
 def test_difference_of_surds():
@@ -98,6 +125,20 @@ def test_mu12_factors_the_radicand_once(monkeypatch):
         mu1, mu2 = mu12(NumClass(2, 0, Fraction(-disc, 4), 0))
         assert calls == [disc]
         assert (mu1.b, mu2.b) == (-mu2.b, mu2.b) and mu2.b > 0
+
+
+def test_radicand_budget():
+    # NumClass(2, 0, -disc/4, 0) has discriminant v1^2 - 2*v0*v2 = disc
+    budget = surd.RADICAND_BUDGET
+    assert budget == 10**20
+    mu1, mu2 = mu12(NumClass(2, 0, Fraction(-budget, 4), 0))
+    assert (mu1, mu2) == (-5 * 10**9, 5 * 10**9)
+    for disc in (budget + 39, 10**24 + 7):
+        with pytest.raises(DomainError, match="10\\^20"):
+            mu12(NumClass(2, 0, Fraction(-disc, 4), 0))
+    # p*q counts the denominator too: sqrt(10^20/3) factors 3 * 10^20
+    with pytest.raises(DomainError):
+        Surd.sqrt(Fraction(budget, 3))
 
 
 def test_negative_radicand_raises():
