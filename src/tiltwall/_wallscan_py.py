@@ -47,31 +47,45 @@ def scan_candidates(P0: int, P1: int, T2: int, R: int, DS: int,
         Uv = P1 * Dd + umax
         w1_hi = (Uv - 1) // DD
         M = P0 - Rw0
-        MR = M * R
+        MT2 = M * T2
+        # t is bounded by c*t <= b for (c, b) = (w0, w1^2) (disc(w) >= 0),
+        # (c2, b2) (disc(v-w) >= 0) and (c3, b3) (the DS budget); the c
+        # are fixed for this w0, and w1^2 >= 0 makes w0 = 0 no constraint.
+        # c2 + c3 = -R^2 w0 has the sign of -w0, and c3 = -c2 when w0 = 0
+        # (then P0 != 0), so there is always an upper and a lower bound.
+        c2 = -M * R
+        c3 = -c2 - R2 * w0
         for w1 in range(w1_lo, w1_hi + 1):
             N = P1 - R * w1
-            # each pair (c, b) encodes the constraint c*t <= b
-            cons = (
-                (w0, w1 * w1),
-                (-MR, N * N - M * T2),
-                (MR - R2 * w0, DS - R2 * w1 * w1 - N * N + M * T2),
-            )
+            b1 = w1 * w1
+            b2 = N * N - MT2
+            b3 = DS - R2 * b1 - b2
             tlo = thi = None
-            ok = True
-            for c, b in cons:
-                if c > 0:
-                    q = b // c
-                    if thi is None or q < thi:
-                        thi = q
-                elif c < 0:
-                    q = -(b // (-c))
-                    if tlo is None or q > tlo:
-                        tlo = q
-                elif b < 0:
-                    ok = False
-                    break
-            if not ok or tlo is None or thi is None:
+            if w0 > 0:
+                thi = b1 // w0
+            elif w0 < 0:
+                tlo = -(b1 // -w0)
+            if c2 > 0:
+                q = b2 // c2
+                if thi is None or q < thi:
+                    thi = q
+            elif c2 < 0:
+                q = -(b2 // -c2)
+                if tlo is None or q > tlo:
+                    tlo = q
+            elif b2 < 0:
                 continue
+            if c3 > 0:
+                q = b3 // c3
+                if thi is None or q < thi:
+                    thi = q
+            elif c3 < 0:
+                q = -(b3 // -c3)
+                if tlo is None or q > tlo:
+                    tlo = q
+            elif b3 < 0:
+                continue
+            # the run of t = w1 (mod 2) in [tlo, thi], in increasing order
             t = tlo + ((w1 - tlo) % 2)
             while t <= thi:
                 out.append((w0, w1, t))

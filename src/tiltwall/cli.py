@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, quote_token
 from .euler import chi_local, chi_p3, spherical_twist_class
 from .heartgate import CollectionSpec, admissible_a_interval, general_condition_check
 from .numclass import NumClass, class_of_named, parse_rational
@@ -67,7 +67,8 @@ class _Parser(argparse.ArgumentParser):
 def _decimals(tok: str) -> int:
     # past 17 decimals a float has no digits left to print
     if not (tok.isdecimal() and int(tok) <= 17):
-        raise argparse.ArgumentTypeError(f"not an integer from 0 to 17: {tok!r}")
+        raise argparse.ArgumentTypeError(
+            f"not an integer from 0 to 17: {quote_token(tok)}")
     return int(tok)
 
 
@@ -254,8 +255,14 @@ def run(argv) -> int:
         data, text, code = _HANDLERS[ns.verb](ns)
         _emit(_dumps(data) if ns.json else text, ns.out)
         return code
-    except (InputError, DomainError, OSError) as exc:
+    except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # str(exc) would echo a path of any length
+        path = exc.filename
+        print("error: " + (str(exc) if path is None else f"[Errno {exc.errno}] "
+                           f"{exc.strerror}: {quote_token(str(path))}"),
+              file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 is reserved for a failed check
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from functools import cache
 from typing import Optional, Sequence, Union
 
 from ._record import Record
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, quote_token
 from .euler import chi_pair_p3
 from .numclass import (NumClass, class_of_named, is_integral_class,
                        parse_rational, shift)
@@ -68,7 +68,7 @@ class CollectionSpec(Record):
         """The named built-in collection, built and validated once."""
         names = _BUILTINS.get(name)
         if names is None:
-            raise InputError(f"unknown builtin collection {name!r}")
+            raise InputError(f"unknown builtin collection {quote_token(name)}")
         return CollectionSpec(names, tuple(class_of_named(n) for n in names), name)
 
     @staticmethod

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .errors import InputError
+from .errors import InputError, quote_token
 
 
 # Digits a rational literal may spell out, counting its mantissa digits plus
@@ -42,7 +42,7 @@ def parse_rational(tok: str) -> Fraction:
     try:
         return Fraction(tok.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational literal {tok!r}") from exc
+        raise InputError(f"bad rational literal {quote_token(tok)}") from exc
 
 
 class NumClass(Record):
@@ -82,7 +82,8 @@ class NumClass(Record):
         """Parse the class literal "v0,v1,v2,v3" with exact fraction tokens."""
         parts = text.split(",")
         if len(parts) != 4:
-            raise InputError(f"class literal needs 4 components, got {text!r}")
+            raise InputError("class literal needs 4 components, "
+                             f"got {quote_token(text)}")
         return NumClass(*(parse_rational(p) for p in parts))
 
 
@@ -145,9 +146,10 @@ def class_of_named(name: str) -> NumClass:
         try:
             d = int(name[2:-1])
         except ValueError as exc:
-            raise InputError(f"bad line-bundle twist in {name!r}") from exc
+            raise InputError(
+                f"bad line-bundle twist in {quote_token(name)}") from exc
         return class_of_line_bundle(d)
-    raise InputError(f"unknown class name {name!r}")
+    raise InputError(f"unknown class name {quote_token(name)}")
 
 
 def shift(v: NumClass, k: int) -> NumClass:

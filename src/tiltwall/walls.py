@@ -3,10 +3,11 @@ fixed class: pairwise walls, the concurrency/parallelism structure,
 candidate enumeration over integral classes, and plot-scene construction.
 
 Walls are lines A*alpha + B*beta + C = 0 stored with a canonical integer
-normalization.  Enumeration runs the integer candidate scan of
-``_wallscan_py`` and takes its candidates in scan order.  Each candidate's
-wall key is computed in integers (``_wall_key``, no ``Fraction`` or
-``NumClass``).  The first candidate of a key builds the wall through
+normalization.  One integer scaling of a class (``_scaled``) and one cross
+product (``_wall_key``) give every wall key: ``wall_between`` scales both
+classes, and enumeration scales v once and runs the integer candidate scan
+of ``_wallscan_py``, taking its candidates in scan order.  The per-key work
+is integers: the first candidate of a key builds its ``Wall`` through
 ``wall_between`` and its window, the beta interval where it meets the
 region, the alpha cap and U (``_wall_window``); both are cached for the
 call, rejections included.  Per witness only the two strict Im Z window
@@ -74,13 +75,13 @@ class Wall(Record):
 def wall_between(v: NumClass, w: NumClass) -> Optional[Wall]:
     """The locus nu(v) = nu(w): the line with A = w0 v1 - v0 w1,
     B = w2 v0 - v2 w0, C = v2 w1 - w2 v1; None for proportional
-    truncations (A = B = C = 0)."""
-    A = w.v0 * v.v1 - v.v0 * w.v1
-    B = w.v2 * v.v0 - v.v2 * w.v0
-    C = v.v2 * w.v1 - w.v2 * v.v1
-    if A == 0 and B == 0 and C == 0:
-        return None
-    return Wall.from_coefficients(A, B, C)
+    truncations (A = B = C = 0).  Both classes are scaled to integers by
+    positive factors (``_scaled``), so ``_wall_key`` gives the normal form
+    of these coefficients."""
+    P0, P1, T2, _ = _scaled(v)
+    w0, w1, t, _ = _scaled(w)
+    key = _wall_key(P0, P1, T2, w0, w1, t)
+    return None if key is None else Wall(*key)
 
 
 def pi_point(v: NumClass) -> Optional[tuple[Fraction, Fraction]]:
@@ -216,20 +217,31 @@ def search_box(v: NumClass, disc_bound) -> dict:
             "note": "heuristic rank bound; numerical walls only"}
 
 
+def _scaled(v: NumClass) -> tuple[int, int, int, int]:
+    """(R*v0, R*v1, 2R*v2, R) for the least R > 0 that makes the first
+    three integers, from numerators and denominators only: the denominator
+    of 2*v2 is d2 // gcd(2, d2)."""
+    v0, v1, v2 = v.v0, v.v1, v.v2
+    d0, d1, d2 = v0.denominator, v1.denominator, v2.denominator
+    R = math.lcm(d0, d1, d2 // math.gcd(2, d2))
+    return (v0.numerator * (R // d0), v1.numerator * (R // d1),
+            v2.numerator * (2 * R // d2), R)
+
+
 def _scaled_inputs(v: NumClass, region: Region, disc_bound: Fraction):
-    R = math.lcm(v.v0.denominator, v.v1.denominator, (2 * v.v2).denominator)
-    P0, P1, T2 = int(R * v.v0), int(R * v.v1), int(2 * R * v.v2)
-    DS = (P1 * P1 - P0 * T2) + math.floor(R * R * disc_bound)
+    P0, P1, T2, R = _scaled(v)
+    DS = (P1 * P1 - P0 * T2) + (R * R * disc_bound.numerator
+                                // disc_bound.denominator)
     bl, bh = region.beta_min, region.beta_max
     return (P0, P1, T2, R, DS,
             bl.numerator, bl.denominator, bh.numerator, bh.denominator)
 
 
 def _wall_key(P0: int, P1: int, T2: int, w0: int, w1: int, t: int):
-    """(A, B, C) of ``wall_between(v, w)`` in integers, for the class
-    v = (P0, P1, T2/2)/R and the scanned witness w = (w0, w1, t/2): the
-    coefficients scaled by 2R > 0, in ``_normal_form``.  None when all
-    three vanish."""
+    """(A, B, C) of the wall between v = (P0, P1, T2/2)/R and
+    w = (w0, w1, t/2)/S in integers: the coefficients of ``wall_between``
+    scaled by 2RS > 0, in ``_normal_form``.  None when all three vanish.
+    The scan's witnesses are integral, S = 1."""
     return _normal_form(2 * (w0 * P1 - P0 * w1), t * P0 - T2 * w0,
                         T2 * w1 - t * P1)
 
@@ -243,11 +255,14 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     A scanned candidate (w0, w1, t) whose wall is already known costs a few
     integer operations: its wall key comes from ``_wall_key``.  The first
     candidate of each key builds the wall with ``wall_between`` and its
-    window with ``_wall_window``, and both are cached for this call,
-    rejections included, so a wall that misses region /\\ U is never
-    looked at again.  Per witness only the two Im-window constraints are
-    added.  Candidates are taken in scan order and the first feasible
-    witness of a wall wins.
+    window with ``_wall_window``, both in integers, and both are cached for
+    this call, rejections included, so a wall that misses region /\\ U is
+    never looked at again.  That first candidate also builds its witness
+    ``NumClass``, in ``Fraction``, because ``wall_between`` takes classes;
+    building it only for accepted walls waits for a way to count keys
+    other than calls of ``wall_between``.  Per witness only the two
+    Im-window constraints are added.  Candidates are taken in scan order
+    and the first feasible witness of a wall wins.
     """
     disc_bound = Fraction(disc_bound)
     if disc_bound < 0:

@@ -3,6 +3,7 @@ against.  They are not part of the library: each one computes a result the
 library computes by a different route."""
 
 from fractions import Fraction
+from typing import Optional
 
 from tiltwall import (ChargeValue, NumClass, Region, Wall, chi_p3, chi_pair_p3,
                       tensor_line)
@@ -10,6 +11,19 @@ from tiltwall.numclass import dual
 from tiltwall.walls import _clip, _wall_window
 
 Q = Fraction
+
+
+def wall_between_fraction(v: NumClass, w: NumClass) -> Optional[Wall]:
+    """The wall nu(v) = nu(w) from its rational coefficients
+    A = w0 v1 - v0 w1, B = w2 v0 - v2 w0, C = v2 w1 - w2 v1, made integral
+    by the lcm of their denominators and normalized by ``Wall``'s rules;
+    None when all three vanish."""
+    A = w.v0 * v.v1 - v.v0 * w.v1
+    B = w.v2 * v.v0 - v.v2 * w.v0
+    C = v.v2 * w.v1 - w.v2 * v.v1
+    if A == 0 and B == 0 and C == 0:
+        return None
+    return Wall.from_coefficients(A, B, C)
 
 
 def product(v: NumClass, w: NumClass) -> NumClass:

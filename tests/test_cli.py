@@ -117,6 +117,16 @@ def test_walls_verb_json(capsys):
     assert json.loads(out_of(capsys)) == data
 
 
+def test_walls_golden_digest_at_disc_400(capsys):
+    # 40,261 scanned candidates, 4,498 distinct wall keys, 3 walls; the
+    # digest of the exact stdout as the Fraction wall construction made it
+    args = ["walls", "2,-1,-3/2,1/6", "--beta-min", "-4", "--beta-max", "2",
+            "--alpha-max", "6", "--disc-bound", "400", "--json"]
+    assert run(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "a61149e48e6c84298a6b9665bc56d55b66bfd225b5994e224c8345842ea768fd")
+
+
 def test_twist_verb(capsys):
     assert run(["twist", "O", "1,0,0,-1"]) == 0
     assert out_of(capsys) == "-1,0,0,-1"
@@ -195,6 +205,22 @@ def test_literals_at_the_digit_budget_print(capsys):
         assert longest > 6 * B
     assert run(["class", "1e499,0,0,0"]) == 0
     assert out_of(capsys) == f"{10 ** 499},0,0,0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["class", "x" * 100_000],
+    ["class", "x" * 100_000 + ",1,1,1"],
+    ["class", "O(" + "x" * 100_000 + ")"],
+    ["tilt", "O", "--beta", "x" * 100_000, "--alpha", "1"],
+    ["interval", "x" * 100_000, "--beta", "-1/4"],
+    ["interval", "@" + "x" * 100_000, "--beta", "-1/4"],
+    ["class", "O", "--out", "x" * 100_000],
+])
+def test_long_malformed_token_is_quoted_in_short(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200 and "xxxx" in err
 
 
 def test_usage_errors_exit_2():

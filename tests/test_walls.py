@@ -18,7 +18,7 @@ from tiltwall.walls import (_scaled_inputs, _wall_key, _wall_window,
                             _witness_class, search_box)
 
 from conftest import integral_classes, lattice_class
-from oracles import wall_feasible as _wall_feasible
+from oracles import wall_between_fraction, wall_feasible as _wall_feasible
 
 Q = Fraction
 
@@ -289,9 +289,38 @@ def test_integer_wall_key_matches_wall_between(case):
     v, region, disc = case
     scaled, candidates = _scanned(v, region, disc)
     for w0, w1, t in candidates:
-        wall = wall_between(v, _witness_class(w0, w1, t))
+        wall = wall_between_fraction(v, _witness_class(w0, w1, t))
         expected = None if wall is None else (wall.A, wall.B, wall.C)
         assert _wall_key(*scaled, w0, w1, t) == expected
+
+
+rationals_to_12 = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+rational_classes = st.builds(NumClass, rationals_to_12, rationals_to_12,
+                             rationals_to_12, rationals_to_12)
+
+
+@st.composite
+def wall_pairs(draw):
+    """(v, w) with denominators up to 12: unrelated classes, rank-zero
+    ones, w = v, and w a rational multiple of v (no wall)."""
+    v = draw(rational_classes)
+    if draw(st.booleans()):
+        v = NumClass(0, v.v1, v.v2, v.v3)
+    shape = draw(st.integers(min_value=0, max_value=3))
+    if shape == 0:
+        return v, v
+    if shape == 1:
+        return v, draw(rationals_to_12) * v
+    w = draw(rational_classes)
+    if shape == 2:
+        w = NumClass(0, w.v1, w.v2, w.v3)
+    return v, w
+
+
+@given(wall_pairs())
+def test_wall_between_matches_fraction_oracle(pair):
+    v, w = pair
+    assert wall_between(v, w) == wall_between_fraction(v, w)
 
 
 def _brute_force_scan(P0, P1, T2, R, DS, w0_lo, w0_hi, beta_lo, beta_hi,
@@ -336,6 +365,9 @@ def test_scan_matches_brute_force_lattice_search():
         args = (P0, P1, T2, R, DS, -3, 3, lo.numerator, lo.denominator,
                 hi.numerator, hi.denominator)
         scanned = _wallscan_py.scan_candidates(*args)
+        # sorted and duplicate-free, so with the set equality below the
+        # brute force fixes the whole list, order included
+        assert scanned == sorted(scanned)
         assert len(scanned) == len(set(scanned))
         assert all(abs(w1) < w1_box and abs(t) < t_box
                    for _, w1, t in scanned)
