@@ -63,6 +63,17 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d")
 
+    def error(self, message):
+        # one short stderr line, as for every other rejected input, and no
+        # usage block: each word of argparse's message (it echoes an
+        # unknown verb or unrecognized arguments whole) is cut as
+        # quote_token cuts a token, and the line at 240 characters
+        words = [w if len(w) <= 40 else w[:40] + "..." for w in message.split()]
+        message = " ".join(words)
+        if len(message) > 240:
+            message = message[:240] + "..."
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
 
 def _decimals(tok: str) -> int:
     # past 17 decimals a float has no digits left to print

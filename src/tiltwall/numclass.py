@@ -2,6 +2,9 @@
 pushforward) with exact rational components, and the character ring they
 live in: the twist by e^{xH}, the dual, the named classes and the lattice.
 
+The twist is the one kernel every twisted character goes through: it
+evaluates v * e^{xH} once in integers and normalizes each component once.
+
 "Integral" means: in the Z-span of O, O_H, O_L, O_pt (the structure sheaves
 of P^3, a plane, a line and a point), equivalently chi of every line-bundle
 twist is an integer; in components, v0, v1, v2 + v1/2 and v3 + v2 + v1/3
@@ -11,6 +14,7 @@ are integers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ._record import Record
 from .errors import InputError, quote_token
@@ -92,12 +96,27 @@ POINT = NumClass(0, 0, 0, 1)
 
 def twist_components(v: NumClass, x: Fraction
                      ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Components of v * e^{xH}, truncated at degree 3, for a Fraction x;
-    no NumClass is built, so hot paths can call it directly."""
+    """Components of v * e^{xH}, truncated at degree 3, for an int or
+    Fraction x; no NumClass is built, so hot paths can call it directly.
+
+    One evaluation in integers: with L the lcm of v's denominators,
+    n_i = L*v_i and x = p/q, Horner's rule gives each component's numerator
+    over L*q^k*k!, and one Fraction per component normalizes it.  v0 is
+    returned as is."""
     v0, v1, v2, v3 = v.v0, v.v1, v.v2, v.v3
-    h = x * x / 2
-    return (v0, v1 + x * v0, v2 + x * v1 + h * v0,
-            v3 + x * v2 + h * v1 + h * x / 3 * v0)
+    d0, d1, d2, d3 = v0.denominator, v1.denominator, v2.denominator, v3.denominator
+    L = lcm(d0, d1, d2, d3)
+    n0 = v0.numerator * (L // d0)
+    n1 = v1.numerator * (L // d1)
+    n2 = v2.numerator * (L // d2)
+    n3 = v3.numerator * (L // d3)
+    p, q = x.numerator, x.denominator
+    q2 = q * q
+    return (v0,
+            Fraction(n1 * q + p * n0, L * q),
+            Fraction(2 * n2 * q2 + p * (2 * n1 * q + p * n0), 2 * L * q2),
+            Fraction(6 * n3 * q2 * q + p * (6 * n2 * q2 + p * (3 * n1 * q + p * n0)),
+                     6 * L * q2 * q))
 
 
 def tensor_line(v: NumClass, m: int) -> NumClass:

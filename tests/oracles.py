@@ -26,6 +26,17 @@ def wall_between_fraction(v: NumClass, w: NumClass) -> Optional[Wall]:
     return Wall.from_coefficients(A, B, C)
 
 
+def tensor_line_rat(v: NumClass, m: Fraction) -> NumClass:
+    """Multiply the character polynomial by the degree-3 truncation of
+    e^{m*H}, term by term in Fraction arithmetic."""
+    return NumClass(
+        v.v0,
+        v.v1 + m * v.v0,
+        v.v2 + m * v.v1 + m * m / 2 * v.v0,
+        v.v3 + m * v.v2 + m * m / 2 * v.v1 + m ** 3 / 6 * v.v0,
+    )
+
+
 def product(v: NumClass, w: NumClass) -> NumClass:
     """Truncated ring product of characters (Picard rank 1)."""
     a, b = v.components(), w.components()

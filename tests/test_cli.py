@@ -223,6 +223,18 @@ def test_long_malformed_token_is_quoted_in_short(capsys, argv):
     assert len(err.encode()) < 200 and "xxxx" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["x" * 100_000],
+    ["class", "O", "--bogus", "y" * 5000],
+    ["x " * 50_000],
+])
+def test_argparse_error_is_one_short_line(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tiltwall: error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300 and "Traceback" not in err
+
+
 def test_usage_errors_exit_2():
     assert run(["frobnicate"]) == 2
     assert run(["tilt", "O"]) == 2

@@ -8,9 +8,11 @@ from tiltwall import (NumClass, POINT, chi_p3, class_of_line_bundle,
                       class_of_named, dual_shifted, is_integral_class, shift,
                       tensor_line)
 from tiltwall.errors import InputError
-from tiltwall.numclass import _NAMED, DIGIT_BUDGET, dual, parse_rational
+from tiltwall.numclass import (_NAMED, DIGIT_BUDGET, dual, parse_rational,
+                               twist_components)
 
 from conftest import integral_classes
+from oracles import tensor_line_rat
 
 Q = Fraction
 
@@ -125,6 +127,28 @@ def test_integral_lattice_members_are_integral(v):
 @given(integral_classes, st.integers(-3, 3), st.integers(-3, 3))
 def test_tensor_line_is_an_action(v, m, n):
     assert tensor_line(tensor_line(v, m), n) == tensor_line(v, m + n)
+
+
+# rational classes at the scale of the large benchmark classes: numerators
+# up to 10^4 over denominators 1-12, rank 0 included
+rationals_1e4 = st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 12))
+rational_classes = st.builds(
+    NumClass, st.one_of(st.just(0), rationals_1e4), rationals_1e4, rationals_1e4,
+    rationals_1e4)
+twist_amounts = st.one_of(st.just(0), st.integers(-50, 50),
+                          st.builds(Fraction, st.integers(-200, 200), st.integers(1, 24)))
+
+
+@given(rational_classes, twist_amounts)
+def test_twist_components_match_termwise_oracle(v, x):
+    got = twist_components(v, x)
+    assert got == tensor_line_rat(v, Fraction(x)).components()
+    assert all(type(c) is Fraction for c in got)
+
+
+@given(rational_classes, st.integers(-50, 50))
+def test_tensor_line_inverse_twist(v, m):
+    assert tensor_line(tensor_line(v, m), -m) == v
 
 
 @given(integral_classes)

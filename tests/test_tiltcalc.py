@@ -15,19 +15,9 @@ from tiltwall.errors import DomainError
 from tiltwall.surd import Surd
 
 from conftest import integral_classes, points_in_U, small_rationals
+from oracles import tensor_line_rat
 
 Q = Fraction
-
-
-def tensor_line_rat(v: NumClass, m: Fraction) -> NumClass:
-    """Independent oracle: multiply the character polynomial by the
-    degree-3 truncation of e^{m*H}."""
-    return NumClass(
-        v.v0,
-        v.v1 + m * v.v0,
-        v.v2 + m * v.v1 + m * m / 2 * v.v0,
-        v.v3 + m * v.v2 + m * m / 2 * v.v1 + m ** 3 / 6 * v.v0,
-    )
 
 
 def test_twisted_v_examples():
