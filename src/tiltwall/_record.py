@@ -1,27 +1,39 @@
-"""The immutable-record base of the library's value classes.
+"""The immutable-value base of the library's value classes.
 
-A record lists its fields in ``__slots__`` and sets them in its own
-``__init__`` with ``object.__setattr__``, after whatever validation the
-class makes.  The base supplies what a frozen data class would:
-equality and hashing on the tuple of fields, the ``Name(field=value, ...)``
-repr in slot order, an ``AttributeError`` on assigning or deleting a
-field, and pickling and copying through the constructor.  Its one import is
-``operator``, which ``fractions`` loads anyway.
+A record lists its fields in ``__slots__``, one or more of them, and its
+``__init__`` makes whatever coercions, checks and defaults the class needs
+and then hands the field values, in slot order, to ``self._set``: the one
+path by which a field is ever set.  ``_set`` calls the slots' own
+descriptors, built once per class.  The base supplies what a frozen data
+class would: equality and hashing on the tuple of fields, the
+``Name(field=value, ...)`` repr in slot order, an ``AttributeError`` on
+assigning or deleting a field, and pickling and copying through the
+constructor.  A class may replace the equality, hash or repr with its own.
+Its one import is ``operator``, which ``fractions`` loads anyway.
 """
 
 from operator import attrgetter
 
 
 class Record:
-    """Immutable value with the fields named in the subclass's ``__slots__``,
-    two or more of them, so that ``_values`` returns a tuple."""
+    """Immutable value with the fields named in the subclass's ``__slots__``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._values = staticmethod(attrgetter(*cls.__slots__))
-        cls.__match_args__ = cls.__slots__
+        slots = cls.__slots__
+        setters = tuple(getattr(cls, name).__set__ for name in slots)
+
+        def _set(self, *values):
+            for setter, value in zip(setters, values):
+                setter(self, value)
+
+        get = attrgetter(*slots)
+        cls._set = _set
+        cls._values = staticmethod(
+            get if len(slots) > 1 else lambda record: (get(record),))
+        cls.__match_args__ = slots
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

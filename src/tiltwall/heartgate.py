@@ -54,9 +54,7 @@ class CollectionSpec(Record):
                 raise DomainError(f"class of {name} is not integral")
             if chi_pair_p3(c, c) != 1:
                 raise DomainError(f"class of {name} is not Euler-exceptional")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "builtin", builtin)
+        self._set(names, classes, builtin)
 
     @property
     def distinguished(self) -> NumClass:
@@ -117,10 +115,7 @@ class Condition(Record):
 
     def __init__(self, name: str, passed: bool, residual: Exact,
                  strict: bool = True):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "strict", strict)
+        self._set(name, passed, residual, strict)
 
     def describe(self) -> str:
         op = ">" if self.strict else ">="
@@ -135,8 +130,7 @@ class CheckReport(Record):
 
     def __init__(self, conditions: tuple[Condition, ...],
                  notes: tuple[str, ...] = ()):
-        object.__setattr__(self, "conditions", conditions)
-        object.__setattr__(self, "notes", notes)
+        self._set(conditions, notes)
 
     @property
     def passed(self) -> bool:

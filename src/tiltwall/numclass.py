@@ -21,10 +21,11 @@ from .errors import InputError, quote_token
 
 
 # Digits a rational literal may spell out, counting its mantissa digits plus
-# the absolute value of its exponent.  A printed value has up to about eight
-# times the digits of its inputs (Re Z3 = -v3^b + a*v1^b has the denominators
-# of v0..v3, beta^3 and a), so 500 keeps every output under Python's
-# 4300-digit limit on int-to-str conversion.
+# the absolute value of its exponent; also the digits of the index d in
+# "O(d)".  A printed value has up to about eight times the digits of its
+# inputs (Re Z3 = -v3^b + a*v1^b has the denominators of v0..v3, beta^3 and
+# a), so 500 keeps every output under Python's 4300-digit limit on
+# int-to-str conversion.
 DIGIT_BUDGET = 500
 
 
@@ -55,10 +56,7 @@ class NumClass(Record):
     __slots__ = ("v0", "v1", "v2", "v3")
 
     def __init__(self, v0, v1, v2, v3):
-        object.__setattr__(self, "v0", Fraction(v0))
-        object.__setattr__(self, "v1", Fraction(v1))
-        object.__setattr__(self, "v2", Fraction(v2))
-        object.__setattr__(self, "v3", Fraction(v3))
+        self._set(Fraction(v0), Fraction(v1), Fraction(v2), Fraction(v3))
 
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.v0, self.v1, self.v2, self.v3)
@@ -155,15 +153,19 @@ _NAMED = {
 def class_of_named(name: str) -> NumClass:
     """Resolve one of the standard object names to its class.
 
-    Accepted: "O(d)" (integer d, "O" = "O(0)"), "T(-2)", "Omega(1)",
-    "Omega2(2)", "point", "O^x".
+    Accepted: "O(d)" (integer d of at most DIGIT_BUDGET digits, "O" =
+    "O(0)"), "T(-2)", "Omega(1)", "Omega2(2)", "point", "O^x".
     """
     name = name.strip()
     if name in _NAMED:
         return _NAMED[name]
     if name.startswith("O(") and name.endswith(")"):
+        index = name[2:-1]
+        if sum(map(str.isdecimal, index)) > DIGIT_BUDGET:
+            raise InputError("line-bundle twist over the budget of "
+                             f"{DIGIT_BUDGET} digits")
         try:
-            d = int(name[2:-1])
+            d = int(index)
         except ValueError as exc:
             raise InputError(
                 f"bad line-bundle twist in {quote_token(name)}") from exc

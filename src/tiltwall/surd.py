@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
+from ._record import Record
 from .errors import DomainError
 
 Rational = Union[int, Fraction]
@@ -55,8 +56,11 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, d * m
 
 
-class Surd:
-    """Immutable exact value a + b*sqrt(d), totally ordered against rationals."""
+class Surd(Record):
+    """Immutable exact value a + b*sqrt(d), totally ordered against rationals.
+
+    A record whose equality, hash and repr are those of the number it
+    denotes rather than of its fields."""
 
     __slots__ = ("a", "b", "d")
 
@@ -69,12 +73,7 @@ class Surd:
         r = isqrt(d)
         if b == 0 or r * r == d:
             a, b, d = a + b * r, Fraction(0), 0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Surd is immutable")
+        self._set(a, b, d)
 
     @staticmethod
     def sqrt(x: Rational) -> "Surd":

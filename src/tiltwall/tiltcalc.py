@@ -31,8 +31,7 @@ class ParamPoint(Record):
         beta, alpha = Fraction(beta), Fraction(alpha)
         if 2 * alpha - beta * beta <= 0:
             raise DomainError(f"({beta}, {alpha}) is not in U")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", alpha)
+        self._set(beta, alpha)
 
     @property
     def omega_sq(self) -> Fraction:
@@ -40,13 +39,16 @@ class ParamPoint(Record):
         return 2 * self.alpha - self.beta * self.beta
 
 
-class Slope:
-    """A finite rational slope or the distinguished +infinity."""
+class Slope(Record):
+    """A finite rational slope or the distinguished +infinity (value None).
+
+    A slope compares with slopes and rationals (int, Fraction) only; a
+    finite slope equals, and hashes as, the rational it holds."""
 
     __slots__ = ("value",)
 
     def __init__(self, value: Optional[Fraction]):
-        self.value = None if value is None else Fraction(value)
+        self._set(None if value is None else Fraction(value))
 
     INFINITY: "Slope"
 
@@ -57,13 +59,22 @@ class Slope:
     def _key(self):
         return (1,) if self.is_infinite else (0, self.value)
 
+    @staticmethod
+    def _key_of(other):
+        """The order key of a slope or a rational; None for anything else."""
+        if isinstance(other, Slope):
+            return other._key()
+        if isinstance(other, (int, Fraction)):
+            return (0, other)
+        return None
+
     def __eq__(self, other):
-        other = other if isinstance(other, Slope) else Slope(other)
-        return self._key() == other._key()
+        key = self._key_of(other)
+        return NotImplemented if key is None else self._key() == key
 
     def __lt__(self, other):
-        other = other if isinstance(other, Slope) else Slope(other)
-        return self._key() < other._key()
+        key = self._key_of(other)
+        return NotImplemented if key is None else self._key() < key
 
     def __le__(self, other):
         return self == other or self < other
@@ -75,7 +86,7 @@ class Slope:
         return not self < other
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.value)
 
     def __repr__(self):
         return "oo" if self.is_infinite else str(self.value)
@@ -90,8 +101,7 @@ class ChargeValue(Record):
     __slots__ = ("re", "im")
 
     def __init__(self, re, im):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        self._set(Fraction(re), Fraction(im))
 
 
 def twisted_v(v: NumClass, beta) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -173,11 +183,7 @@ class CurveCE(Record):
                  const: Optional[Fraction] = None,
                  direction: Optional[int] = None,
                  beta0: Optional[Fraction] = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "const", const)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "beta0", beta0)
+        self._set(kind, lin, const, direction, beta0)
 
     def alpha_at(self, beta) -> Fraction:
         if self.kind != "parabola":
@@ -260,8 +266,7 @@ class ReduceResult(Record):
     __slots__ = ("point", "log")
 
     def __init__(self, point: ParamPoint, log: tuple[str, ...] = ()):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "log", log)
+        self._set(point, log)
 
 
 def reduce_to_fundamental(p: ParamPoint) -> ReduceResult:

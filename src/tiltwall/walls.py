@@ -49,9 +49,7 @@ class Wall(Record):
     def __init__(self, A: int, B: int, C: int):
         if A == 0 and B == 0 and C == 0:
             raise DomainError("degenerate wall (0, 0, 0)")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
+        self._set(A, B, C)
 
     @staticmethod
     def from_coefficients(A, B, C) -> "Wall":
@@ -118,9 +116,7 @@ class Region(Record):
         alpha_max = Fraction(alpha_max)
         if beta_min > beta_max:
             raise InputError("empty beta range")
-        object.__setattr__(self, "beta_min", beta_min)
-        object.__setattr__(self, "beta_max", beta_max)
-        object.__setattr__(self, "alpha_max", alpha_max)
+        self._set(beta_min, beta_max, alpha_max)
 
     def to_json_dict(self) -> dict:
         return {"beta_min": str(self.beta_min), "beta_max": str(self.beta_max),

@@ -207,6 +207,23 @@ def test_literals_at_the_digit_budget_print(capsys):
     assert out_of(capsys) == f"{10 ** 499},0,0,0"
 
 
+@pytest.mark.parametrize("verb, rest, code", [
+    ("class", [], 0),
+    ("tilt", ["--beta", "0", "--alpha", "1"], 0),
+    ("twist", ["O"], 0),
+    ("bg-check", ["--beta", "0", "--alpha", "1"], 1),
+])
+def test_line_bundle_index_digit_budget(capsys, verb, rest, code):
+    B = numclass.DIGIT_BUDGET
+    assert run([verb, f"O({'9' * B})"] + rest) == code
+    assert capsys.readouterr().err == ""
+    for digits in (B + 1, 3 * B, 10 * B):
+        assert run([verb, f"O(-{'9' * digits})"] + rest) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"budget of {B} digits" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["class", "x" * 100_000],
     ["class", "x" * 100_000 + ",1,1,1"],

@@ -1,7 +1,10 @@
-"""The ten value classes share one immutable-record base: equality and hash
-on the fields, the field repr in slot order, no assignment or deletion, and
-nothing of it costs the CLI an import of dataclasses or inspect."""
+"""The twelve value classes share one immutable-value base: equality and hash
+on the fields (or, for Surd and Slope, on the number they denote), the field
+repr in slot order, no assignment or deletion, pickling and copying through
+the constructor, and nothing of it costs the CLI an import of dataclasses or
+inspect."""
 
+import copy
 import os
 import pickle
 import subprocess
@@ -11,9 +14,11 @@ from pathlib import Path
 
 import pytest
 
+import tiltwall
 from tiltwall import (ChargeValue, CheckReport, CollectionSpec, CurveCE,
                       DomainError, InputError, NumClass, ParamPoint, Region,
-                      Wall)
+                      Slope, Surd, Wall)
+from tiltwall._record import Record
 from tiltwall.heartgate import Condition
 from tiltwall.tiltcalc import ReduceResult
 
@@ -38,7 +43,12 @@ CASES = {
     CheckReport: (((Condition("x", True, Q(1)),),), ((), ("a note",))),
     Wall: ((1, -2, 3), (0, 1, 3)),
     Region: ((-2, 0, 2), (Q(-1, 3), Q(1, 2), Q(5, 7))),
+    Surd: ((Q(-1, 2), Q(1, 3), 13), (Q(-1, 2), Q(1, 3), 5)),
+    Slope: ((Q(1, 2),), (None,)),
 }
+
+ROUND_TRIPS = (copy.copy, copy.deepcopy,
+               lambda value: pickle.loads(pickle.dumps(value)))
 
 
 @pytest.mark.parametrize("cls", CASES, ids=lambda c: c.__name__)
@@ -48,7 +58,10 @@ def test_equal_fields_give_equal_values_and_hashes(cls):
     assert a == b and hash(a) == hash(b) and not a != b
     assert a != c and not a == c
     assert len({a, b, c}) == 2
-    assert pickle.loads(pickle.dumps(a)) == a
+    for round_trip in ROUND_TRIPS:
+        copied = round_trip(a)
+        assert copied == a and copied.__class__ is cls
+        assert repr(copied) == repr(a) and hash(copied) == hash(a)
 
 
 @pytest.mark.parametrize("cls", CASES, ids=lambda c: c.__name__)
@@ -63,6 +76,31 @@ def test_fields_cannot_be_set_or_deleted(cls):
         assert getattr(value, name) is before
     with pytest.raises(AttributeError):
         value.extra = 1
+
+
+def test_surd_residual_report_pickles_and_copies():
+    residual = Surd.sqrt(13) / 2 - 1
+    report = CheckReport((Condition("beta < mu1(E)", True, residual),),
+                         ("a note",))
+    for round_trip in ROUND_TRIPS:
+        copied = round_trip(report)
+        assert copied == report
+        assert copied.conditions[0].residual == residual
+        assert repr(copied.conditions[0].residual) == "-1 + 1/2*sqrt(13)"
+
+
+def test_every_exported_value_class_is_a_record():
+    classes = [value for value in vars(tiltwall).values()
+               if isinstance(value, type) and "__slots__" in vars(value)]
+    assert set(classes) == set(CASES) - {Condition, ReduceResult}
+    assert all(issubclass(c, Record) for c in CASES)
+    assert "__setattr__" not in vars(Surd) and "__setattr__" not in vars(Slope)
+
+
+def test_slope_infinity_cannot_be_changed():
+    with pytest.raises(AttributeError):
+        Slope.INFINITY.value = 0
+    assert Slope.INFINITY.is_infinite
 
 
 def test_equality_is_per_class():

@@ -53,6 +53,18 @@ def test_slope_order():
     assert Slope(Q(1, 2)) == Q(1, 2)
 
 
+def test_slope_hash_agrees_with_equality():
+    assert len({Slope(Q(1, 2)), Q(1, 2)}) == 1
+    assert len({Slope(3), 3, Q(3)}) == 1
+    assert hash(Slope(Q(-5, 7))) == hash(Q(-5, 7))
+    assert {Slope(None), Slope.INFINITY} == {Slope.INFINITY}
+    assert Slope.INFINITY != Slope(0)
+    # a string, a float or None is not a rational: neither equal nor ordered
+    assert Slope(Q(1, 2)) != "1/2" and Slope(1) != 1.0 and Slope.INFINITY != None
+    with pytest.raises(TypeError):
+        Slope(1) < "2"
+
+
 def test_tilt_slope_examples():
     p = ParamPoint(Q(-1, 3), Q(1, 2))
     assert tilt_slope_nu(class_of_line_bundle(0), p) == Slope(p.alpha / p.beta)
