@@ -20,9 +20,72 @@ applied, all exact:
 The three disc constraints are linear in t, and their coefficient signs
 guarantee a bounded t-interval for every (w0, w1) except w0 = v0 = 0,
 which can produce no wall and is skipped.
+
+Row filter.  With M = P0 - R*w0 and N = P1 - R*w1 the three constraints
+are slacks affine in t that sum to DS:
+
+    s1 = R^2 (w1^2 - w0*t) >= 0,   s2 = N^2 - M (T2 - R*t) >= 0,
+    s3 = DS - s1 - s2 >= 0.
+
+The point (s1(t), s2(t)) runs along a line (its direction (-R^2 w0, R M)
+vanishes only for w0 = P0 = 0) on which M*s1 + R*w0*s2 is constant:
+
+    G(w1) = M*s1 + R*w0*s2 = R^2 P0 w1^2 - 2 R^2 w0 P1 w1
+            + R w0 (P1^2 - M*T2).
+
+So a real t exists iff that line meets the triangle s1, s2 >= 0,
+s1 + s2 <= DS, that is (for DS >= 0, as enumeration makes it) iff G(w1)
+lies between the least and the greatest of M*s1 + R*w0*s2 at its
+corners: 0, M*DS and R*w0*DS.  For P0 != 0 the side of this inequality
+on which G is bounded by its leading term gives a closed interval of w1,
+whose integer ends come exactly from ``math.isqrt``.  For P0 = 0 (so
+w0 != 0), G is -R*w0*(2R*P1*w1 - P1^2 - R*w0*T2) and the corner values
+are 0 and +-R*w0*DS, so the condition is
+|2R*P1*w1 - P1^2 - R*w0*T2| <= DS: an interval holding exactly the rows
+with a real t, or, when P1 = 0, every row or none.  The scan visits only
+the w1 of that interval inside the Im-window range, so a row it skips
+has no real t, and the candidate list is that of the whole range.
 """
 
 from __future__ import annotations
+
+from math import isqrt
+
+
+def _quadratic_interval(a: int, b: int, c: int) -> tuple[int, int]:
+    """[lo, hi] of the integers x with a*x^2 + b*x + c <= 0 (a > 0), that
+    is |2a*x + b| <= sqrt(D): exact with s = isqrt(D), since 2a*x + b is an
+    integer.  Empty (lo > hi) when there is none."""
+    D = b * b - 4 * a * c
+    if D < 0:
+        return 1, 0
+    s = isqrt(D)
+    a2 = 2 * a
+    return -((b + s) // a2), (s - b) // a2
+
+
+def _row_interval(P0: int, P1: int, T2: int, R: int, DS: int, w0: int,
+                  lo: int, hi: int) -> tuple[int, int]:
+    """[lo, hi] cut to an interval holding every w1 of the row w0 that
+    admits a real t (the row filter of the module docstring)."""
+    Rw0 = R * w0
+    if P0 == 0:
+        # G = -R*w0*(e*w1 - k) and the corner values are 0 and +-R*w0*DS
+        e, k = 2 * R * P1, P1 * P1 + Rw0 * T2
+        if e < 0:
+            e, k = -e, -k
+        if e == 0:
+            return (lo, hi) if abs(k) <= DS else (1, 0)
+        r_lo, r_hi = -((DS - k) // e), (k + DS) // e
+    else:
+        M = P0 - Rw0
+        # G = a*w1^2 + b*w1 + c
+        a, b, c = R * R * P0, -2 * R * Rw0 * P1, Rw0 * (P1 * P1 - M * T2)
+        if P0 > 0:  # G <= the greatest corner value
+            r_lo, r_hi = _quadratic_interval(a, b, c - max(0, M * DS, Rw0 * DS))
+        else:  # G >= the least
+            r_lo, r_hi = _quadratic_interval(-a, -b, min(0, M * DS, Rw0 * DS) - c)
+    return max(lo, r_lo), min(hi, r_hi)
 
 
 def scan_candidates(P0: int, P1: int, T2: int, R: int, DS: int,
@@ -46,6 +109,8 @@ def scan_candidates(P0: int, P1: int, T2: int, R: int, DS: int,
         umax = u1 if u1 > u2 else u2
         Uv = P1 * Dd + umax
         w1_hi = (Uv - 1) // DD
+        # ... cut to the rows that admit a real t
+        w1_lo, w1_hi = _row_interval(P0, P1, T2, R, DS, w0, w1_lo, w1_hi)
         M = P0 - Rw0
         MT2 = M * T2
         # t is bounded by c*t <= b for (c, b) = (w0, w1^2) (disc(w) >= 0),

@@ -237,8 +237,9 @@ def _cmd_plot(ns) -> tuple[dict, str, int]:
     v, region, disc = _parse_box(ns)
     walls = [w for w, _ in enumerate_candidate_walls(v, region, disc)]
     scene = plot_scene(v, region, walls)
+    svg = scene_svg(scene, precision=ns.precision)
     with open(ns.svg_out, "w", encoding="utf-8") as fh:
-        fh.write(scene_svg(scene, precision=ns.precision))
+        fh.write(svg)
     return scene, f"wrote {ns.svg_out} ({len(walls)} walls)", 0
 
 

@@ -56,7 +56,12 @@ class NumClass(Record):
     __slots__ = ("v0", "v1", "v2", "v3")
 
     def __init__(self, v0, v1, v2, v3):
-        self._set(Fraction(v0), Fraction(v1), Fraction(v2), Fraction(v3))
+        # Fraction(q) of a Fraction q would pass the numbers.Rational check
+        # and build a copy; q is immutable, so it is kept as it is
+        self._set(v0 if type(v0) is Fraction else Fraction(v0),
+                  v1 if type(v1) is Fraction else Fraction(v1),
+                  v2 if type(v2) is Fraction else Fraction(v2),
+                  v3 if type(v3) is Fraction else Fraction(v3))
 
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.v0, self.v1, self.v2, self.v3)

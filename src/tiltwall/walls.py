@@ -6,10 +6,12 @@ Walls are lines A*alpha + B*beta + C = 0 stored with a canonical integer
 normalization.  One integer scaling of a class (``_scaled``) and one cross
 product (``_wall_key``) give every wall key: ``wall_between`` scales both
 classes, and enumeration scales v once and runs the integer candidate scan
-of ``_wallscan_py``, taking its candidates in scan order.  The per-key work
-is integers: the first candidate of a key builds its ``Wall`` through
-``wall_between`` and its window, the beta interval where it meets the
-region, the alpha cap and U (``_wall_window``); both are cached for the
+of ``_wallscan_py``, which visits only the (w0, w1) rows that admit a real
+t, taking its candidates in scan order and computing each key inline.
+The per-key work is integers: the first candidate of a key builds its
+``Wall`` through ``wall_between`` and its window, the beta interval where
+it meets the region, the alpha cap and U (``_wall_window``, on the
+region's integers read once by ``_region_ends``); both are cached for the
 call, rejections included.  Per witness only the two strict Im Z window
 constraints are added.  The first feasible witness of a wall wins.  Every
 verdict is exact, in integers and ``Fraction`` only.
@@ -173,22 +175,29 @@ def _clip(A, B, C, window, constraints):
     return (ln, ld), lo_strict, (hn, hd), hi_strict
 
 
-def _wall_window(A: int, B: int, C: int, region: Region):
+def _region_ends(region: Region):
+    """The region in integers, as ``_wall_window`` takes it: its closed
+    beta range as a ``_clip`` window, and its alpha cap n/m as (n, m)."""
+    lo, hi = region.beta_min, region.beta_max
+    return ((lo.as_integer_ratio(), False, hi.as_integer_ratio(), False),
+            region.alpha_max.as_integer_ratio())
+
+
+def _wall_window(A: int, B: int, C: int, ends):
     """The beta interval of the wall A*alpha + B*beta + C = 0 inside the
     region's beta range and under its alpha cap (both non-strict), or None
-    when the wall misses region /\\ cap /\\ U.  It depends only on the wall,
-    so enumeration computes it once per wall.  A vertical wall beta = -C/B
-    pins the interval to [beta0, beta0]; U holds at some alpha under the
-    cap n/m iff n/m > beta0^2/2, that is 2*n*B^2 - m*C^2 > 0."""
-    lo, hi, cap = region.beta_min, region.beta_max, region.alpha_max
-    n, m = cap.numerator, cap.denominator
+    when the wall misses region /\\ cap /\\ U; ``ends`` is the region's
+    ``_region_ends``.  It depends only on the wall, so enumeration computes
+    it once per wall.  A vertical wall beta = -C/B pins the interval to
+    [beta0, beta0]; U holds at some alpha under the cap n/m iff
+    n/m > beta0^2/2, that is 2*n*B^2 - m*C^2 > 0."""
+    beta_range, (n, m) = ends
     if A == 0:
         constraints = ((B, C, False), (-B, -C, False),
                        (0, 2 * n * B * B - m * C * C, True))
     else:  # alpha(beta) <= alpha_max, times m
         constraints = ((B * m, C * m + A * n, False),)
-    return _clip(A, B, C, ((lo.numerator, lo.denominator), False,
-                           (hi.numerator, hi.denominator), False), constraints)
+    return _clip(A, B, C, beta_range, constraints)
 
 
 # --- candidate enumeration ---------------------------------------------------
@@ -215,13 +224,13 @@ def search_box(v: NumClass, disc_bound) -> dict:
 
 def _scaled(v: NumClass) -> tuple[int, int, int, int]:
     """(R*v0, R*v1, 2R*v2, R) for the least R > 0 that makes the first
-    three integers, from numerators and denominators only: the denominator
-    of 2*v2 is d2 // gcd(2, d2)."""
-    v0, v1, v2 = v.v0, v.v1, v.v2
-    d0, d1, d2 = v0.denominator, v1.denominator, v2.denominator
+    three integers, from each component's integer ratio read once: the
+    denominator of 2*v2 is d2 // gcd(2, d2)."""
+    n0, d0 = v.v0.as_integer_ratio()
+    n1, d1 = v.v1.as_integer_ratio()
+    n2, d2 = v.v2.as_integer_ratio()
     R = math.lcm(d0, d1, d2 // math.gcd(2, d2))
-    return (v0.numerator * (R // d0), v1.numerator * (R // d1),
-            v2.numerator * (2 * R // d2), R)
+    return n0 * (R // d0), n1 * (R // d1), n2 * (2 * R // d2), R
 
 
 def _scaled_inputs(v: NumClass, region: Region, disc_bound: Fraction):
@@ -248,17 +257,23 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     region, each with one integral witness class w satisfying the
     discriminant filters and the Im Z window on the wall.
 
-    A scanned candidate (w0, w1, t) whose wall is already known costs a few
-    integer operations: its wall key comes from ``_wall_key``.  The first
-    candidate of each key builds the wall with ``wall_between`` and its
-    window with ``_wall_window``, both in integers, and both are cached for
-    this call, rejections included, so a wall that misses region /\\ U is
-    never looked at again.  That first candidate also builds its witness
-    ``NumClass``, in ``Fraction``, because ``wall_between`` takes classes;
-    building it only for accepted walls waits for a way to count keys
-    other than calls of ``wall_between``.  Per witness only the two
-    Im-window constraints are added.  Candidates are taken in scan order
-    and the first feasible witness of a wall wins.
+    The scan skips every row (w0, w1) that admits no real t, by a
+    discriminant bound (see ``_wallscan_py``), so its work follows the rows
+    that do, not the width of the region's Im window: a line bundle of huge
+    index or a region reaching far in beta costs few rows.  (A class with
+    v0 = v1 = 0 is the exception: on the rows w0 that pass, every w1 has a
+    real t.)  A scanned candidate (w0, w1, t) whose wall is already known
+    costs a few integer operations: its wall key is ``_wall_key``'s,
+    computed inline.  The first candidate of each key builds the wall with
+    ``wall_between`` and its window with ``_wall_window``, both in
+    integers, and both are cached for this call, rejections included, so a
+    wall that misses region /\\ U is never looked at again.  That first
+    candidate also builds its witness ``NumClass``, in ``Fraction``,
+    because ``wall_between`` takes classes; building it only for accepted
+    walls waits for a way to count keys other than calls of
+    ``wall_between``.  Per witness only the two Im-window constraints are
+    added.  Candidates are taken in scan order and the first feasible
+    witness of a wall wins.
     """
     disc_bound = Fraction(disc_bound)
     if disc_bound < 0:
@@ -267,25 +282,33 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         raise DomainError("class has negative discriminant; no walls")
     P0, P1, T2, R, DS, bln, bld, bhn, bhd = _scaled_inputs(v, region, disc_bound)
     box = search_box(v, disc_bound)
+    ends = _region_ends(region)
     seen: dict[tuple[int, int, int], tuple[Wall, Optional[tuple]]] = {}
     found: dict[tuple[int, int, int], tuple[Wall, NumClass]] = {}
     for w0, w1, t in _wallscan_py.scan_candidates(
             P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], bln, bld, bhn, bhd):
-        key = _wall_key(P0, P1, T2, w0, w1, t)
-        if key is None or key in found:
+        # the wall key, as _wall_key computes it
+        A = 2 * (w0 * P1 - P0 * w1)
+        B = t * P0 - T2 * w0
+        C = T2 * w1 - t * P1
+        g = math.gcd(A, B, C)
+        if g == 0:
+            continue
+        if (A or B or C) < 0:
+            g = -g
+        A, B, C = key = A // g, B // g, C // g
+        if key in found:
             continue
         w = None
-        if key in seen:
-            wall, window = seen[key]
-        else:  # the wall's first candidate; perfbench counts keys here
+        entry = seen.get(key)
+        if entry is None:  # the wall's first candidate; perfbench counts keys here
             w = _witness_class(w0, w1, t)
-            wall = wall_between(v, w)
-            window = _wall_window(*key, region)
-            seen[key] = wall, window
+            entry = seen[key] = wall_between(v, w), _wall_window(A, B, C, ends)
+        wall, window = entry
         # Im Z(w) > 0 and R * Im Z(v - w) > 0 along the wall
         if window is not None and _clip(
-                *key, window, ((-w0, w1, True),
-                               (R * w0 - P0, P1 - R * w1, True))) is not None:
+                A, B, C, window, ((-w0, w1, True),
+                                  (R * w0 - P0, P1 - R * w1, True))) is not None:
             if w is None:
                 w = _witness_class(w0, w1, t)
             found[key] = wall, w
@@ -320,11 +343,22 @@ def plot_scene(v: NumClass, region: Region, walls: Sequence[Wall] = ()) -> dict:
 def scene_svg(scene: dict, precision: int = 4) -> str:
     """SVG drawing of a ``plot_scene`` document with ``precision`` decimals:
     write-only float rendering, every geometric decision has already been
-    made exactly upstream."""
+    made exactly upstream.  A scene with a value that floats cannot hold,
+    the sides of its region included, raises InputError."""
+    try:
+        return _svg_text(scene, precision)
+    except OverflowError:
+        raise InputError("scene too large to draw: a value is beyond the "
+                         "float range") from None
+
+
+def _svg_text(scene: dict, precision: int) -> str:
     width, height = 480, 360
     bmin, bmax, amax = (float(Fraction(scene["region"][k]))
                         for k in ("beta_min", "beta_max", "alpha_max"))
     amin = 0.0 if amax > 0 else amax - 1.0
+    if not (math.isfinite(bmax - bmin) and math.isfinite(amax - amin)):
+        raise OverflowError("a side of the region is beyond the float range")
     if bmax == bmin:
         bmax = bmin + 1.0
     if amax == amin:

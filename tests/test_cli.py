@@ -1,13 +1,20 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from tiltwall import NumClass
-from tiltwall import cli, numclass
+from tiltwall import _wallscan_py, cli, numclass
 from tiltwall.cli import run
+
+from oracles import scan_candidates_exhaustive
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def out_of(capsys):
@@ -125,6 +132,54 @@ def test_walls_golden_digest_at_disc_400(capsys):
     assert run(args) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "a61149e48e6c84298a6b9665bc56d55b66bfd225b5994e224c8345842ea768fd")
+
+
+# Inputs whose scan once walked every w1 of a huge Im-window range: each
+# must answer in a fresh process within the time limit
+FAST_WALLS_ARGV = [
+    ["walls", "O(99999999)", "--beta-min", "-1", "--beta-max", "1",
+     "--alpha-max", "2", "--disc-bound", "4"],
+    ["walls", "O", "--beta-min", "-1e400", "--beta-max", "0",
+     "--alpha-max", "1e400"],
+    ["walls", "0,1,-1/2,1/6", "--beta-min", "-1e300", "--beta-max", "0",
+     "--alpha-max", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", FAST_WALLS_ARGV)
+def test_walls_with_huge_im_window_answers_in_time(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "tiltwall.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout and not proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["walls", "O(9999)", "--beta-min", "-1", "--beta-max", "1",
+     "--alpha-max", "2", "--disc-bound", "4", "--json"],
+    # 1,0,-1,0 twisted by O(9999), with its two walls
+    ["walls", "1,9999,99979999/2,333233323335/2", "--beta-min", "9997",
+     "--beta-max", "9999", "--alpha-max", "99980005/2", "--json"],
+])
+def test_walls_json_matches_exhaustive_scan(monkeypatch, capsys, args):
+    assert run(args) == 0
+    scanned = capsys.readouterr().out
+    monkeypatch.setattr(_wallscan_py, "scan_candidates",
+                        scan_candidates_exhaustive)
+    assert run(args) == 0
+    assert capsys.readouterr().out == scanned
+
+
+def test_plot_of_a_region_beyond_floats_is_input_error(tmp_path, capsys):
+    svg = tmp_path / "scene.svg"
+    for region in (["-1e400", "0", "1e400"], ["-1e308", "1e308", "1"]):
+        argv = ["plot", "O", "--beta-min", region[0], "--beta-max", region[1],
+                "--alpha-max", region[2], "-o", str(svg)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not svg.exists()
 
 
 def test_twist_verb(capsys):

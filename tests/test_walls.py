@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 from sympy.solvers.inequalities import solve_poly_inequality
 
@@ -14,11 +14,13 @@ from tiltwall import (NumClass, ParamPoint, Region, Wall, class_of_line_bundle,
                       shift, tilt_slope_nu, wall_between)
 from tiltwall.errors import DomainError, InputError
 from tiltwall import _wallscan_py
-from tiltwall.walls import (_scaled_inputs, _wall_key, _wall_window,
-                            _witness_class, search_box)
+from tiltwall._wallscan_py import _quadratic_interval, _row_interval
+from tiltwall.walls import (_region_ends, _scaled_inputs, _wall_key,
+                            _wall_window, _witness_class, search_box)
 
 from conftest import integral_classes, lattice_class
-from oracles import wall_between_fraction, wall_feasible as _wall_feasible
+from oracles import (scan_candidates_exhaustive, wall_between_fraction,
+                     wall_feasible as _wall_feasible)
 
 Q = Fraction
 
@@ -353,9 +355,10 @@ def _brute_force_scan(P0, P1, T2, R, DS, w0_lo, w0_hi, beta_lo, beta_hi,
 def test_scan_matches_brute_force_lattice_search():
     rng = random.Random(20240824)
     w1_box, t_box = 24, 200
-    for _ in range(30):
-        R = rng.choice([1, 2])
-        P0 = rng.randint(-2 * R, 2 * R)
+    for i in range(40):
+        R = rng.choice([1, 2, 3])
+        # every fourth case has rank 0
+        P0 = 0 if i % 4 == 0 else rng.randint(-2 * R, 2 * R)
         P1 = rng.randint(-3, 3)
         T2 = rng.randint(-4, 4)
         DS = (P1 * P1 - P0 * T2) + rng.randint(0, 4) * R * R
@@ -373,6 +376,97 @@ def test_scan_matches_brute_force_lattice_search():
                    for _, w1, t in scanned)
         assert set(scanned) == _brute_force_scan(
             P0, P1, T2, R, DS, -3, 3, lo, hi, w1_box, t_box)
+
+
+# --- the scan's row filter ---------------------------------------------------
+
+def _scan_args(v, region, disc, w0_box=None):
+    """scan_candidates' arguments for v, as enumerate_candidate_walls makes
+    them, with the search box's w0 range or [-w0_box, w0_box]."""
+    P0, P1, T2, R, DS, *ends = _scaled_inputs(v, region, Q(disc))
+    if w0_box is None:
+        box = search_box(v, disc)
+        return (P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], *ends)
+    return (P0, P1, T2, R, DS, -w0_box, w0_box, *ends)
+
+
+@st.composite
+def scan_inputs(draw):
+    """Raw scan arguments: scales 1, 2, 3 and 8, rank 0 (with P1 = 0 now
+    and then) and negative ranks, budgets DS from 0 (tangency: the row
+    filter's square root is exact) up, and beta ranges with unequal
+    denominators."""
+    R = draw(st.sampled_from([1, 2, 3, 8]))
+    P0 = draw(st.one_of(st.just(0), st.integers(-3 * R, 3 * R)))
+    P1 = draw(st.one_of(st.just(0), st.integers(-4 * R, 4 * R)))
+    T2 = draw(st.integers(-6 * R, 6 * R))
+    DS = draw(st.one_of(st.integers(0, 4),
+                        st.integers(0, 6).map(
+                            lambda k: P1 * P1 - P0 * T2 + k * R * R)))
+    lo = draw(st.fractions(-6, 4, max_denominator=3))
+    hi = lo + draw(st.fractions(0, 8, max_denominator=3))
+    w0_box = draw(st.integers(0, 8))
+    return (P0, P1, T2, R, DS, -w0_box, w0_box,
+            lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+
+
+@given(scan_inputs())
+@settings(max_examples=400, deadline=None)
+@example(_scan_args(NumClass(Q(1, 3), Q(1, 2), Q(1, 8), 0), Region(-2, 1, 3), 5))
+@example(_scan_args(class_of_line_bundle(7), Region(-1, 1, 2), 0, 8))
+@example(_scan_args(class_of_line_bundle(-3), Region(-5, 0, 9), 4))
+@example(_scan_args(-1 * class_of_named("T(-2)"), Region(-3, -1, 4), 20))
+@example(_scan_args(NumClass(0, 0, 1, 0), Region(-2, 0, 2), 3))
+@example(_scan_args(NumClass(0, 1, Q(-1, 2), Q(1, 6)), Region(-4, 2, 6), 40))
+def test_scan_matches_exhaustive_loop(args):
+    """The row filter only skips rows without a real t: the scan's list is
+    the exhaustive loop's, order included."""
+    assert _wallscan_py.scan_candidates(*args) == scan_candidates_exhaustive(*args)
+
+
+def _has_real_t(P0, P1, T2, R, DS, w0, w1):
+    """Does some real t satisfy the scan's three linear constraints?"""
+    M, N = P0 - R * w0, P1 - R * w1
+    # each constraint as c*t <= b
+    rows = ((R * R * w0, R * R * w1 * w1), (-M * R, N * N - M * T2),
+            (M * R - R * R * w0, DS - R * R * w1 * w1 - N * N + M * T2))
+    lo, hi = None, None
+    for c, b in rows:
+        if c == 0:
+            if b < 0:
+                return False
+        elif c > 0:
+            hi = Q(b, c) if hi is None else min(hi, Q(b, c))
+        else:
+            lo = Q(b, c) if lo is None else max(lo, Q(b, c))
+    return lo is None or hi is None or lo <= hi
+
+
+@given(scan_inputs())
+@settings(max_examples=150, deadline=None)
+def test_row_interval_keeps_every_row_with_a_real_t(args):
+    """Every row with a real t is kept; in rank 0 (G linear in w1) the
+    interval holds exactly those rows."""
+    P0, P1, T2, R, DS, w0_lo, w0_hi = args[:7]
+    for w0 in range(w0_lo, w0_hi + 1):
+        if w0 == 0 and P0 == 0:
+            continue
+        lo, hi = _row_interval(P0, P1, T2, R, DS, w0, -60, 60)
+        for w1 in range(-60, 61):
+            if _has_real_t(P0, P1, T2, R, DS, w0, w1):
+                assert lo <= w1 <= hi
+            elif P0 == 0:
+                assert not lo <= w1 <= hi
+
+
+def test_quadratic_interval_is_exact():
+    for a in range(1, 5):
+        for b in range(-12, 13):
+            for c in range(-12, 13):
+                lo, hi = _quadratic_interval(a, b, c)
+                # the square root is exact at tangency (D a square) only
+                assert [x for x in range(-30, 31) if a * x * x + b * x + c <= 0
+                        ] == list(range(lo, hi + 1))
 
 
 # --- exact feasibility against a sympy oracle --------------------------------
@@ -488,7 +582,7 @@ def test_wall_window_matches_sympy(case):
     """The window is None exactly when the wall misses region /\\ cap /\\ U:
     the sympy oracle with an Im window that holds everywhere."""
     wall, _, _, region = case
-    window = _wall_window(wall.A, wall.B, wall.C, region)
+    window = _wall_window(wall.A, wall.B, wall.C, _region_ends(region))
     assert (window is not None) == _sympy_feasible(wall, *rank_zero_window,
                                                    region)
 
