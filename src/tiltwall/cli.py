@@ -25,8 +25,8 @@ from .numclass import NumClass, class_of_named, parse_rational
 from .tiltcalc import (ParamPoint, bg_margin, bg_margin_meaningful,
                        central_charge_2, central_charge_3, quadratic_form_Q,
                        reduce_to_fundamental, tilt_slope_nu, twisted_v)
-from .walls import (Region, enumerate_candidate_walls, plot_scene, scene_svg,
-                    search_box)
+from .walls import (Region, enumerate_candidate_walls, plot_frame, plot_scene,
+                    scene_svg, search_box)
 
 
 def _parse_class(tok: str) -> NumClass:
@@ -118,6 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, parents=[common])
         p.add_argument("collection")
         p.add_argument("--beta", required=True)
+        p.set_defaults(a0=None)  # interval is collection-check without --a0
         if verb == "collection-check":
             p.add_argument("--a0")
 
@@ -200,29 +201,20 @@ def _cmd_reduce(ns) -> tuple[dict, str, int]:
     return data, f"beta={res.point.beta} alpha={res.point.alpha} log={log}", 0
 
 
-def _interval_result(spec: CollectionSpec, beta: Fraction) -> tuple[dict, str, int]:
-    iv = admissible_a_interval(spec, beta)
-    data = {"schema": "tiltwall/interval-v1", "beta": str(beta),
-            "interval": None if iv is None else [str(iv[0]), str(iv[1])]}
-    text = f"({iv[0]}, {iv[1]})" if iv else "no admissible interval"
-    return data, text, 0 if iv is not None else 1
-
-
 def _cmd_collection_check(ns) -> tuple[dict, str, int]:
     spec = _parse_collection(ns.collection)
     beta = parse_rational(ns.beta)
     if ns.a0 is None:
-        return _interval_result(spec, beta)
+        iv = admissible_a_interval(spec, beta)
+        data = {"schema": "tiltwall/interval-v1", "beta": str(beta),
+                "interval": None if iv is None else [str(iv[0]), str(iv[1])]}
+        text = f"({iv[0]}, {iv[1]})" if iv else "no admissible interval"
+        return data, text, 0 if iv is not None else 1
     report = general_condition_check(spec, beta, parse_rational(ns.a0))
     data = report.to_json_dict()
     data["schema"] = "tiltwall/check-v1"
     text = "\n".join(c.describe() for c in report.conditions)
     return data, text, 0 if report.passed else 1
-
-
-def _cmd_interval(ns) -> tuple[dict, str, int]:
-    return _interval_result(_parse_collection(ns.collection),
-                            parse_rational(ns.beta))
 
 
 def _cmd_twist(ns) -> tuple[dict, str, int]:
@@ -235,6 +227,8 @@ def _cmd_twist(ns) -> tuple[dict, str, int]:
 
 def _cmd_plot(ns) -> tuple[dict, str, int]:
     v, region, disc = _parse_box(ns)
+    # a region that cannot be drawn is rejected before the enumeration
+    plot_frame(region.beta_min, region.beta_max, region.alpha_max)
     walls = [w for w, _ in enumerate_candidate_walls(v, region, disc)]
     scene = plot_scene(v, region, walls)
     svg = scene_svg(scene, precision=ns.precision)
@@ -250,7 +244,7 @@ _HANDLERS = {
     "walls": _cmd_walls,
     "reduce": _cmd_reduce,
     "collection-check": _cmd_collection_check,
-    "interval": _cmd_interval,
+    "interval": _cmd_collection_check,
     "twist": _cmd_twist,
     "plot": _cmd_plot,
 }

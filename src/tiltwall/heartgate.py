@@ -3,8 +3,11 @@ an exceptional collection on P^3: the geometric-region check for the quiver
 heart, the four-part condition system for a collection with distinguished
 last member, and the admissible interval of the extra charge parameter.
 
-All verdicts carry exact rational (or surd) residuals, and the strict /
-non-strict character of each inequality is preserved in the report.
+The condition system and the interval read one table per beta, which
+twists each member F once into (v1^b(F), v3^b(F), Im Z(F)) with
+Im Z(F) = v2^b(F) - (alpha - beta^2/2)*v0(F) = v1^b(F)*(nu(F) - beta); the
+simples S_j = (-1)^j F_{3-j} read the members' rows times (-1)^j.  Every
+verdict carries an exact residual and its strictness.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from .euler import chi_pair_p3
 from .numclass import (NumClass, class_of_named, is_integral_class,
                        parse_rational, shift)
 from .surd import Surd
-from .tiltcalc import (ChargeValue, ParamPoint, alpha_E_beta,
-                       central_charge_3, mu12, slope_mu,
-                       tilt_slope_nu, twisted_v)
+from .tiltcalc import (ChargeValue, ParamPoint, alpha_E_beta, mu12,
+                       slope_mu, twisted_v)
 
 Q = Fraction
 Exact = Union[Fraction, Surd]
@@ -214,54 +216,54 @@ def thm_region_check(beta, alpha) -> CheckReport:
     return CheckReport(conds)
 
 
-def _static_conditions(spec: CollectionSpec, beta: Fraction
-                       ) -> tuple[ParamPoint, list[Condition], Fraction]:
-    """Conditions (1)-(3), the ones that do not involve the charge parameter
-    a, at the point of the distinguished class's parabola over beta.
-
-    Returns that point, the conditions and t = v3^b(E)/v1^b(E).  Raises
-    DomainError when the point is not in U.
-    """
+def _static_conditions(spec: CollectionSpec, beta: Fraction) -> tuple[list, list, Fraction]:
+    """The member table, conditions (1)-(3) (those free of the charge
+    parameter a) and t = v3^b(E)/v1^b(E), at the point of the distinguished
+    class's parabola over beta.  Raises DomainError, from ``ParamPoint``,
+    when the point is not in U."""
     # CollectionSpec makes chi(E, E) = v0(E)^2 - 2 disc(E) = 1 with
     # v0(E) != 0, so disc(E) = (v0(E)^2 - 1)/2 >= 0 and mu12(E) exists
     E = spec.distinguished
-    point = ParamPoint(beta, alpha_E_beta(E, beta))
-    F0, F1, F2, _ = spec.classes
+    half_w2 = ParamPoint(beta, alpha_E_beta(E, beta)).omega_sq / 2
+    table = [(v1b, v3b, v2b - half_w2 * v0)
+             for v0, v1b, v2b, v3b in (twisted_v(F, beta) for F in spec.classes)]
+    # nu(F) - beta of F0, F1, F2; None (nu infinite) when v1^b(F) = 0
+    dnu = [im / v1b if v1b else None for v1b, _, im in table[:3]]
     mu = [slope_mu(c).value for c in spec.classes]
     mu1_E, _ = mu12(E)
 
     # (1)
     conds = [_cond("(1) beta < mu1(E)", mu1_E - beta),
-             _cond("(1) beta > mu(F0)", beta - mu[0])]
-    nu0 = tilt_slope_nu(F0, point)
-    if nu0.is_infinite:
-        conds.append(Condition("(1) F0 slope inequality", False, Q(0)))
-    else:
-        conds.append(_cond("(1) (v2(F0)-alpha*v0(F0))/v1^b(F0) < beta", beta - nu0.value))
+             _cond("(1) beta > mu(F0)", beta - mu[0]),
+             Condition("(1) F0 slope inequality", False, Q(0)) if dnu[0] is None
+             else _cond("(1) (v2(F0)-alpha*v0(F0))/v1^b(F0) < beta", -dnu[0])]
 
     # (2) three-case slot condition; v1^b(F) = v0(F)*(mu(F) - beta) is
     # nonzero strictly inside a slot, so nu(F1) and nu(F2) are finite there
     if mu[0] < beta < mu[1]:
-        conds.append(_cond("(2) mu(F0)<beta<mu(F1) and F1 inequality",
-                           beta - tilt_slope_nu(F1, point).value))
+        conds.append(_cond("(2) mu(F0)<beta<mu(F1) and F1 inequality", -dnu[1]))
     elif mu[1] <= beta <= mu[2]:
         conds.append(Condition("(2) mu(F1)<=beta<=mu(F2)", True, Q(0), strict=False))
     elif mu[2] < beta < mu[3]:
-        conds.append(_cond("(2) mu(F2)<beta<mu(F3) and F2 inequality",
-                           tilt_slope_nu(F2, point).value - beta))
+        conds.append(_cond("(2) mu(F2)<beta<mu(F3) and F2 inequality", dnu[2]))
     else:
         conds.append(Condition("(2) beta outside (mu(F0), mu(F3))", False, Q(0)))
 
     # (3); v1^b(E) = 0 would put beta at mu(E), where the parabola has
     # omega^2 = -disc(E)/v0(E)^2 <= 0, i.e. off U
-    _, e_v1b, _, e_v3b = twisted_v(E, beta)
-    t = e_v3b / e_v1b
-    for name, F, want_less in (("F0", F0, True), ("F1", F1, False), ("F2", F2, True)):
-        _, v1b, _, v3b = twisted_v(F, beta)
+    t = table[3][1] / table[3][0]
+    for name, (v1b, v3b, _), want_less in zip(("F0", "F1", "F2"), table,
+                                              (True, False, True)):
         resid = t * v1b - v3b if want_less else v3b - t * v1b
         op = "<" if want_less else ">"
         conds.append(_cond(f"(3) v3^b({name}) {op} t*v1^b({name})", resid))
-    return point, conds, t
+    return table, conds, t
+
+
+def _simple_rows(table: list) -> list:
+    """The simples' rows: S_j = (-1)^j F_{3-j}, and the rows are linear."""
+    return [r if j % 2 == 0 else (-r[0], -r[1], -r[2])
+            for j, r in enumerate(reversed(table))]
 
 
 def general_condition_check(spec: CollectionSpec, beta, a0) -> CheckReport:
@@ -275,10 +277,9 @@ def general_condition_check(spec: CollectionSpec, beta, a0) -> CheckReport:
     a0 < v3^b(E)/v1^b(E) is reported alongside.  Raises DomainError, from
     ``ParamPoint``, when the point is not in U.
     """
-    beta = Fraction(beta)
-    a0 = Fraction(a0)
-    point, conds, t = _static_conditions(spec, beta)
-    charges = [central_charge_3(s, point, a0) for s in simples_classes(spec)]
+    beta, a0 = Fraction(beta), Fraction(a0)
+    table, conds, t = _static_conditions(spec, beta)
+    charges = [ChargeValue(a0 * v1b - v3b, im) for v1b, v3b, im in _simple_rows(table)]
     ok4 = cone_check(charges, mode="strict-left")
     conds.append(Condition("(4) simples charges strictly left", ok4, Q(0)))
     conds.append(_cond("gate a0 < v3^b(E)/v1^b(E)", t - a0))
@@ -291,25 +292,23 @@ def general_condition_check(spec: CollectionSpec, beta, a0) -> CheckReport:
 def admissible_a_interval(spec: CollectionSpec, beta) -> Optional[tuple[Fraction, Fraction]]:
     """Open interval of charge parameters a for which the condition system
     can be satisfied: upper bound the gate value v3^b(E)/v1^b(E), lower
-    bound the largest of the per-simple linear bounds.  None when
-    conditions (1)-(3) fail or the interval is empty.  Raises DomainError,
-    from ``ParamPoint``, when the point (beta, alpha) on the distinguished
-    class's parabola is not in U."""
+    bound the largest v3^b(s)/v1^b(s) over the simples with v1^b(s) < 0.
+    None when conditions (1)-(3) fail or the interval is empty.  Raises
+    DomainError, from ``ParamPoint``, when the point (beta, alpha) on the
+    distinguished class's parabola is not in U."""
     beta = Fraction(beta)
-    point, conds, upper = _static_conditions(spec, beta)
+    table, conds, upper = _static_conditions(spec, beta)
     if not all(c.passed for c in conds):
         return None
     lower: Optional[Fraction] = None
-    for s in simples_classes(spec):
-        # Re Z_a(s) = Re Z_0(s) + a*v1^b(s) < 0 bounds a by v3^b(s)/v1^b(s),
-        # from below when v1^b(s) < 0.  When v1^b(s) > 0 the bound is from
-        # above, and (3) puts it at or above the gate's, so it never binds.
-        z = central_charge_3(s, point, 0)
-        v1b = s.v1 - beta * s.v0
+    for v1b, v3b, im in _simple_rows(table):
+        # Re Z_a(s) = a*v1^b(s) - v3^b(s) < 0 bounds a by v3^b(s)/v1^b(s):
+        # from below when v1^b(s) < 0, and from above when v1^b(s) > 0,
+        # where (3) puts it at or above the gate's, so it never binds.
         if v1b < 0:
-            bound = -z.re / v1b
+            bound = v3b / v1b
             lower = bound if lower is None else max(lower, bound)
-        elif v1b == 0 and not cone_check((z,), mode="strict-left"):
+        elif v1b == 0 and not cone_check((ChargeValue(-v3b, im),), mode="strict-left"):
             return None
     if lower is None or lower >= upper:
         return None

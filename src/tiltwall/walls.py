@@ -260,10 +260,11 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     The scan skips every row (w0, w1) that admits no real t, by a
     discriminant bound (see ``_wallscan_py``), so its work follows the rows
     that do, not the width of the region's Im window: a line bundle of huge
-    index or a region reaching far in beta costs few rows.  (A class with
-    v0 = v1 = 0 is the exception: on the rows w0 that pass, every w1 has a
-    real t.)  A scanned candidate (w0, w1, t) whose wall is already known
-    costs a few integer operations: its wall key is ``_wall_key``'s,
+    index or a region reaching far in beta costs few rows.  A class with
+    v0 = v1 = 0 has Im Z(v) = 0, so no w has 0 < Im Z(w) < Im Z(v): it has
+    no wall, and [] is returned without the scan (every w1 of its rows
+    would have a real t).  A scanned candidate (w0, w1, t) whose wall is
+    already known costs a few integer operations: its wall key is ``_wall_key``'s,
     computed inline.  The first candidate of each key builds the wall with
     ``wall_between`` and its window with ``_wall_window``, both in
     integers, and both are cached for this call, rejections included, so a
@@ -280,6 +281,8 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         raise InputError("disc_bound must be nonnegative")
     if discriminant(v) < 0:
         raise DomainError("class has negative discriminant; no walls")
+    if v.v0 == 0 and v.v1 == 0:  # Im Z(v) = 0: an empty Im window
+        return []
     P0, P1, T2, R, DS, bln, bld, bhn, bhd = _scaled_inputs(v, region, disc_bound)
     box = search_box(v, disc_bound)
     ends = _region_ends(region)
@@ -340,25 +343,38 @@ def plot_scene(v: NumClass, region: Region, walls: Sequence[Wall] = ()) -> dict:
             "curves": curves, "points": points}
 
 
+_TOO_LARGE = "scene too large to draw: a value is beyond the float range"
+
+
+def plot_frame(beta_min, beta_max, alpha_max) -> tuple[float, float, float, float]:
+    """The float frame (bmin, bmax, amin, amax) in which ``scene_svg`` draws
+    a region, alpha from 0 or from 1 below a cap that is not positive;
+    InputError when a side of it is beyond the float range."""
+    try:
+        bmin, bmax, amax = (float(Fraction(x)) for x in (beta_min, beta_max, alpha_max))
+        amin = 0.0 if amax > 0 else amax - 1.0
+        if math.isfinite(bmax - bmin) and math.isfinite(amax - amin):
+            return bmin, bmax, amin, amax
+    except OverflowError:
+        pass
+    raise InputError(_TOO_LARGE)
+
+
 def scene_svg(scene: dict, precision: int = 4) -> str:
     """SVG drawing of a ``plot_scene`` document with ``precision`` decimals:
     write-only float rendering, every geometric decision has already been
     made exactly upstream.  A scene with a value that floats cannot hold,
-    the sides of its region included, raises InputError."""
+    the sides of its region included (``plot_frame``), raises InputError."""
     try:
         return _svg_text(scene, precision)
     except OverflowError:
-        raise InputError("scene too large to draw: a value is beyond the "
-                         "float range") from None
+        raise InputError(_TOO_LARGE) from None
 
 
 def _svg_text(scene: dict, precision: int) -> str:
     width, height = 480, 360
-    bmin, bmax, amax = (float(Fraction(scene["region"][k]))
-                        for k in ("beta_min", "beta_max", "alpha_max"))
-    amin = 0.0 if amax > 0 else amax - 1.0
-    if not (math.isfinite(bmax - bmin) and math.isfinite(amax - amin)):
-        raise OverflowError("a side of the region is beyond the float range")
+    bmin, bmax, amin, amax = plot_frame(
+        *(scene["region"][k] for k in ("beta_min", "beta_max", "alpha_max")))
     if bmax == bmin:
         bmax = bmin + 1.0
     if amax == amin:

@@ -5,8 +5,11 @@ library computes by a different route."""
 from fractions import Fraction
 from typing import Optional
 
-from tiltwall import (ChargeValue, NumClass, Region, Wall, chi_p3, chi_pair_p3,
-                      tensor_line)
+from tiltwall import (ChargeValue, CheckReport, CollectionSpec, NumClass,
+                      ParamPoint, Region, Wall, alpha_E_beta, central_charge_3,
+                      chi_p3, chi_pair_p3, cone_check, mu12, simples_classes,
+                      slope_mu, tensor_line, tilt_slope_nu, twisted_v)
+from tiltwall.heartgate import Condition
 from tiltwall.numclass import dual
 from tiltwall.walls import _clip, _region_ends, _wall_window
 
@@ -76,6 +79,82 @@ def simplecase_z_oracle(beta, a) -> tuple[ChargeValue, ...]:
         -b - Q(1, 2),
     )
     return (z0, z1, z2, z3)
+
+
+def _verdict(name, residual, strict=True) -> Condition:
+    return Condition(name, bool(residual > 0 if strict else residual >= 0),
+                     residual, strict)
+
+
+def _static_conditions_by_charges(spec: CollectionSpec, beta: Fraction):
+    """Conditions (1)-(3) with nu from ``tilt_slope_nu`` and each member
+    twisted where it is used, and the point and the gate value t."""
+    E = spec.distinguished
+    point = ParamPoint(beta, alpha_E_beta(E, beta))
+    F0, F1, F2, _ = spec.classes
+    mu = [slope_mu(c).value for c in spec.classes]
+    conds = [_verdict("(1) beta < mu1(E)", mu12(E)[0] - beta),
+             _verdict("(1) beta > mu(F0)", beta - mu[0])]
+    nu0 = tilt_slope_nu(F0, point)
+    if nu0.is_infinite:
+        conds.append(Condition("(1) F0 slope inequality", False, Q(0)))
+    else:
+        conds.append(_verdict("(1) (v2(F0)-alpha*v0(F0))/v1^b(F0) < beta",
+                              beta - nu0.value))
+    if mu[0] < beta < mu[1]:
+        conds.append(_verdict("(2) mu(F0)<beta<mu(F1) and F1 inequality",
+                              beta - tilt_slope_nu(F1, point).value))
+    elif mu[1] <= beta <= mu[2]:
+        conds.append(Condition("(2) mu(F1)<=beta<=mu(F2)", True, Q(0), False))
+    elif mu[2] < beta < mu[3]:
+        conds.append(_verdict("(2) mu(F2)<beta<mu(F3) and F2 inequality",
+                              tilt_slope_nu(F2, point).value - beta))
+    else:
+        conds.append(Condition("(2) beta outside (mu(F0), mu(F3))", False, Q(0)))
+    _, e_v1b, _, e_v3b = twisted_v(E, beta)
+    t = e_v3b / e_v1b
+    for name, F, want_less in (("F0", F0, True), ("F1", F1, False), ("F2", F2, True)):
+        _, v1b, _, v3b = twisted_v(F, beta)
+        resid = t * v1b - v3b if want_less else v3b - t * v1b
+        op = "<" if want_less else ">"
+        conds.append(_verdict(f"(3) v3^b({name}) {op} t*v1^b({name})", resid))
+    return point, conds, t
+
+
+def condition_check_by_charges(spec: CollectionSpec, beta, a0) -> CheckReport:
+    """``general_condition_check`` with condition (4) on the charges
+    ``central_charge_3`` gives the classes of ``simples_classes``."""
+    beta, a0 = Fraction(beta), Fraction(a0)
+    point, conds, t = _static_conditions_by_charges(spec, beta)
+    charges = [central_charge_3(s, point, a0) for s in simples_classes(spec)]
+    conds.append(Condition("(4) simples charges strictly left",
+                           cone_check(charges, mode="strict-left"), Q(0)))
+    conds.append(_verdict("gate a0 < v3^b(E)/v1^b(E)", t - a0))
+    notes = ()
+    if spec.builtin == "custom":
+        notes = ("categorical exceptionality of a custom collection is not verified",)
+    return CheckReport(tuple(conds), notes=notes)
+
+
+def interval_by_charges(spec: CollectionSpec, beta) -> Optional[tuple[Fraction, Fraction]]:
+    """``admissible_a_interval`` with each simple's bound -Re Z_0(s)/v1^b(s)
+    from ``central_charge_3`` of its class."""
+    beta = Fraction(beta)
+    point, conds, upper = _static_conditions_by_charges(spec, beta)
+    if not all(c.passed for c in conds):
+        return None
+    lower = None
+    for s in simples_classes(spec):
+        z = central_charge_3(s, point, 0)
+        v1b = s.v1 - beta * s.v0
+        if v1b < 0:
+            bound = -z.re / v1b
+            lower = bound if lower is None else max(lower, bound)
+        elif v1b == 0 and not cone_check((z,), mode="strict-left"):
+            return None
+    if lower is None or lower >= upper:
+        return None
+    return lower, upper
 
 
 def wall_feasible(wall: Wall, v: NumClass, w: NumClass, region: Region) -> bool:

@@ -143,6 +143,9 @@ FAST_WALLS_ARGV = [
      "--alpha-max", "1e400"],
     ["walls", "0,1,-1/2,1/6", "--beta-min", "-1e300", "--beta-max", "0",
      "--alpha-max", "1"],
+    # v0 = v1 = 0: an empty Im window, so no wall and no scan
+    ["walls", "point", "--beta-min", "-1e400", "--beta-max", "0",
+     "--alpha-max", "1"],
 ]
 
 
@@ -180,6 +183,19 @@ def test_plot_of_a_region_beyond_floats_is_input_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not svg.exists()
+
+
+def test_plot_rejects_an_undrawable_region_before_enumerating(tmp_path):
+    # the enumeration of this class over this region takes minutes
+    svg = tmp_path / "scene.svg"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tiltwall.cli", "plot", "1,0,-1000000,0",
+         "--beta-min", "-1e400", "--beta-max", "0", "--alpha-max", "1e400",
+         "-o", str(svg)], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not svg.exists()
 
 
 def test_twist_verb(capsys):

@@ -8,10 +8,12 @@ import hypothesis.strategies as st
 from tiltwall import (ChargeValue, CollectionSpec, NumClass, ParamPoint,
                       admissible_a_interval, central_charge_3, class_of_named,
                       cone_check, general_condition_check, simples_classes,
-                      tensor_line, thm_region_check, twisted_v)
+                      slope_mu, tensor_line, thm_region_check, twisted_v)
+from tiltwall import tiltcalc
 from tiltwall.errors import DomainError, InputError
 
-from oracles import simplecase_z_oracle
+from oracles import (condition_check_by_charges, interval_by_charges,
+                     simplecase_z_oracle)
 
 Q = Fraction
 
@@ -272,6 +274,73 @@ def test_interval_agrees_with_condition_system(spec_beta):
             assert passed, a
         elif a < lo or a > hi:
             assert not passed, a
+
+
+@st.composite
+def collections_betas_a0(draw):
+    """A built-in collection, or its members each twisted by O(k) as a
+    custom collection, with a0 rational and beta either rational around the
+    members' slopes or one of mu(F0), mu(F1), mu(F2), where v1^b vanishes."""
+    spec = draw(st.sampled_from([BEILINSON, OMEGA, LINES]))
+    if draw(st.booleans()):
+        k = draw(st.integers(-3, 3))
+        spec = CollectionSpec(spec.names,
+                              tuple(tensor_line(c, k) for c in spec.classes))
+    mu = [slope_mu(c).value for c in spec.classes]
+    beta = draw(st.one_of(
+        st.sampled_from(mu[:3]),
+        st.fractions(min_value=mu[0] - 1, max_value=mu[3] + 1,
+                     max_denominator=48)))
+    a0 = draw(st.fractions(min_value=-2, max_value=2, max_denominator=96))
+    return spec, beta, a0
+
+
+def _outcome(fn, *args):
+    """What a call reports: every condition's name, verdict, residual (its
+    type and string too) and strictness with the notes, or the interval,
+    or the DomainError message."""
+    try:
+        out = fn(*args)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+    if out is None or isinstance(out, tuple):
+        return out
+    return ([(c.name, c.passed, c.residual, type(c.residual), str(c.residual),
+              c.strict) for c in out.conditions], out.notes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(collections_betas_a0())
+def test_member_table_matches_charges_of_simples(case):
+    # the library twists each member once and reads the simples and nu
+    # from that table; the oracle twists each simple again and takes nu
+    # from tilt_slope_nu
+    spec, beta, a0 = case
+    iv = _outcome(interval_by_charges, spec, beta)
+    assert _outcome(admissible_a_interval, spec, beta) == iv
+    # a0 inside and at the ends of an interval, where every condition passes
+    # or the first binding one is exactly 0
+    for a in [a0] + (list(iv) + [(iv[0] + iv[1]) / 2] if isinstance(iv, tuple) else []):
+        assert (_outcome(general_condition_check, spec, beta, a)
+                == _outcome(condition_check_by_charges, spec, beta, a))
+
+
+def test_each_call_twists_each_member_once(monkeypatch):
+    twisted = []
+    kernel = tiltcalc.twist_components
+
+    def counting(v, x):
+        twisted.append(v)
+        return kernel(v, x)
+
+    monkeypatch.setattr(tiltcalc, "twist_components", counting)
+    for spec, beta in ((OMEGA, Q(-1, 4)), (LINES, Q(-5, 4)), (LINES, Q(-1, 2)),
+                       (BEILINSON, Q(-1, 4))):
+        for call in (lambda: general_condition_check(spec, beta, Q(1, 32)),
+                     lambda: admissible_a_interval(spec, beta)):
+            twisted.clear()
+            call()
+            assert twisted == list(spec.classes)
 
 
 def test_admissible_intervals_frozen():

@@ -285,6 +285,17 @@ def test_enumeration_matches_reference(case):
     assert all(_meets_drawing_box(w, region) for w, _ in walls)
 
 
+@pytest.mark.parametrize("v", [class_of_named("point"), NumClass(0, 0, 1, 0),
+                               NumClass(0, 0, -2, Q(1, 3))])
+def test_class_without_rank_or_degree_has_no_wall(v):
+    # Im Z(v) = 0, so the window 0 < Im Z(w) < Im Z(v) is empty: the scan
+    # has candidates, and the reference enumeration accepts none of them
+    region = Region(-3, 1, 4)
+    assert _scanned(v, region, 20)[1]
+    assert _reference_walls(v, region, 20) == []
+    assert enumerate_candidate_walls(v, region, 20) == []
+
+
 @given(enumeration_cases)
 @settings(max_examples=80, deadline=None)
 def test_integer_wall_key_matches_wall_between(case):
