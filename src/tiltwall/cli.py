@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError, InputError, quote_token
+from .errors import DomainError, InputError, one_line
 from .euler import chi_local, chi_p3, spherical_twist_class
 from .heartgate import CollectionSpec, admissible_a_interval, general_condition_check
 from .numclass import NumClass, class_of_named, parse_rational
@@ -65,21 +65,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         # one short stderr line, as for every other rejected input, and no
-        # usage block: each word of argparse's message (it echoes an
-        # unknown verb or unrecognized arguments whole) is cut as
-        # quote_token cuts a token, and the line at 240 characters
-        words = [w if len(w) <= 40 else w[:40] + "..." for w in message.split()]
-        message = " ".join(words)
-        if len(message) > 240:
-            message = message[:240] + "..."
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        # usage block (argparse echoes an unknown verb or argument whole)
+        self.exit(2, one_line(f"{self.prog}: error: {message}") + "\n")
 
 
 def _decimals(tok: str) -> int:
     # past 17 decimals a float has no digits left to print
     if not (tok.isdecimal() and int(tok) <= 17):
-        raise argparse.ArgumentTypeError(
-            f"not an integer from 0 to 17: {quote_token(tok)}")
+        raise argparse.ArgumentTypeError(f"not an integer from 0 to 17: {tok!r}")
     return int(tok)
 
 
@@ -261,18 +254,12 @@ def run(argv) -> int:
         data, text, code = _HANDLERS[ns.verb](ns)
         _emit(_dumps(data) if ns.json else text, ns.out)
         return code
-    except (InputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # str(exc) would echo a path of any length
-        path = exc.filename
-        print("error: " + (str(exc) if path is None else f"[Errno {exc.errno}] "
-                           f"{exc.strerror}: {quote_token(str(path))}"),
-              file=sys.stderr)
-        return 2
+    except (InputError, DomainError, OSError) as exc:
+        line, code = f"error: {exc}", 2
     except Exception as exc:  # exit 1 is reserved for a failed check
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        line, code = f"internal error: {type(exc).__name__}: {exc}", 3
+    print(one_line(line), file=sys.stderr)
+    return code
 
 
 def main() -> None:

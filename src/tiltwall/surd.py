@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Union
+from typing import Optional, Union
 
 from ._record import Record
 from .errors import DomainError
@@ -152,19 +152,21 @@ class Surd(Record):
     def __truediv__(self, other: Rational) -> "Surd":
         return self * (1 / Fraction(other))
 
-    def _cmp(self, other) -> int:
-        """Sign of self - other, for a rational or a surd of any radicand.
+    def _cmp(self, other) -> Optional[int]:
+        """Sign of self - other, for an int, a Fraction or a surd of any
+        radicand; None for any other operand, which is not compared.
 
         When the radicands d and e do not combine, self - other is X - Y
         with X = (a - c) + b*sqrt(d) and Y = f*sqrt(e).  X - Y has the sign
         of X when the signs of X and Y differ; otherwise it has that common
         sign times the sign of X^2 - Y^2, a surd of radicand d minus the
         rational f^2*e."""
+        if not isinstance(other, (int, Fraction, Surd)):
+            return None
         try:
             return (self - other).sign()
-        except ValueError:
-            if not isinstance(other, Surd):
-                raise
+        except ValueError:  # surds whose radicands do not combine
+            pass
         p, b, d = self.a - other.a, self.b, self.d
         sx, sy = Surd(p, b, d).sign(), (1 if other.b > 0 else -1)
         if sx != sy:
@@ -173,21 +175,24 @@ class Surd(Record):
                          2 * p * b, d).sign()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (int, Fraction, Surd)):
-            return NotImplemented
-        return self._cmp(other) == 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c == 0
 
     def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
+        c = self._cmp(other)
+        return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
         # equal irrational surds share a, b^2*d and the sign of b

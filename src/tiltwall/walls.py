@@ -2,12 +2,13 @@
 fixed class: pairwise walls, the concurrency/parallelism structure,
 candidate enumeration over integral classes, and plot-scene construction.
 
-Walls are lines A*alpha + B*beta + C = 0 stored with a canonical integer
-normalization.  One integer scaling of a class (``_scaled``) and one cross
-product (``_wall_key``) give every wall key: ``wall_between`` scales both
-classes, and enumeration scales v once and runs the integer candidate scan
-of ``_wallscan_py``, which visits only the (w0, w1) rows that admit a real
-t, taking its candidates in scan order and computing each key inline.
+Walls are lines A*alpha + B*beta + C = 0, which ``Wall`` puts in a
+canonical integer normal form.  One integer scaling of a class
+(``_scaled``) and one cross product give every wall key: ``wall_between``
+scales both classes, and enumeration scales v once and runs the integer
+candidate scan of ``_wallscan_py``, which visits only the (w0, w1) rows
+that admit a real t, taking its candidates in scan order and computing
+each key inline.
 The per-key work is integers: the first candidate of a key builds its
 ``Wall`` through ``wall_between`` and its window, the beta interval where
 it meets the region, the alpha cap and U (``_wall_window``, on the
@@ -31,17 +32,6 @@ from .tiltcalc import curve_CE, discriminant
 from . import _wallscan_py
 
 
-def _normal_form(A: int, B: int, C: int) -> Optional[tuple[int, int, int]]:
-    """(A, B, C) divided by their gcd, with the first nonzero entry made
-    positive; None when all three are zero."""
-    g = math.gcd(A, B, C)
-    if g == 0:
-        return None
-    if (A or B or C) < 0:
-        g = -g
-    return A // g, B // g, C // g
-
-
 class Wall(Record):
     """Line A*alpha + B*beta + C = 0, canonically normalized: integer
     coprime coefficients with the first nonzero one positive."""
@@ -49,18 +39,21 @@ class Wall(Record):
     __slots__ = ("A", "B", "C")
 
     def __init__(self, A: int, B: int, C: int):
-        if A == 0 and B == 0 and C == 0:
+        """The line of the integer coefficients (A, B, C), divided by their
+        gcd with the first nonzero one made positive; DomainError for
+        (0, 0, 0)."""
+        g = math.gcd(A, B, C)
+        if g == 0:
             raise DomainError("degenerate wall (0, 0, 0)")
-        self._set(A, B, C)
+        if (A or B or C) < 0:
+            g = -g
+        self._set(A // g, B // g, C // g)
 
     @staticmethod
     def from_coefficients(A, B, C) -> "Wall":
         A, B, C = Fraction(A), Fraction(B), Fraction(C)
         scale = math.lcm(A.denominator, B.denominator, C.denominator)
-        key = _normal_form(int(A * scale), int(B * scale), int(C * scale))
-        if key is None:
-            raise DomainError("degenerate wall (0, 0, 0)")
-        return Wall(*key)
+        return Wall(int(A * scale), int(B * scale), int(C * scale))
 
     def slope(self) -> Optional[Fraction]:
         """d alpha / d beta, None for a vertical wall (A = 0)."""
@@ -76,12 +69,12 @@ def wall_between(v: NumClass, w: NumClass) -> Optional[Wall]:
     """The locus nu(v) = nu(w): the line with A = w0 v1 - v0 w1,
     B = w2 v0 - v2 w0, C = v2 w1 - w2 v1; None for proportional
     truncations (A = B = C = 0).  Both classes are scaled to integers by
-    positive factors (``_scaled``), so ``_wall_key`` gives the normal form
-    of these coefficients."""
+    positive factors R and S (``_scaled``), which scales the coefficients
+    by 2RS > 0 and leaves the wall as it is."""
     P0, P1, T2, _ = _scaled(v)
     w0, w1, t, _ = _scaled(w)
-    key = _wall_key(P0, P1, T2, w0, w1, t)
-    return None if key is None else Wall(*key)
+    A, B, C = 2 * (w0 * P1 - P0 * w1), t * P0 - T2 * w0, T2 * w1 - t * P1
+    return None if A == B == C == 0 else Wall(A, B, C)
 
 
 def pi_point(v: NumClass) -> Optional[tuple[Fraction, Fraction]]:
@@ -242,15 +235,6 @@ def _scaled_inputs(v: NumClass, region: Region, disc_bound: Fraction):
             bl.numerator, bl.denominator, bh.numerator, bh.denominator)
 
 
-def _wall_key(P0: int, P1: int, T2: int, w0: int, w1: int, t: int):
-    """(A, B, C) of the wall between v = (P0, P1, T2/2)/R and
-    w = (w0, w1, t/2)/S in integers: the coefficients of ``wall_between``
-    scaled by 2RS > 0, in ``_normal_form``.  None when all three vanish.
-    The scan's witnesses are integral, S = 1."""
-    return _normal_form(2 * (w0 * P1 - P0 * w1), t * P0 - T2 * w0,
-                        T2 * w1 - t * P1)
-
-
 def enumerate_candidate_walls(v: NumClass, region: Region,
                               disc_bound) -> list[tuple[Wall, NumClass]]:
     """Deduplicated, canonically sorted numerical walls for v inside the
@@ -264,8 +248,9 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     v0 = v1 = 0 has Im Z(v) = 0, so no w has 0 < Im Z(w) < Im Z(v): it has
     no wall, and [] is returned without the scan (every w1 of its rows
     would have a real t).  A scanned candidate (w0, w1, t) whose wall is
-    already known costs a few integer operations: its wall key is ``_wall_key``'s,
-    computed inline.  The first candidate of each key builds the wall with
+    already known costs a few integer operations: its wall key is
+    ``wall_between``'s coefficients in ``Wall``'s normal form, computed
+    inline.  The first candidate of each key builds the wall with
     ``wall_between`` and its window with ``_wall_window``, both in
     integers, and both are cached for this call, rejections included, so a
     wall that misses region /\\ U is never looked at again.  That first
@@ -290,7 +275,7 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     found: dict[tuple[int, int, int], tuple[Wall, NumClass]] = {}
     for w0, w1, t in _wallscan_py.scan_candidates(
             P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], bln, bld, bhn, bhd):
-        # the wall key, as _wall_key computes it
+        # the wall key: wall_between's coefficients, as Wall normalizes them
         A = 2 * (w0 * P1 - P0 * w1)
         B = t * P0 - T2 * w0
         C = T2 * w1 - t * P1

@@ -323,6 +323,27 @@ def test_argparse_error_is_one_short_line(capsys, argv):
     assert len(err.encode()) < 300 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["twist", "1e499,0,0,0", "O"],
+    ["tilt", "O", "--beta", "1e499", "--alpha", "1"],
+    ["bg-check", "O", "--beta", "1/3", "--alpha", "-1e499"],
+    ["collection-check", "{json}", "--beta", "0"],
+])
+def test_message_echoing_a_huge_value_is_one_short_line(tmp_path, capsys, argv):
+    # the library's message echoes the class, the point, or the name of a
+    # collection member, here 100,000 characters long, whose class is not
+    # integral (ch3 of O(-3) moved by 1/2)
+    path = tmp_path / "collection.json"
+    classes = [["1", "-3", "9/2", "-4"], ["1", "-2", "2", "-4/3"],
+               ["1", "-1", "1/2", "-1/6"], ["1", "0", "0", "0"]]
+    path.write_text(json.dumps({"names": ["x" * 100_000, "b", "c", "d"],
+                                "classes": classes}))
+    assert run([f"@{path}" if a == "{json}" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) <= 243 + 1 and "..." in err
+
+
 def test_usage_errors_exit_2():
     assert run(["frobnicate"]) == 2
     assert run(["tilt", "O"]) == 2
@@ -336,6 +357,14 @@ def test_unexpected_exception_is_internal_error_exit_3(monkeypatch, capsys):
     monkeypatch.setitem(cli._HANDLERS, "class", broken)
     assert run(["class", "O"]) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    def verbose(ns):
+        raise RuntimeError("a" * 5_000 + "\n" + "b" * 4_999)
+
+    monkeypatch.setitem(cli._HANDLERS, "class", verbose)
+    assert run(["class", "O"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"internal error: RuntimeError: {'a' * 40}... {'b' * 40}...\n"
     # a check that fails is still exit 1, not an internal error
     assert run(["interval", "beilinson4", "--beta", "-1/4"]) == 1
     assert "internal error" not in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,35 @@ def test_different_radicands_are_ordered():
 
 
 SQUAREFREE = (2, 3, 5, 6, 7, 10, 11, 13, 15)
+
+
+@pytest.mark.parametrize("x", [Surd(1), Surd.sqrt(2)])
+@pytest.mark.parametrize("other", [1.0, 1.5, "1", None])
+def test_ordering_rejects_what_equality_rejects(x, other):
+    # Surd(1) == 1.0 is False, so a surd is not ordered against a float,
+    # nor against a str coerced through Fraction
+    assert x != other and other != x
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(x, other)
+        with pytest.raises(TypeError):
+            compare(other, x)
+
+
+def exact(x):
+    if isinstance(x, Surd):
+        return sympy.Rational(x.a) + sympy.Rational(x.b) * sympy.sqrt(x.d)
+    return sympy.Rational(x)
+
+
+mixed = st.one_of(st.integers(-30, 30), rats,
+                  st.builds(Surd, rats, rats, st.sampled_from(SQUAREFREE)))
+
+
+@given(st.lists(mixed, max_size=6))
+def test_mixed_sorting_follows_the_exact_order(xs):
+    ys = sorted(xs)
+    assert all(sympy.sign(exact(y) - exact(x)) >= 0 for x, y in zip(ys, ys[1:]))
 
 
 @given(rats, rats.filter(bool), st.sampled_from(SQUAREFREE),

@@ -15,8 +15,8 @@ from tiltwall import (NumClass, ParamPoint, Region, Wall, class_of_line_bundle,
 from tiltwall.errors import DomainError, InputError
 from tiltwall import _wallscan_py
 from tiltwall._wallscan_py import _quadratic_interval, _row_interval
-from tiltwall.walls import (_region_ends, _scaled_inputs, _wall_key,
-                            _wall_window, _witness_class, search_box)
+from tiltwall.walls import (_region_ends, _scaled_inputs, _wall_window,
+                            _witness_class, search_box)
 
 from conftest import integral_classes, lattice_class
 from oracles import (scan_candidates_exhaustive, wall_between_fraction,
@@ -42,6 +42,20 @@ def test_wall_normalization():
     assert (w.A, w.B, w.C) == (0, 1, -2)
     with pytest.raises(DomainError):
         Wall.from_coefficients(0, 0, 0)
+
+
+def test_wall_constructor_normalizes():
+    # equal lines are equal walls with one hash, whatever multiple is given
+    assert Wall(2, 4, 6) == Wall(1, 2, 3) == Wall(-3, -6, -9)
+    assert len({Wall(2, 4, 6), Wall(1, 2, 3), Wall(-3, -6, -9)}) == 1
+    assert Wall(1, 2, 3) != Wall(1, 2, 4)
+    # the first nonzero coefficient is made positive
+    for given_, normal in (((-1, 2, 3), (1, -2, -3)), ((0, -4, 2), (0, 2, -1)),
+                           ((0, 0, -5), (0, 0, 1)), ((6, 0, -4), (3, 0, -2))):
+        w = Wall(*given_)
+        assert (w.A, w.B, w.C) == normal and w == Wall.from_coefficients(*given_)
+    with pytest.raises(DomainError, match="degenerate wall"):
+        Wall(0, 0, 0)
 
 
 def test_pi_point_examples():
@@ -243,11 +257,11 @@ def test_witness_class_is_the_line_bundle_sum():
 
 
 def _scanned(v, region, disc):
-    """(P0, P1, T2) of v and the scan's candidates (w0, w1, t), exactly as
-    enumerate_candidate_walls scans them."""
+    """The scan's candidates (w0, w1, t), exactly as enumerate_candidate_walls
+    scans them."""
     P0, P1, T2, R, DS, *ends = _scaled_inputs(v, region, Q(disc))
     box = search_box(v, disc)
-    return (P0, P1, T2), _wallscan_py.scan_candidates(
+    return _wallscan_py.scan_candidates(
         P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], *ends)
 
 
@@ -256,7 +270,7 @@ def _reference_walls(v, region, disc):
     becomes a witness class and a wall through wall_between, and the first
     witness (in scan order) that passes _wall_feasible wins its wall."""
     found = {}
-    for w0, w1, t in _scanned(v, region, disc)[1]:
+    for w0, w1, t in _scanned(v, region, disc):
         w = _witness_class(w0, w1, t)
         wall = wall_between(v, w)
         if wall is None:
@@ -291,20 +305,18 @@ def test_class_without_rank_or_degree_has_no_wall(v):
     # Im Z(v) = 0, so the window 0 < Im Z(w) < Im Z(v) is empty: the scan
     # has candidates, and the reference enumeration accepts none of them
     region = Region(-3, 1, 4)
-    assert _scanned(v, region, 20)[1]
+    assert _scanned(v, region, 20)
     assert _reference_walls(v, region, 20) == []
     assert enumerate_candidate_walls(v, region, 20) == []
 
 
 @given(enumeration_cases)
 @settings(max_examples=80, deadline=None)
-def test_integer_wall_key_matches_wall_between(case):
+def test_wall_between_scanned_witnesses_matches_fraction_oracle(case):
     v, region, disc = case
-    scaled, candidates = _scanned(v, region, disc)
-    for w0, w1, t in candidates:
-        wall = wall_between_fraction(v, _witness_class(w0, w1, t))
-        expected = None if wall is None else (wall.A, wall.B, wall.C)
-        assert _wall_key(*scaled, w0, w1, t) == expected
+    for w0, w1, t in _scanned(v, region, disc):
+        w = _witness_class(w0, w1, t)
+        assert wall_between(v, w) == wall_between_fraction(v, w)
 
 
 rationals_to_12 = st.fractions(min_value=-6, max_value=6, max_denominator=12)
