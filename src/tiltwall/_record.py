@@ -2,14 +2,17 @@
 
 A record lists its fields in ``__slots__``, one or more of them, and its
 ``__init__`` makes whatever coercions, checks and defaults the class needs
-and then hands the field values, in slot order, to ``self._set``: the one
-path by which a field is ever set.  ``_set`` calls the slots' own
-descriptors, built once per class.  The base supplies what a frozen data
-class would: equality and hashing on the tuple of fields, the
-``Name(field=value, ...)`` repr in slot order, an ``AttributeError`` on
-assigning or deleting a field, and pickling and copying through the
-constructor.  A class may replace the equality, hash or repr with its own.
-Its one import is ``operator``, which ``fractions`` loads anyway.
+and then hands the slot values, in slot order, to ``self._set``: the one
+path by which a slot is ever set.  ``_set`` calls the slots' own
+descriptors, built once per class.  A slot whose name starts with an
+underscore, listed after the fields, is no field: it holds a value that
+``__init__`` derives from the fields once (a collection's slopes, say).
+The base supplies what a frozen data class would, on the fields alone:
+equality and hashing on the tuple of fields, the ``Name(field=value, ...)``
+repr in slot order, an ``AttributeError`` on assigning or deleting any
+slot, and pickling and copying through the constructor, which derives the
+derived slots again.  A class may replace the equality, hash or repr with
+its own.  Its one import is ``operator``, which ``fractions`` loads anyway.
 """
 
 from operator import attrgetter
@@ -23,17 +26,18 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         slots = cls.__slots__
+        fields = tuple(name for name in slots if not name.startswith("_"))
         setters = tuple(getattr(cls, name).__set__ for name in slots)
 
         def _set(self, *values):
             for setter, value in zip(setters, values):
                 setter(self, value)
 
-        get = attrgetter(*slots)
+        get = attrgetter(*fields)
         cls._set = _set
         cls._values = staticmethod(
-            get if len(slots) > 1 else lambda record: (get(record),))
-        cls.__match_args__ = slots
+            get if len(fields) > 1 else lambda record: (get(record),))
+        cls.__match_args__ = fields
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -45,7 +49,7 @@ class Record:
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value
-                           in zip(self.__slots__, self._values(self)))
+                           in zip(self.__match_args__, self._values(self)))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):

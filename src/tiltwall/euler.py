@@ -4,9 +4,11 @@ classes.
 
 chi(v, w) on P^3 is one bilinear form, the degree-3 part of
 dual(v) * w * td(P^3), written out degree by degree.  The pairing on the
-total space is its symmetrization chi(v, w) + chi(w, v).  The tests check
-both against independent oracles (tests/oracles.py): chi through the ring
-product of characters, and the two-term sum coming from restriction of the
+total space is its symmetrization chi(v, w) + chi(w, v); the antisymmetric
+parts of chi cancel in it, which leaves 4(v0 w2 - v1 w1 + v2 w0) + 2 v0 w0,
+with no v3 and no Todd 11/6 term.  The tests check both against
+independent oracles (tests/oracles.py): chi through the ring product of
+characters, and the two-term sum coming from restriction of the
 pushforward (the wedge powers of the conormal bundle contribute the
 identity class and -O(4)).
 """
@@ -39,7 +41,11 @@ def chi_pair_p3(v: NumClass, w: NumClass) -> Fraction:
 
 
 def chi_local(v: NumClass, w: NumClass) -> Fraction:
-    """Symmetric Euler pairing on the local P^3: chi(v, w) + chi(w, v)."""
+    """Symmetric Euler pairing on the local P^3: chi(v, w) + chi(w, v).
+
+    The terms of chi_pair_p3 odd under v <-> w (the degree-3 part and the
+    Todd 11/6 term) cancel and the rest doubles: 4(v0 w2 - v1 w1 + v2 w0)
+    + 2 v0 w0, which tests/oracles.py checks."""
     return chi_pair_p3(v, w) + chi_pair_p3(w, v)
 
 

@@ -3,8 +3,11 @@ an exceptional collection on P^3: the geometric-region check for the quiver
 heart, the four-part condition system for a collection with distinguished
 last member, and the admissible interval of the extra charge parameter.
 
-The condition system and the interval read one table per beta, which
-twists each member F once into (v1^b(F), v3^b(F), Im Z(F)) with
+A collection carries the constants that every check reads, computed once
+when it is built: the members' slopes mu(F0..F3) and mu1(E) of the
+distinguished class E.  The condition system and the interval read these
+and one table per beta, which twists each member F once into
+(v1^b(F), v3^b(F), Im Z(F)) with
 Im Z(F) = v2^b(F) - (alpha - beta^2/2)*v0(F) = v1^b(F)*(nu(F) - beta); the
 simples S_j = (-1)^j F_{3-j} read the members' rows times (-1)^j.  Every
 verdict carries an exact residual and its strictness.
@@ -39,9 +42,10 @@ _BUILTINS = {
 
 class CollectionSpec(Record):
     """Four numerical classes forming an exceptional-collection datum, with
-    the last one distinguished."""
+    the last one distinguished, and the derived slopes ``_mu`` of the
+    members and ``_mu1_E`` of the distinguished class."""
 
-    __slots__ = ("names", "classes", "builtin")
+    __slots__ = ("names", "classes", "builtin", "_mu", "_mu1_E")
 
     def __init__(self, names: tuple[str, str, str, str],
                  classes: tuple[NumClass, NumClass, NumClass, NumClass],
@@ -56,7 +60,11 @@ class CollectionSpec(Record):
                 raise DomainError(f"class of {name} is not integral")
             if chi_pair_p3(c, c) != 1:
                 raise DomainError(f"class of {name} is not Euler-exceptional")
-        self._set(names, classes, builtin)
+        # chi(E, E) = v0(E)^2 - 2 disc(E) = 1 with v0(E) != 0, so
+        # disc(E) = (v0(E)^2 - 1)/2 >= 0 and mu12(E) exists; a radicand
+        # over the budget raises DomainError here
+        self._set(names, classes, builtin, tuple(m.value for m in mus),
+                  mu12(classes[3])[0])
 
     @property
     def distinguished(self) -> NumClass:
@@ -221,19 +229,16 @@ def _static_conditions(spec: CollectionSpec, beta: Fraction) -> tuple[list, list
     parameter a) and t = v3^b(E)/v1^b(E), at the point of the distinguished
     class's parabola over beta.  Raises DomainError, from ``ParamPoint``,
     when the point is not in U."""
-    # CollectionSpec makes chi(E, E) = v0(E)^2 - 2 disc(E) = 1 with
-    # v0(E) != 0, so disc(E) = (v0(E)^2 - 1)/2 >= 0 and mu12(E) exists
     E = spec.distinguished
     half_w2 = ParamPoint(beta, alpha_E_beta(E, beta)).omega_sq / 2
     table = [(v1b, v3b, v2b - half_w2 * v0)
              for v0, v1b, v2b, v3b in (twisted_v(F, beta) for F in spec.classes)]
     # nu(F) - beta of F0, F1, F2; None (nu infinite) when v1^b(F) = 0
     dnu = [im / v1b if v1b else None for v1b, _, im in table[:3]]
-    mu = [slope_mu(c).value for c in spec.classes]
-    mu1_E, _ = mu12(E)
+    mu = spec._mu
 
     # (1)
-    conds = [_cond("(1) beta < mu1(E)", mu1_E - beta),
+    conds = [_cond("(1) beta < mu1(E)", spec._mu1_E - beta),
              _cond("(1) beta > mu(F0)", beta - mu[0]),
              Condition("(1) F0 slope inequality", False, Q(0)) if dnu[0] is None
              else _cond("(1) (v2(F0)-alpha*v0(F0))/v1^b(F0) < beta", -dnu[0])]

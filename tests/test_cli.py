@@ -380,6 +380,12 @@ LINES_CLASSES = [["1", "-3", "9/2", "-9/2"], ["1", "-2", "2", "-4/3"],
     pytest.param(b'{"names": ', id="truncated"),
     pytest.param(b"\xff\xfe", id="not-utf-8"),
     pytest.param(b"[" * 100_000, id="nested-too-deep"),
+    # E is integral with chi(E, E) = 1 and of rank 20000000089, so the
+    # radicand of mu1(E) is over the budget
+    pytest.param({"names": ["O(-3)", "O(-2)", "O(-1)", "E"],
+                  "classes": LINES_CLASSES[:3] + [[
+                      "20000000089", "2725463363", "-9628592519/2",
+                      "23434850831/6"]]}, id="mu1-over-radicand-budget"),
 ])
 def test_malformed_collection_json_is_input_error(tmp_path, capsys, spec):
     path = tmp_path / "collection.json"

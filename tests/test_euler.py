@@ -11,7 +11,8 @@ from tiltwall import (CollectionSpec, NumClass, POINT, chi_local, chi_p3,
 from tiltwall.errors import DomainError
 
 from conftest import integral_classes
-from oracles import chi_local_restriction_form, chi_pair_ring_product
+from oracles import (chi_local_closed_form, chi_local_restriction_form,
+                     chi_pair_ring_product)
 
 Q = Fraction
 
@@ -74,6 +75,22 @@ def test_chi_local_base_values():
 @given(integral_classes, integral_classes)
 def test_chi_local_is_symmetric(v, w):
     assert chi_local(v, w) == chi_local(w, v)
+
+
+# the same, with rank 0 and negative rank each drawn as often as positive
+ranked_rational_classes = st.tuples(
+    st.one_of(st.just(Q(0)),
+              st.fractions(min_value=-20, max_value=0, max_denominator=12),
+              st.fractions(min_value=0, max_value=20, max_denominator=12)),
+    *[st.fractions(min_value=-20, max_value=20, max_denominator=12)] * 3
+).map(lambda c: NumClass(*c))
+
+
+@given(ranked_rational_classes, ranked_rational_classes)
+def test_chi_local_matches_closed_form(v, w):
+    value = chi_local(v, w)
+    assert type(value) is Fraction
+    assert value == chi_local_closed_form(v, w)
 
 
 @given(integral_classes, integral_classes)

@@ -1,15 +1,18 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from tiltwall import (ChargeValue, CollectionSpec, NumClass, ParamPoint,
+from tiltwall import (ChargeValue, CollectionSpec, NumClass, ParamPoint, Surd,
                       admissible_a_interval, central_charge_3, class_of_named,
-                      cone_check, general_condition_check, simples_classes,
-                      slope_mu, tensor_line, thm_region_check, twisted_v)
-from tiltwall import tiltcalc
+                      cone_check, general_condition_check, mu12,
+                      simples_classes, slope_mu, tensor_line, thm_region_check,
+                      twisted_v)
+from tiltwall import heartgate, tiltcalc
 from tiltwall.errors import DomainError, InputError
 
 from oracles import (condition_check_by_charges, interval_by_charges,
@@ -341,6 +344,78 @@ def test_each_call_twists_each_member_once(monkeypatch):
             twisted.clear()
             call()
             assert twisted == list(spec.classes)
+
+
+def _builtins_and_twists():
+    """The built-ins, and their members each twisted by O(k), k in -3..3,
+    as custom collections."""
+    for spec in (BEILINSON, OMEGA, LINES):
+        yield spec
+        for k in range(-3, 4):
+            yield CollectionSpec(spec.names,
+                                 tuple(tensor_line(c, k) for c in spec.classes))
+
+
+def test_collection_keeps_its_slopes_and_mu1():
+    for spec in _builtins_and_twists():
+        assert spec._mu == tuple(slope_mu(c).value for c in spec.classes)
+        assert all(type(m) is Fraction for m in spec._mu)
+        mu1 = mu12(spec.distinguished)[0]
+        assert spec._mu1_E == mu1 and type(spec._mu1_E) is type(mu1)
+
+
+def test_checks_read_the_collection_constants(monkeypatch):
+    # once a collection is built, a check computes no slope and no root;
+    # it still twists each member once
+    specs = list(_builtins_and_twists())
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    for module in (heartgate, tiltcalc):
+        monkeypatch.setattr(module, "mu12", counting("mu12", tiltcalc.mu12))
+        monkeypatch.setattr(module, "slope_mu",
+                            counting("slope_mu", tiltcalc.slope_mu))
+    monkeypatch.setattr(Surd, "sqrt", staticmethod(counting("sqrt", Surd.sqrt)))
+    monkeypatch.setattr(tiltcalc, "twist_components",
+                        counting("twist", tiltcalc.twist_components))
+    for spec in specs:
+        beta = spec._mu[1] - Q(1, 4)
+        for call in (lambda: general_condition_check(spec, beta, Q(1, 32)),
+                     lambda: admissible_a_interval(spec, beta)):
+            calls.clear()
+            call()
+            assert calls == ["twist"] * 4
+
+
+def test_copied_collection_gives_the_same_verdicts():
+    for spec in _builtins_and_twists():
+        beta = spec._mu[1] - Q(1, 4)
+        report = general_condition_check(spec, beta, Q(1, 32))
+        iv = admissible_a_interval(spec, beta)
+        for round_trip in (copy.copy, copy.deepcopy,
+                           lambda s: pickle.loads(pickle.dumps(s))):
+            copied = round_trip(spec)
+            assert (copied._mu, copied._mu1_E) == (spec._mu, spec._mu1_E)
+            assert general_condition_check(copied, beta, Q(1, 32)) == report
+            assert admissible_a_interval(copied, beta) == iv
+
+
+def test_mu1_over_the_radicand_budget_rejects_the_collection():
+    # an integral class with chi(E, E) = 1 of rank 20000000089 > 1.4*10^10:
+    # disc(E) = (v0^2 - 1)/2 is over the radicand budget, so mu1(E) cannot
+    # be computed and the collection is rejected when it is built
+    data = LINES.to_json_dict()
+    data["names"][3] = "E"
+    data["classes"][3] = ["20000000089", "2725463363", "-9628592519/2",
+                          "23434850831/6"]
+    with pytest.raises(InputError, match="^invalid collection: square root "
+                                         ".* over the radicand budget"):
+        CollectionSpec.from_json_dict(data)
 
 
 def test_admissible_intervals_frozen():
