@@ -4,13 +4,13 @@ classes.
 
 chi(v, w) on P^3 is one bilinear form, the degree-3 part of
 dual(v) * w * td(P^3), written out degree by degree.  The pairing on the
-total space is its symmetrization chi(v, w) + chi(w, v); the antisymmetric
-parts of chi cancel in it, which leaves 4(v0 w2 - v1 w1 + v2 w0) + 2 v0 w0,
-with no v3 and no Todd 11/6 term.  The tests check both against
-independent oracles (tests/oracles.py): chi through the ring product of
-characters, and the two-term sum coming from restriction of the
-pushforward (the wedge powers of the conormal bundle contribute the
-identity class and -O(4)).
+total space, chi(v, w) + chi(w, v), is defined here by its closed form
+4(v0 w2 - v1 w1 + v2 w0) + 2 v0 w0: the antisymmetric parts of chi cancel
+in the sum, which leaves no v3 and no Todd 11/6 term.  The tests check it
+against two independent oracles (tests/oracles.py): the sum of the two HRR
+pairings, and the two-term form coming from restriction of the pushforward
+(the wedge powers of the conormal bundle contribute the identity class and
+-O(4)); they check chi itself through the ring product of characters.
 """
 
 from __future__ import annotations
@@ -41,19 +41,19 @@ def chi_pair_p3(v: NumClass, w: NumClass) -> Fraction:
 
 
 def chi_local(v: NumClass, w: NumClass) -> Fraction:
-    """Symmetric Euler pairing on the local P^3: chi(v, w) + chi(w, v).
-
-    The terms of chi_pair_p3 odd under v <-> w (the degree-3 part and the
-    Todd 11/6 term) cancel and the rest doubles: 4(v0 w2 - v1 w1 + v2 w0)
-    + 2 v0 w0, which tests/oracles.py checks."""
-    return chi_pair_p3(v, w) + chi_pair_p3(w, v)
+    """Symmetric Euler pairing on the local P^3, chi(v, w) + chi(w, v), by
+    its closed form 4(v0 w2 - v1 w1 + v2 w0) + 2 v0 w0, which is the
+    definition; the HRR sum and the restriction form are its test oracles."""
+    v0, w0 = v.v0, w.v0
+    return 4 * (v0 * w.v2 - v.v1 * w.v1 + v.v2 * w0) + 2 * v0 * w0
 
 
 def spherical_twist_class(s: NumClass, v: NumClass) -> NumClass:
-    """Spherical-twist action on classes: v -> v - chi_local(s, v) * s.
-
-    Requires s numerically spherical (symmetric Euler square 2).
-    """
+    """Spherical-twist action on classes: v -> v - chi_local(s, v) * s,
+    built as one NumClass.  Requires s numerically spherical:
+    chi_local(s, s) = 2 s0^2 - 4 disc(s) = 2."""
     if chi_local(s, s) != 2:
         raise DomainError(f"class {s} is not numerically spherical")
-    return v - chi_local(s, v) * s
+    c = chi_local(s, v)
+    return NumClass(v.v0 - c * s.v0, v.v1 - c * s.v1, v.v2 - c * s.v2,
+                    v.v3 - c * s.v3)

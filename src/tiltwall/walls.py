@@ -201,6 +201,20 @@ def _witness_class(w0: int, w1: int, t: int) -> NumClass:
     return NumClass(w0, w1, Fraction(t, 2), Fraction(3 * t - 2 * w1, 6))
 
 
+# Values of w0 a scan may visit.  Each costs at least about 1.6 us, for a
+# row that admits no w1 (3000000,0,0,0 near its bound; 2-vCPU Intel Xeon,
+# Python 3.11.7), so a search box over this many values would scan for 16 s
+# or more and is rejected before the scan.
+SCAN_W0_BUDGET = 10**7
+
+
+def _digits(n: int) -> str:
+    """n > 0 in full up to 15 digits, else cut to d.dd followed by e and
+    its exponent, so that a message stays short."""
+    s = str(n)
+    return s if len(s) <= 15 else f"{s[0]}.{s[1:3]}e{len(s) - 1}"
+
+
 def search_box(v: NumClass, disc_bound) -> dict:
     """The finite lattice box actually scanned, reported for
     reproducibility.  The rank bound is a heuristic: twice the rank of v
@@ -247,11 +261,12 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     index or a region reaching far in beta costs few rows.  A class with
     v0 = v1 = 0 has Im Z(v) = 0, so no w has 0 < Im Z(w) < Im Z(v): it has
     no wall, and [] is returned without the scan (every w1 of its rows
-    would have a real t).  A scanned candidate (w0, w1, t) whose wall is
-    already known costs a few integer operations: its wall key is
-    ``wall_between``'s coefficients in ``Wall``'s normal form, computed
-    inline.  The first candidate of each key builds the wall with
-    ``wall_between`` and its window with ``_wall_window``, both in
+    would have a real t).  A search box of more than SCAN_W0_BUDGET values
+    of w0 raises InputError before the scan.  A scanned candidate
+    (w0, w1, t) whose wall is already known costs a few integer operations:
+    its wall key is ``wall_between``'s coefficients in ``Wall``'s normal
+    form, computed inline.  The first candidate of each key builds the wall
+    with ``wall_between`` and its window with ``_wall_window``, both in
     integers, and both are cached for this call, rejections included, so a
     wall that misses region /\\ U is never looked at again.  That first
     candidate also builds its witness ``NumClass``, in ``Fraction``,
@@ -270,6 +285,11 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         return []
     P0, P1, T2, R, DS, bln, bld, bhn, bhd = _scaled_inputs(v, region, disc_bound)
     box = search_box(v, disc_bound)
+    width = box["w0_max"] - box["w0_min"] + 1
+    if width > SCAN_W0_BUDGET:
+        raise InputError(f"search box |w0| <= {_digits(box['w0_max'])} holds "
+                         f"{_digits(width)} values of w0, over the scan budget "
+                         f"of {SCAN_W0_BUDGET}")
     ends = _region_ends(region)
     seen: dict[tuple[int, int, int], tuple[Wall, Optional[tuple]]] = {}
     found: dict[tuple[int, int, int], tuple[Wall, NumClass]] = {}

@@ -56,6 +56,12 @@ def chi_pair_ring_product(v: NumClass, w: NumClass) -> Fraction:
     return chi_p3(product(dual(v), w))
 
 
+def chi_local_hrr_sum(v: NumClass, w: NumClass) -> Fraction:
+    """chi_local as the symmetrized HRR pairing chi(v, w) + chi(w, v), two
+    full chi_pair_p3 evaluations: the sum its closed form is derived from."""
+    return chi_pair_p3(v, w) + chi_pair_p3(w, v)
+
+
 def chi_local_closed_form(v: NumClass, w: NumClass) -> Fraction:
     """chi_local without chi: in chi(v, w) + chi(w, v) the antisymmetric
     terms cancel, so there is no v3 and no Todd 11/6 term."""

@@ -158,6 +158,39 @@ def test_walls_with_huge_im_window_answers_in_time(argv):
     assert proc.stdout and not proc.stderr
 
 
+# Inputs whose search box holds over SCAN_W0_BUDGET values of w0: the class's
+# discriminant, its rank or the discriminant bound makes the box huge, and
+# each is rejected before the scan
+OVER_BUDGET_WALLS_ARGV = [
+    ["walls", "1,1e100,0,0"],
+    ["walls", "O", "--disc-bound", "1e400"],
+    ["walls", "3000000,0,0,0"],
+    ["walls", "O", "--disc-bound", "1e13"],
+]
+
+
+@pytest.mark.parametrize("argv", OVER_BUDGET_WALLS_ARGV)
+def test_walls_over_the_scan_budget_is_input_error_in_time(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "tiltwall.cli", *argv,
+                           "--beta-min", "-1", "--beta-max", "0", "--alpha-max", "1"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: search box |w0| <= ")
+    assert proc.stderr.endswith(" values of w0, over the scan budget of 10000000\n")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_plot_over_the_scan_budget_is_input_error(tmp_path, capsys):
+    svg = tmp_path / "scene.svg"
+    assert run(["plot", "1,1e100,0,0", "--beta-min", "-1", "--beta-max", "0",
+                "--alpha-max", "1", "-o", str(svg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: search box |w0| <= 2.00e100 holds 4.00e100 values of w0, "
+        "over the scan budget of 10000000\n")
+    assert not svg.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["walls", "O(9999)", "--beta-min", "-1", "--beta-max", "1",
      "--alpha-max", "2", "--disc-bound", "4", "--json"],

@@ -7,12 +7,12 @@ import hypothesis.strategies as st
 
 from tiltwall import (CollectionSpec, NumClass, POINT, chi_local, chi_p3,
                       chi_pair_p3, class_of_line_bundle, class_of_named,
-                      discriminant, shift, spherical_twist_class)
+                      discriminant, shift, spherical_twist_class, tensor_line)
 from tiltwall.errors import DomainError
 
 from conftest import integral_classes
-from oracles import (chi_local_closed_form, chi_local_restriction_form,
-                     chi_pair_ring_product)
+from oracles import (chi_local_closed_form, chi_local_hrr_sum,
+                     chi_local_restriction_form, chi_pair_ring_product)
 
 Q = Fraction
 
@@ -99,6 +99,24 @@ def test_chi_local_restriction_oracle(v, w):
     assert chi_local(v, w) == chi_local_restriction_form(v, w)
 
 
+# the members of the three built-in collections, twisted by O(k), -3 <= k <= 3
+twisted_members = [tensor_line(c, k) for name in ("beilinson4", "omega", "lines")
+                   for c in CollectionSpec.builtin_by_name(name).classes
+                   for k in range(-3, 4)]
+
+hrr_classes = st.one_of(ranked_rational_classes, st.sampled_from(twisted_members))
+
+
+@given(hrr_classes, hrr_classes)
+def test_chi_local_matches_hrr_sums(v, w):
+    # the closed form against the sum it is derived from, chi(v, w) +
+    # chi(w, v), evaluated by the explicit HRR form and by the ring product
+    value = chi_local(v, w)
+    assert type(value) is Fraction
+    assert value == chi_local_hrr_sum(v, w)
+    assert value == chi_pair_ring_product(v, w) + chi_pair_ring_product(w, v)
+
+
 def test_spherical_twist_examples():
     o = class_of_line_bundle(0)
     # the twist of O by itself is the class of a triple shift of O
@@ -110,6 +128,28 @@ def test_spherical_twist_examples():
 def test_spherical_twist_rejects_non_spherical():
     with pytest.raises(DomainError):
         spherical_twist_class(POINT, class_of_line_bundle(0))
+
+
+# the exceptional objects O, T(-2), Omega(1), Omega2(2) twisted by O(k),
+# -3 <= k <= 3: each has chi(S, S) = 1, so chi_local(S, S) = 2
+spherical_classes = [tensor_line(class_of_named(name), k)
+                     for name in ("O", "T(-2)", "Omega(1)", "Omega2(2)")
+                     for k in range(-3, 4)]
+
+
+@given(st.sampled_from(spherical_classes), ranked_rational_classes)
+def test_spherical_twist_is_a_reflection(s, v):
+    # T_S v = v - chi_local(S, v) S fixes the hyperplane chi_local(S, .) = 0
+    # and negates S, so it is an involution that negates chi_local(S, .)
+    tv = spherical_twist_class(s, v)
+    assert spherical_twist_class(s, tv) == v
+    assert chi_local(s, tv) == -chi_local(s, v)
+    assert spherical_twist_class(s, s) == -s
+
+
+@given(ranked_rational_classes)
+def test_chi_local_square_is_rank_and_discriminant(s):
+    assert chi_local(s, s) == 2 * s.v0 ** 2 - 4 * discriminant(s)
 
 
 @given(integral_classes, integral_classes)

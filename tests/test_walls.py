@@ -13,7 +13,7 @@ from tiltwall import (NumClass, ParamPoint, Region, Wall, class_of_line_bundle,
                       passes_through, pi_point, plot_scene, scene_svg,
                       shift, tilt_slope_nu, wall_between)
 from tiltwall.errors import DomainError, InputError
-from tiltwall import _wallscan_py
+from tiltwall import _wallscan_py, walls as walls_module
 from tiltwall._wallscan_py import _quadratic_interval, _row_interval
 from tiltwall.walls import (_region_ends, _scaled_inputs, _wall_window,
                             _witness_class, search_box)
@@ -145,6 +145,25 @@ def test_enumeration_rejects_bad_input():
         enumerate_candidate_walls(class_of_line_bundle(0), REGION, -1)
     with pytest.raises(DomainError):
         enumerate_candidate_walls(NumClass(2, 0, 1, 0), REGION, 0)
+
+
+def test_search_box_over_the_w0_budget_is_rejected_before_the_scan(monkeypatch):
+    v = NumClass(1, 0, -1, 0)
+    box = search_box(v, 40)
+    width = box["w0_max"] - box["w0_min"] + 1
+    scans = []
+    monkeypatch.setattr(_wallscan_py, "scan_candidates",
+                        lambda *args: scans.append(args) or [])
+    monkeypatch.setattr(walls_module, "SCAN_W0_BUDGET", width)
+    assert enumerate_candidate_walls(v, REGION, 40) == [] and len(scans) == 1
+    monkeypatch.setattr(walls_module, "SCAN_W0_BUDGET", width - 1)
+    with pytest.raises(InputError, match=rf"search box \|w0\| <= {box['w0_max']} "
+                       rf"holds {width} values of w0, over the scan budget "
+                       rf"of {width - 1}$"):
+        enumerate_candidate_walls(v, REGION, 40)
+    assert len(scans) == 1
+    # a class with v0 = v1 = 0 has no wall and needs no scan, whatever its box
+    assert enumerate_candidate_walls(NumClass(0, 0, 1, 0), REGION, 10**400) == []
 
 
 def test_enumeration_for_O_concurrent_at_origin():
