@@ -5,7 +5,7 @@ from .errors import DomainError, InputError, TiltwallError
 from .euler import chi_local, chi_p3, chi_pair_p3, spherical_twist_class
 from .heartgate import (CheckReport, CollectionSpec, admissible_a_interval,
                         cone_check, general_condition_check, simples_classes,
-                        thm_region_check)
+                        strictly_left, thm_region_check)
 from .numclass import (NumClass, POINT, class_of_line_bundle,
                        class_of_named, dual_shifted, is_integral_class,
                        shift, tensor_line)

@@ -254,6 +254,9 @@ def run(argv) -> int:
         data, text, code = _HANDLERS[ns.verb](ns)
         _emit(_dumps(data) if ns.json else text, ns.out)
         return code
+    except MemoryError:
+        # first: matching the next clause builds a tuple, which allocates
+        line, code = "internal error: MemoryError", 3
     except (InputError, DomainError, OSError) as exc:
         line, code = f"error: {exc}", 2
     except Exception as exc:  # exit 1 is reserved for a failed check

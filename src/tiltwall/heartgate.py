@@ -10,7 +10,9 @@ and one table per beta, which twists each member F once into
 (v1^b(F), v3^b(F), Im Z(F)) with
 Im Z(F) = v2^b(F) - (alpha - beta^2/2)*v0(F) = v1^b(F)*(nu(F) - beta); the
 simples S_j = (-1)^j F_{3-j} read the members' rows times (-1)^j.  Every
-verdict carries an exact residual and its strictness.
+verdict carries an exact residual and its strictness.  Condition (4) is
+``strictly_left`` on each simple's row; ``cone_check`` is the separate
+half-turn cone test on a set of charges.
 """
 
 from __future__ import annotations
@@ -171,23 +173,17 @@ def simples_classes(spec: CollectionSpec) -> tuple[NumClass, ...]:
     return tuple(shift(spec.classes[3 - j], j) for j in range(4))
 
 
-def cone_check(charges: Sequence[ChargeValue], mode: str = "half-plane") -> bool:
-    """Half-turn cone membership of a finite set of charges.
+def strictly_left(re: Exact, im: Exact) -> bool:
+    """Condition (4) on one charge: Re < 0, or Re = 0 and Im < 0.  A zero
+    charge fails: a stability function sends no nonzero object to 0."""
+    return re < 0 or (re == 0 and im < 0)
 
-    "half-plane": is there a closed half-turn arc, starting strictly inside
-    the upper half-plane, containing every nonzero charge?  Equivalently:
-    is there a direction u = (x, 1) with cross(u, z) >= 0 for all z, where
-    charges on the positive real axis are never admissible.  Decided by
-    exact rational feasibility.
 
-    "strict-left": every charge satisfies Re < 0, or Re = 0 and Im < 0.
-    A zero charge fails, since a stability function sends no nonzero
-    object to 0.
-    """
-    if mode == "strict-left":
-        return all(z.re < 0 or (z.re == 0 and z.im < 0) for z in charges)
-    if mode != "half-plane":
-        raise InputError(f"unknown cone mode {mode!r}")
+def cone_check(charges: Sequence[ChargeValue]) -> bool:
+    """Half-turn cone membership: is there a closed half-turn arc, starting
+    strictly inside the upper half-plane, containing every nonzero charge?
+    That is a direction u = (x, 1) with cross(u, z) >= 0 for all z (a charge
+    on the positive real axis never fits), decided in exact rationals."""
     lower: Optional[Fraction] = None
     upper: Optional[Fraction] = None
     for z in charges:
@@ -277,15 +273,14 @@ def general_condition_check(spec: CollectionSpec, beta, a0) -> CheckReport:
 
     Conditions: (1) the beta window against mu1 and the first member plus
     its slope inequality; (2) the three-case slot condition on the middle
-    members; (3) the three twisted-degree inequalities; (4) strict-left
-    cone membership of the four simples' charges at a0.  The gate
-    a0 < v3^b(E)/v1^b(E) is reported alongside.  Raises DomainError, from
-    ``ParamPoint``, when the point is not in U.
+    members; (3) the three twisted-degree inequalities; (4) every simple's
+    charge at a0 is ``strictly_left``.  The gate a0 < v3^b(E)/v1^b(E) is
+    reported alongside.  Raises DomainError, from ``ParamPoint``, when the
+    point is not in U.
     """
     beta, a0 = Fraction(beta), Fraction(a0)
     table, conds, t = _static_conditions(spec, beta)
-    charges = [ChargeValue(a0 * v1b - v3b, im) for v1b, v3b, im in _simple_rows(table)]
-    ok4 = cone_check(charges, mode="strict-left")
+    ok4 = all(strictly_left(a0 * v1b - v3b, im) for v1b, v3b, im in _simple_rows(table))
     conds.append(Condition("(4) simples charges strictly left", ok4, Q(0)))
     conds.append(_cond("gate a0 < v3^b(E)/v1^b(E)", t - a0))
     notes = ()
@@ -295,9 +290,10 @@ def general_condition_check(spec: CollectionSpec, beta, a0) -> CheckReport:
 
 
 def admissible_a_interval(spec: CollectionSpec, beta) -> Optional[tuple[Fraction, Fraction]]:
-    """Open interval of charge parameters a for which the condition system
-    can be satisfied: upper bound the gate value v3^b(E)/v1^b(E), lower
-    bound the largest v3^b(s)/v1^b(s) over the simples with v1^b(s) < 0.
+    """Ends (lower, upper) of the open interval of charge parameters a where
+    the condition system holds: upper the gate value v3^b(E)/v1^b(E), lower
+    the largest v3^b(s)/v1^b(s) over the simples with v1^b(s) < 0.  The
+    lower end passes too when every simple binding there has Im Z(s) < 0.
     None when conditions (1)-(3) fail or the interval is empty.  Raises
     DomainError, from ``ParamPoint``, when the point (beta, alpha) on the
     distinguished class's parabola is not in U."""
@@ -313,7 +309,7 @@ def admissible_a_interval(spec: CollectionSpec, beta) -> Optional[tuple[Fraction
         if v1b < 0:
             bound = v3b / v1b
             lower = bound if lower is None else max(lower, bound)
-        elif v1b == 0 and not cone_check((ChargeValue(-v3b, im),), mode="strict-left"):
+        elif v1b == 0 and not strictly_left(-v3b, im):
             return None
     if lower is None or lower >= upper:
         return None

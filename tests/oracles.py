@@ -7,8 +7,8 @@ from typing import Optional
 
 from tiltwall import (ChargeValue, CheckReport, CollectionSpec, NumClass,
                       ParamPoint, Region, Wall, alpha_E_beta, central_charge_3,
-                      chi_p3, chi_pair_p3, cone_check, mu12, simples_classes,
-                      slope_mu, tensor_line, tilt_slope_nu, twisted_v)
+                      chi_p3, chi_pair_p3, mu12, simples_classes, slope_mu,
+                      tensor_line, tilt_slope_nu, twisted_v)
 from tiltwall.heartgate import Condition
 from tiltwall.numclass import dual
 from tiltwall.walls import _clip, _region_ends, _wall_window
@@ -133,6 +133,12 @@ def _static_conditions_by_charges(spec: CollectionSpec, beta: Fraction):
     return point, conds, t
 
 
+def _left_of_origin(z: ChargeValue) -> bool:
+    """Condition (4) on one charge, written apart from the library's
+    ``strictly_left``: Re < 0, or Re = 0 and Im < 0."""
+    return z.re < 0 or (z.re == 0 and z.im < 0)
+
+
 def condition_check_by_charges(spec: CollectionSpec, beta, a0) -> CheckReport:
     """``general_condition_check`` with condition (4) on the charges
     ``central_charge_3`` gives the classes of ``simples_classes``."""
@@ -140,7 +146,7 @@ def condition_check_by_charges(spec: CollectionSpec, beta, a0) -> CheckReport:
     point, conds, t = _static_conditions_by_charges(spec, beta)
     charges = [central_charge_3(s, point, a0) for s in simples_classes(spec)]
     conds.append(Condition("(4) simples charges strictly left",
-                           cone_check(charges, mode="strict-left"), Q(0)))
+                           all(map(_left_of_origin, charges)), Q(0)))
     conds.append(_verdict("gate a0 < v3^b(E)/v1^b(E)", t - a0))
     notes = ()
     if spec.builtin == "custom":
@@ -162,7 +168,7 @@ def interval_by_charges(spec: CollectionSpec, beta) -> Optional[tuple[Fraction, 
         if v1b < 0:
             bound = -z.re / v1b
             lower = bound if lower is None else max(lower, bound)
-        elif v1b == 0 and not cone_check((z,), mode="strict-left"):
+        elif v1b == 0 and not _left_of_origin(z):
             return None
     if lower is None or lower >= upper:
         return None

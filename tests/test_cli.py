@@ -181,6 +181,27 @@ def test_walls_over_the_scan_budget_is_input_error_in_time(argv):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="an RLIMIT_AS address-space limit is Linux-only")
+def test_out_of_memory_is_internal_error_on_one_line():
+    # under the w0 budget, but the scan's candidate list outgrows a 400 MB
+    # address space; building the InputError clause's tuple used to raise
+    # a second MemoryError and dump several lines with exit 1
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "tiltwall.cli", "walls", "O",
+                           "--beta-min", "-1", "--beta-max", "0", "--alpha-max", "1",
+                           "--disc-bound", "1e9"],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "internal error: MemoryError\n"
+
+
 def test_plot_over_the_scan_budget_is_input_error(tmp_path, capsys):
     svg = tmp_path / "scene.svg"
     assert run(["plot", "1,1e100,0,0", "--beta-min", "-1", "--beta-max", "0",

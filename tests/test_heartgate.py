@@ -8,10 +8,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tiltwall import (ChargeValue, CollectionSpec, NumClass, ParamPoint, Surd,
-                      admissible_a_interval, central_charge_3, class_of_named,
-                      cone_check, general_condition_check, mu12,
-                      simples_classes, slope_mu, tensor_line, thm_region_check,
-                      twisted_v)
+                      admissible_a_interval, alpha_E_beta, central_charge_3,
+                      class_of_named, cone_check, general_condition_check,
+                      mu12, simples_classes, slope_mu, strictly_left,
+                      tensor_line, thm_region_check, twisted_v)
 from tiltwall import heartgate, tiltcalc
 from tiltwall.errors import DomainError, InputError
 
@@ -65,11 +65,12 @@ def test_simples_classes_examples():
 
 
 def test_cone_check_modes():
-    assert not cone_check([ChargeValue(1, 0)], mode="strict-left")
-    assert cone_check([ChargeValue(-1, 0), ChargeValue(0, -1)],
-                      mode="strict-left")
-    assert not cone_check([ChargeValue(0, 1)], mode="strict-left")
-    # half-plane: anything except a positive-real-axis charge alone is fine
+    # strictly_left: condition (4) on one charge
+    assert not strictly_left(1, 0)
+    assert strictly_left(-1, 0) and strictly_left(0, -1)
+    assert not strictly_left(0, 1)
+    assert strictly_left(Q(-1, 3), Q(5)) and not strictly_left(Q(1, 3), Q(-5))
+    # cone_check: anything except a positive-real-axis charge alone is fine
     assert cone_check([ChargeValue(0, 1), ChargeValue(0, -1)])
     assert not cone_check([ChargeValue(1, 0)])
     assert cone_check([ChargeValue(-1, 0)])
@@ -78,16 +79,13 @@ def test_cone_check_modes():
     assert cone_check([ChargeValue(1, 1), ChargeValue(-1, -1)])
     assert not cone_check([ChargeValue(1, 1), ChargeValue(-1, -1),
                            ChargeValue(1, 0)])
-    with pytest.raises(InputError):
-        cone_check([], mode="wat")
 
 
 def test_zero_charge_fails_strict_left():
-    # a stability function sends no nonzero object to 0; half-plane mode
-    # still skips a zero charge
-    assert not cone_check([ChargeValue(0, 0)], mode="strict-left")
-    assert not cone_check([ChargeValue(-1, 0), ChargeValue(0, 0)],
-                          mode="strict-left")
+    # a stability function sends no nonzero object to 0; the half-turn
+    # cone test still skips a zero charge
+    assert not strictly_left(0, 0)
+    assert not strictly_left(Q(0), Q(0))
     assert cone_check([ChargeValue(0, 0), ChargeValue(-1, 0)])
 
 
@@ -105,7 +103,7 @@ def test_cone_check_on_beilinson_simples():
     p = ParamPoint(Q(-1, 4), Q(1, 8))
     a0 = p.omega_sq / 6
     charges = [central_charge_3(s, p, a0) for s in simples_classes(BEILINSON)]
-    assert cone_check(charges, mode="half-plane")
+    assert cone_check(charges)
 
 
 def test_cone_check_omega_boundary():
@@ -113,7 +111,33 @@ def test_cone_check_omega_boundary():
     a0 = omega_lower_bound(beta)
     z = simplecase_z_oracle(beta, a0)
     assert z[2].re == 0 and z[2].im == 2 * beta < 0
-    assert cone_check(z, mode="strict-left")
+    assert all(strictly_left(c.re, c.im) for c in z)
+
+
+def test_interval_lower_end_passes_and_upper_end_fails():
+    # beta on the 1/48 grid in [-25/6, 25/6]: at the lower end every simple
+    # with Re Z = 0 binds, and its Im Z < 0 lets strictly_left accept it;
+    # the upper end zeroes Re Z(E) and fails the gate
+    found = {}
+    for spec in (BEILINSON, OMEGA, LINES):
+        found[spec.builtin] = 0
+        for k in range(-200, 201):
+            beta = Q(k, 48)
+            try:
+                iv = admissible_a_interval(spec, beta)
+            except DomainError:
+                continue
+            if iv is None:
+                continue
+            found[spec.builtin] += 1
+            lo, hi = iv
+            point = ParamPoint(beta, alpha_E_beta(spec.distinguished, beta))
+            z = [central_charge_3(s, point, lo) for s in simples_classes(spec)]
+            binding = [c for c in z if c.re == 0]
+            assert binding and all(c.im < 0 for c in binding)
+            assert general_condition_check(spec, beta, lo).passed
+            assert not general_condition_check(spec, beta, hi).passed
+    assert found == {"beilinson4": 0, "omega": 23, "lines": 23}
 
 
 def test_thm_region_examples():
