@@ -31,7 +31,6 @@ from .surd import Surd
 from .tiltcalc import (ChargeValue, ParamPoint, alpha_E_beta, mu12,
                        slope_mu, twisted_v)
 
-Q = Fraction
 Exact = Union[Fraction, Surd]
 
 
@@ -209,10 +208,10 @@ def thm_region_check(beta, alpha) -> CheckReport:
     b, a = Fraction(beta), Fraction(alpha)
     w2 = 2 * a - b * b
     conds = (
-        _cond("beta >= -1/2", b + Q(1, 2), strict=False),
+        _cond("beta >= -1/2", b + Fraction(1, 2), strict=False),
         _cond("beta <= 0", -b, strict=False),
         _cond("omega^2 > 0", w2),
-        _cond("omega^2 < 1/4", Q(1, 4) - w2),
+        _cond("omega^2 < 1/4", Fraction(1, 4) - w2),
         _cond("1 - 2*alpha > 2*beta - 2*beta^2", 1 - 2 * a - 2 * b + 2 * b * b),
         _cond("3*alpha > 2*beta + 3*beta^2", 3 * a - 2 * b - 3 * b * b),
         _cond("-1 + 2*alpha < 2*beta + 2*beta^2", 2 * b + 2 * b * b + 1 - 2 * a),
@@ -236,7 +235,7 @@ def _static_conditions(spec: CollectionSpec, beta: Fraction) -> tuple[list, list
     # (1)
     conds = [_cond("(1) beta < mu1(E)", spec._mu1_E - beta),
              _cond("(1) beta > mu(F0)", beta - mu[0]),
-             Condition("(1) F0 slope inequality", False, Q(0)) if dnu[0] is None
+             Condition("(1) F0 slope inequality", False, Fraction(0)) if dnu[0] is None
              else _cond("(1) (v2(F0)-alpha*v0(F0))/v1^b(F0) < beta", -dnu[0])]
 
     # (2) three-case slot condition; v1^b(F) = v0(F)*(mu(F) - beta) is
@@ -244,11 +243,12 @@ def _static_conditions(spec: CollectionSpec, beta: Fraction) -> tuple[list, list
     if mu[0] < beta < mu[1]:
         conds.append(_cond("(2) mu(F0)<beta<mu(F1) and F1 inequality", -dnu[1]))
     elif mu[1] <= beta <= mu[2]:
-        conds.append(Condition("(2) mu(F1)<=beta<=mu(F2)", True, Q(0), strict=False))
+        conds.append(Condition("(2) mu(F1)<=beta<=mu(F2)", True, Fraction(0),
+                               strict=False))
     elif mu[2] < beta < mu[3]:
         conds.append(_cond("(2) mu(F2)<beta<mu(F3) and F2 inequality", dnu[2]))
     else:
-        conds.append(Condition("(2) beta outside (mu(F0), mu(F3))", False, Q(0)))
+        conds.append(Condition("(2) beta outside (mu(F0), mu(F3))", False, Fraction(0)))
 
     # (3); v1^b(E) = 0 would put beta at mu(E), where the parabola has
     # omega^2 = -disc(E)/v0(E)^2 <= 0, i.e. off U
@@ -281,7 +281,7 @@ def general_condition_check(spec: CollectionSpec, beta, a0) -> CheckReport:
     beta, a0 = Fraction(beta), Fraction(a0)
     table, conds, t = _static_conditions(spec, beta)
     ok4 = all(strictly_left(a0 * v1b - v3b, im) for v1b, v3b, im in _simple_rows(table))
-    conds.append(Condition("(4) simples charges strictly left", ok4, Q(0)))
+    conds.append(Condition("(4) simples charges strictly left", ok4, Fraction(0)))
     conds.append(_cond("gate a0 < v3^b(E)/v1^b(E)", t - a0))
     notes = ()
     if spec.builtin == "custom":

@@ -145,12 +145,13 @@ def dual_shifted(v: NumClass) -> NumClass:
 # Euler sequence 0 -> O -> O(1)^4 -> T -> 0; Omega = dual(T), and
 # Omega^2 = T(-4), so Omega2(2) = T(-2).
 _T = 4 * class_of_line_bundle(1) - class_of_line_bundle(0)
+_T_MINUS_2 = tensor_line(_T, -2)
 _NAMED = {
     "O": class_of_line_bundle(0),
     "point": POINT,
     "O^x": class_of_line_bundle(0) - POINT,
-    "T(-2)": tensor_line(_T, -2),
-    "Omega2(2)": tensor_line(_T, -2),
+    "T(-2)": _T_MINUS_2,
+    "Omega2(2)": _T_MINUS_2,
     "Omega(1)": tensor_line(dual(_T), 1),
 }
 

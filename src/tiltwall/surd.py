@@ -15,6 +15,7 @@ comparing squares.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import isqrt
 from typing import Optional, Union
 
@@ -56,6 +57,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, d * m
 
 
+@total_ordering
 class Surd(Record):
     """Immutable exact value a + b*sqrt(d), totally ordered against rationals.
 
@@ -181,18 +183,6 @@ class Surd(Record):
     def __lt__(self, other) -> bool:
         c = self._cmp(other)
         return NotImplemented if c is None else c < 0
-
-    def __le__(self, other) -> bool:
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other) -> bool:
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other) -> bool:
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
         # equal irrational surds share a, b^2*d and the sign of b

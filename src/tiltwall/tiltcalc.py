@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import total_ordering
 from typing import Optional, Union
 
 from ._record import Record
@@ -39,6 +40,7 @@ class ParamPoint(Record):
         return 2 * self.alpha - self.beta * self.beta
 
 
+@total_ordering
 class Slope(Record):
     """A finite rational slope or the distinguished +infinity (value None).
 
@@ -75,15 +77,6 @@ class Slope(Record):
     def __lt__(self, other):
         key = self._key_of(other)
         return NotImplemented if key is None else self._key() < key
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        return not self <= other
-
-    def __ge__(self, other):
-        return not self < other
 
     def __hash__(self):
         return hash(self.value)
@@ -184,12 +177,6 @@ class CurveCE(Record):
                  direction: Optional[int] = None,
                  beta0: Optional[Fraction] = None):
         self._set(kind, lin, const, direction, beta0)
-
-    def alpha_at(self, beta) -> Fraction:
-        if self.kind != "parabola":
-            raise DomainError("alpha_at is defined for parabola curves only")
-        b = Fraction(beta)
-        return b * b + self.lin * b + self.const
 
     def is_empty(self) -> bool:
         return self.kind == "empty"

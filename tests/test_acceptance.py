@@ -11,8 +11,9 @@ from math import gcd, isqrt
 import sympy
 
 from tiltwall import (ChargeValue, CollectionSpec, NumClass, ParamPoint,
-                      admissible_a_interval, bg_margin, central_charge_3,
-                      chi_local, chi_p3, class_of_line_bundle, class_of_named,
+                      admissible_a_interval, alpha_E_beta, bg_margin,
+                      central_charge_3, chi_local, chi_p3,
+                      class_of_line_bundle, class_of_named,
                       curve_CE, discriminant, dual_shifted, dual_transform,
                       min_positive_v1beta, pi_point, quadratic_form_Q,
                       shift, shift_transform, simples_classes, slope_mu,
@@ -153,7 +154,7 @@ def test_criterion_4_curve_inequality_equivalence():
             bound = abs(v.v1) + isqrt(d.numerator // d.denominator + 1) + 2
             step = Q(rng.randint(1, 30), 7)
             beta = -bound - step if c.direction == 1 else bound + step
-            alpha = c.alpha_at(beta)
+            alpha = alpha_E_beta(v, beta)
             if 2 * alpha <= beta * beta:
                 continue
             lhs = beta * discriminant(v) / v.v0

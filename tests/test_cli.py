@@ -255,8 +255,15 @@ def test_plot_rejects_an_undrawable_region_before_enumerating(tmp_path):
 def test_twist_verb(capsys):
     assert run(["twist", "O", "1,0,0,-1"]) == 0
     assert out_of(capsys) == "-1,0,0,-1"
-    # non-spherical twisting class is invalid input
-    assert run(["twist", "point", "O"]) == 2
+    # a non-spherical twisting class is invalid input, on one short line
+    for twisting in ("point", "2,0,0,0"):
+        assert run(["twist", twisting, "O"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
+    assert run(["twist", "Omega(1)", "O(1)", "--json"]) == 0
+    assert out_of(capsys) == ('{"schema":"tiltwall/twist-v1",'
+                              '"result":"-41,15,15/2,5/2","pairing":"14"}')
 
 
 def test_plot_writes_svg(tmp_path, capsys):
