@@ -13,9 +13,11 @@ applied, all exact:
   * R^2 * (disc(w) + disc(v-w)) <= DS   (DS encodes disc(v) + slack)
   * the Im-window prefilter: each of 0 < w1 - beta*w0 and
     w1 - beta*w0 < v1 - beta*v0 holds at some beta (not necessarily the
-    same one) of the closed interval [bln/bld, bhn/bhd]; both are linear
-    in beta, so it suffices to test the endpoints.  This is a necessary
-    condition only; the caller re-checks the window exactly on the wall.
+    same one) of the closed interval [bln/bld, bhn/bhd] (bld, bhd > 0 and
+    the ends in order, as a ``Region`` has them); both are linear in beta,
+    so it suffices to test the endpoint that the sign of the slope picks.
+    This is a necessary condition only; the caller re-checks the window
+    exactly on the wall.
 
 The three disc constraints are linear in t, and their coefficient signs
 guarantee a bounded t-interval for every (w0, w1) except w0 = v0 = 0,
@@ -95,29 +97,30 @@ def scan_candidates(P0: int, P1: int, T2: int, R: int, DS: int,
     R2 = R * R
     Dd = bld * bhd
     DD = R * Dd
+    # the beta ends times Dd, in order: lo_D = beta_min*Dd <= hi_D = beta_max*Dd
+    lo_D, hi_D = bln * bhd, bhn * bld
     for w0 in range(w0_lo, w0_hi + 1):
         if w0 == 0 and P0 == 0:
             continue
         Rw0 = R * w0
-        # w1 window from the Im prefilter, evaluated at the beta endpoints
-        m1 = bln * w0 * bhd
-        m2 = bhn * w0 * bld
-        mmin = m1 if m1 < m2 else m2
-        w1_lo = mmin // Dd + 1
-        u1 = bln * bhd * (Rw0 - P0)
-        u2 = bhn * bld * (Rw0 - P0)
-        umax = u1 if u1 > u2 else u2
-        Uv = P1 * Dd + umax
-        w1_hi = (Uv - 1) // DD
+        M = P0 - Rw0
+        # w1 window from the Im prefilter: w1 > beta*w0 and (times R)
+        # R*w1 < P1 - beta*M, each at some beta end; since lo_D <= hi_D,
+        # the sign of w0 (of M) picks the end, one product per bound
+        w1_lo = w0 * (lo_D if w0 > 0 else hi_D) // Dd + 1
+        w1_hi = (P1 * Dd - M * (lo_D if M > 0 else hi_D) - 1) // DD
         # ... cut to the rows that admit a real t
         w1_lo, w1_hi = _row_interval(P0, P1, T2, R, DS, w0, w1_lo, w1_hi)
-        M = P0 - Rw0
         MT2 = M * T2
         # t is bounded by c*t <= b for (c, b) = (w0, w1^2) (disc(w) >= 0),
         # (c2, b2) (disc(v-w) >= 0) and (c3, b3) (the DS budget); the c
         # are fixed for this w0, and w1^2 >= 0 makes w0 = 0 no constraint.
         # c2 + c3 = -R^2 w0 has the sign of -w0, and c3 = -c2 when w0 = 0
         # (then P0 != 0), so there is always an upper and a lower bound.
+        # c2 = 0 needs no check of b2: it forces M = 0, so b2 = N^2 >= 0.
+        # c3 = 0 does need b3 >= 0: a row the row filter keeps has a real t
+        # when DS >= 0, but a DS < 0 (never made by enumeration, whose DS
+        # is at least R^2 * disc(v) >= 0) can leave b3 < 0 there.
         c2 = -M * R
         c3 = -c2 - R2 * w0
         for w1 in range(w1_lo, w1_hi + 1):
@@ -138,8 +141,6 @@ def scan_candidates(P0: int, P1: int, T2: int, R: int, DS: int,
                 q = -(b2 // -c2)
                 if tlo is None or q > tlo:
                     tlo = q
-            elif b2 < 0:
-                continue
             if c3 > 0:
                 q = b3 // c3
                 if thi is None or q < thi:

@@ -15,8 +15,8 @@ comparing squares.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from math import isqrt
+from operator import eq, ge, gt, le, lt
 from typing import Optional, Union
 
 from ._record import Record
@@ -57,7 +57,17 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, d * m
 
 
-@total_ordering
+def _order(test):
+    """The rich comparison ``test`` of a surd with another value, from one
+    ``_cmp`` call: ``test`` applied to the sign of self - other and 0, or
+    NotImplemented for an operand that ``_cmp`` does not compare."""
+
+    def compare(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else test(c, 0)
+    return compare
+
+
 class Surd(Record):
     """Immutable exact value a + b*sqrt(d), totally ordered against rationals.
 
@@ -176,13 +186,12 @@ class Surd(Record):
         return sx * Surd(p * p + b * b * d - other.b * other.b * other.d,
                          2 * p * b, d).sign()
 
-    def __eq__(self, other) -> bool:
-        c = self._cmp(other)
-        return NotImplemented if c is None else c == 0
-
-    def __lt__(self, other) -> bool:
-        c = self._cmp(other)
-        return NotImplemented if c is None else c < 0
+    # one _cmp call per comparison; != is the negation of ==
+    __eq__ = _order(eq)
+    __lt__ = _order(lt)
+    __le__ = _order(le)
+    __gt__ = _order(gt)
+    __ge__ = _order(ge)
 
     def __hash__(self):
         # equal irrational surds share a, b^2*d and the sign of b

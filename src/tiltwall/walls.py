@@ -9,13 +9,14 @@ scales both classes, and enumeration scales v once and runs the integer
 candidate scan of ``_wallscan_py``, which visits only the (w0, w1) rows
 that admit a real t, taking its candidates in scan order and computing
 each key inline.
-The per-key work is integers: the first candidate of a key builds its
-``Wall`` through ``wall_between`` and its window, the beta interval where
-it meets the region, the alpha cap and U (``_wall_window``, on the
-region's integers read once by ``_region_ends``); both are cached for the
-call, rejections included.  Per witness only the two strict Im Z window
-constraints are added.  The first feasible witness of a wall wins.  Every
-verdict is exact, in integers and ``Fraction`` only.
+The per-key work is integers.  One table per call maps each wall key to
+[wall, window, witness]: the key's first candidate builds its ``Wall``
+through ``wall_between`` and its window, the beta interval where it meets
+the region, the alpha cap and U (``_wall_window``, on the region's integers
+read once by ``_region_ends``), and the witness slot stays None until a
+candidate passes; rejections are kept too.  Per witness only the two strict
+Im Z window constraints are added.  The first feasible witness of a wall
+wins.  Every verdict is exact, in integers and ``Fraction`` only.
 """
 
 from __future__ import annotations
@@ -169,8 +170,10 @@ def _clip(A, B, C, window, constraints):
 
 
 def _region_ends(region: Region):
-    """The region in integers, as ``_wall_window`` takes it: its closed
-    beta range as a ``_clip`` window, and its alpha cap n/m as (n, m)."""
+    """The region in integers, read once per enumeration: its closed beta
+    range as a ``_clip`` window, whose two ends are also the scan's beta
+    integers, and its alpha cap n/m as (n, m); ``_wall_window`` takes the
+    pair."""
     lo, hi = region.beta_min, region.beta_max
     return ((lo.as_integer_ratio(), False, hi.as_integer_ratio(), False),
             region.alpha_max.as_integer_ratio())
@@ -240,13 +243,13 @@ def _scaled(v: NumClass) -> tuple[int, int, int, int]:
     return n0 * (R // d0), n1 * (R // d1), n2 * (2 * R // d2), R
 
 
-def _scaled_inputs(v: NumClass, region: Region, disc_bound: Fraction):
+def _scaled_inputs(v: NumClass, disc_bound: Fraction):
+    """The class's side of the scan: ``_scaled`` and the budget DS, that is
+    R^2 * (disc(v) + disc_bound) rounded down to an integer."""
     P0, P1, T2, R = _scaled(v)
     DS = (P1 * P1 - P0 * T2) + (R * R * disc_bound.numerator
                                 // disc_bound.denominator)
-    bl, bh = region.beta_min, region.beta_max
-    return (P0, P1, T2, R, DS,
-            bl.numerator, bl.denominator, bh.numerator, bh.denominator)
+    return P0, P1, T2, R, DS
 
 
 def enumerate_candidate_walls(v: NumClass, region: Region,
@@ -263,18 +266,19 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     no wall, and [] is returned without the scan (every w1 of its rows
     would have a real t).  A search box of more than SCAN_W0_BUDGET values
     of w0 raises InputError before the scan.  A scanned candidate
-    (w0, w1, t) whose wall is already known costs a few integer operations:
-    its wall key is ``wall_between``'s coefficients in ``Wall``'s normal
-    form, computed inline.  The first candidate of each key builds the wall
-    with ``wall_between`` and its window with ``_wall_window``, both in
-    integers, and both are cached for this call, rejections included, so a
-    wall that misses region /\\ U is never looked at again.  That first
-    candidate also builds its witness ``NumClass``, in ``Fraction``,
-    because ``wall_between`` takes classes; building it only for accepted
-    walls waits for a way to count keys other than calls of
-    ``wall_between``.  Per witness only the two Im-window constraints are
-    added.  Candidates are taken in scan order and the first feasible
-    witness of a wall wins.
+    (w0, w1, t) costs a few integer operations and one lookup in a table
+    of this call: its wall key is ``wall_between``'s coefficients in
+    ``Wall``'s normal form, computed inline, and the table maps the key to
+    [wall, window, witness].  The first candidate of each key builds the
+    wall with ``wall_between`` and its window with ``_wall_window``, both
+    in integers; a rejected window stays in the table as None, so a wall
+    that misses region /\\ U is never looked at again.  That first
+    candidate also builds a witness ``NumClass``, in ``Fraction``, because
+    ``wall_between`` takes classes; building it only for accepted walls
+    waits for a way to count keys other than calls of ``wall_between``.
+    Per witness only the two Im-window constraints are added.  Candidates
+    are taken in scan order, and the first feasible one fills the witness
+    slot, after which its wall's later candidates are skipped.
     """
     disc_bound = Fraction(disc_bound)
     if disc_bound < 0:
@@ -283,7 +287,7 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         raise DomainError("class has negative discriminant; no walls")
     if v.v0 == 0 and v.v1 == 0:  # Im Z(v) = 0: an empty Im window
         return []
-    P0, P1, T2, R, DS, bln, bld, bhn, bhd = _scaled_inputs(v, region, disc_bound)
+    P0, P1, T2, R, DS = _scaled_inputs(v, disc_bound)
     box = search_box(v, disc_bound)
     width = box["w0_max"] - box["w0_min"] + 1
     if width > SCAN_W0_BUDGET:
@@ -291,8 +295,8 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
                          f"{_digits(width)} values of w0, over the scan budget "
                          f"of {SCAN_W0_BUDGET}")
     ends = _region_ends(region)
-    seen: dict[tuple[int, int, int], tuple[Wall, Optional[tuple]]] = {}
-    found: dict[tuple[int, int, int], tuple[Wall, NumClass]] = {}
+    (bln, bld), _, (bhn, bhd), _ = ends[0]
+    table: dict[tuple[int, int, int], list] = {}  # key -> [wall, window, witness]
     for w0, w1, t in _wallscan_py.scan_candidates(
             P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], bln, bld, bhn, bhd):
         # the wall key: wall_between's coefficients, as Wall normalizes them
@@ -305,22 +309,18 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         if (A or B or C) < 0:
             g = -g
         A, B, C = key = A // g, B // g, C // g
-        if key in found:
-            continue
-        w = None
-        entry = seen.get(key)
+        entry = table.get(key)
         if entry is None:  # the wall's first candidate; perfbench counts keys here
-            w = _witness_class(w0, w1, t)
-            entry = seen[key] = wall_between(v, w), _wall_window(A, B, C, ends)
-        wall, window = entry
+            entry = table[key] = [wall_between(v, _witness_class(w0, w1, t)),
+                                  _wall_window(A, B, C, ends), None]
+        _, window, witness = entry
         # Im Z(w) > 0 and R * Im Z(v - w) > 0 along the wall
-        if window is not None and _clip(
+        if witness is None and window is not None and _clip(
                 A, B, C, window, ((-w0, w1, True),
                                   (R * w0 - P0, P1 - R * w1, True))) is not None:
-            if w is None:
-                w = _witness_class(w0, w1, t)
-            found[key] = wall, w
-    return [found[k] for k in sorted(found)]
+            entry[2] = _witness_class(w0, w1, t)
+    found = [(key, wall, w) for key, (wall, _, w) in table.items() if w is not None]
+    return [(wall, w) for _, wall, w in sorted(found)]
 
 
 # --- plot scene --------------------------------------------------------------

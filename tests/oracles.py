@@ -193,7 +193,9 @@ def scan_candidates_exhaustive(P0: int, P1: int, T2: int, R: int, DS: int,
                     bln: int, bld: int, bhn: int, bhd: int) -> list[tuple[int, int, int]]:
     """The integer scan with no row filter: every w1 of the Im-window
     range of each w0 is visited, and its t-interval taken exactly.  The
-    library's scan must return this list, order included."""
+    library's scan must return this list, order included.  The Im
+    prefilter takes a min and a max over both beta ends, and b2 < 0 is
+    checked, so the loop shares neither of the scan's shortcuts."""
     out: list[tuple[int, int, int]] = []
     R2 = R * R
     Dd = bld * bhd

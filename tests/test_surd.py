@@ -123,6 +123,31 @@ def test_ordering_matches_sympy(a, b, d, c, f, e):
     assert (x <= y, x >= y, x != y) == (want <= 0, want >= 0, want != 0)
 
 
+COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge,
+               operator.eq, operator.ne)
+
+
+@pytest.mark.parametrize("other", [1, Fraction(3, 2), Surd.sqrt(3)],
+                         ids=["int", "Fraction", "sqrt3"])
+def test_each_comparison_makes_one_exact_comparison(monkeypatch, other):
+    # sqrt(2) = 1.414... lies apart from 1, 3/2 and sqrt(3) = 1.732..., so
+    # the float order is the exact one; both operand orders are checked
+    calls = []
+    cmp = Surd._cmp
+
+    def counting(self, other):
+        calls.append(other)
+        return cmp(self, other)
+
+    monkeypatch.setattr(Surd, "_cmp", counting)
+    x = Surd.sqrt(2)
+    for compare in COMPARISONS:
+        for left, right in ((x, other), (other, x)):
+            calls.clear()
+            assert compare(left, right) == compare(float(left), float(right))
+            assert len(calls) == 1, (compare.__name__, left, right)
+
+
 def test_difference_of_surds():
     assert Surd.sqrt(8) - Surd.sqrt(2) == Surd.sqrt(2)
     assert (Surd.sqrt(2) - Surd.sqrt(2)).is_rational

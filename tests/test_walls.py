@@ -275,13 +275,22 @@ def test_witness_class_is_the_line_bundle_sum():
                 assert is_integral_class(w)
 
 
+def _scan_args(v, region, disc, w0_box=None):
+    """scan_candidates' arguments for v, as enumerate_candidate_walls makes
+    them, with the search box's w0 range or [-w0_box, w0_box]."""
+    (bln, bld), _, (bhn, bhd), _ = _region_ends(region)[0]
+    if w0_box is None:
+        box = search_box(v, disc)
+        w0_lo, w0_hi = box["w0_min"], box["w0_max"]
+    else:
+        w0_lo, w0_hi = -w0_box, w0_box
+    return (*_scaled_inputs(v, Q(disc)), w0_lo, w0_hi, bln, bld, bhn, bhd)
+
+
 def _scanned(v, region, disc):
     """The scan's candidates (w0, w1, t), exactly as enumerate_candidate_walls
     scans them."""
-    P0, P1, T2, R, DS, *ends = _scaled_inputs(v, region, Q(disc))
-    box = search_box(v, disc)
-    return _wallscan_py.scan_candidates(
-        P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], *ends)
+    return _wallscan_py.scan_candidates(*_scan_args(v, region, disc))
 
 
 def _reference_walls(v, region, disc):
@@ -327,6 +336,42 @@ def test_class_without_rank_or_degree_has_no_wall(v):
     assert _scanned(v, region, 20)
     assert _reference_walls(v, region, 20) == []
     assert enumerate_candidate_walls(v, region, 20) == []
+
+
+# The walls-sweep pool of the benchmark (perfbench/workloads.py): six
+# classes, three regions and four discriminant bounds.
+SWEEP_CLASSES = ("O", "1,0,-1,0", "T(-2)", "2,-1,-3/2,1/6", "3,-1,-5/2,1/6",
+                 "0,1,-1/2,1/6")
+SWEEP_REGIONS = (Region(-2, 0, 2), Region(-4, 2, 6), Region(-3, -1, 4))
+SWEEP_DISCS = (0, 5, 20, 40)
+
+
+def test_wall_between_runs_once_per_distinct_scanned_key(monkeypatch):
+    """The benchmark counts distinct wall keys as calls of wall_between and
+    candidates as the scan's list: on each walls-sweep input, enumeration
+    calls wall_between exactly once per distinct wall of the scanned
+    candidates, 3,360 calls for the 18,629 candidates of one pass."""
+    calls = []
+
+    def counting(v, w):
+        calls.append(wall_between(v, w))
+        return calls[-1]
+
+    monkeypatch.setattr(walls_module, "wall_between", counting)
+    total_calls = total_candidates = 0
+    for token in SWEEP_CLASSES:
+        v = NumClass.parse(token) if "," in token else class_of_named(token)
+        for region in SWEEP_REGIONS:
+            for disc in SWEEP_DISCS:
+                calls.clear()
+                enumerate_candidate_walls(v, region, disc)
+                scanned = _scanned(v, region, disc)
+                keys = {wall_between_fraction(v, _witness_class(*c))
+                        for c in scanned} - {None}
+                assert len(calls) == len(keys) and set(calls) == keys
+                total_calls += len(calls)
+                total_candidates += len(scanned)
+    assert (total_calls, total_candidates) == (3360, 18629)
 
 
 @given(enumeration_cases)
@@ -422,16 +467,6 @@ def test_scan_matches_brute_force_lattice_search():
 
 # --- the scan's row filter ---------------------------------------------------
 
-def _scan_args(v, region, disc, w0_box=None):
-    """scan_candidates' arguments for v, as enumerate_candidate_walls makes
-    them, with the search box's w0 range or [-w0_box, w0_box]."""
-    P0, P1, T2, R, DS, *ends = _scaled_inputs(v, region, Q(disc))
-    if w0_box is None:
-        box = search_box(v, disc)
-        return (P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], *ends)
-    return (P0, P1, T2, R, DS, -w0_box, w0_box, *ends)
-
-
 @st.composite
 def scan_inputs(draw):
     """Raw scan arguments: scales 1, 2, 3 and 8, rank 0 (with P1 = 0 now
@@ -460,6 +495,13 @@ def scan_inputs(draw):
 @example(_scan_args(-1 * class_of_named("T(-2)"), Region(-3, -1, 4), 20))
 @example(_scan_args(NumClass(0, 0, 1, 0), Region(-2, 0, 2), 3))
 @example(_scan_args(NumClass(0, 1, Q(-1, 2), Q(1, 6)), Region(-4, 2, 6), 40))
+# c3 = 0 with b3 < 0 at w0 = -1, where P0 = 2*R*w0: DS < 0 lets the row
+# filter keep the row w1 = 0, whose t = 0 only the b3 check drops
+@example((-2, 0, 0, 1, -1, -1, 1, 0, 1, 1, 1))
+# beta_min = beta_max, then beta_min < 0 < beta_max with unequal
+# denominators: the prefilter's two ends coincide, then differ in sign
+@example(_scan_args(NumClass(2, -1, Q(-3, 2), Q(1, 6)), Region(Q(-5, 3), Q(-5, 3), 4), 20))
+@example(_scan_args(class_of_named("T(-2)"), Region(Q(-3, 2), Q(2, 3), 4), 20))
 def test_scan_matches_exhaustive_loop(args):
     """The row filter only skips rows without a real t: the scan's list is
     the exhaustive loop's, order included."""
