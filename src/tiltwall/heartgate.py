@@ -26,7 +26,7 @@ from ._record import Record
 from .errors import DomainError, InputError, quote_token
 from .euler import chi_pair_p3
 from .numclass import (NumClass, class_of_named, is_integral_class,
-                       parse_rational, shift)
+                       parse_rational, rational, shift)
 from .surd import Surd
 from .tiltcalc import (ChargeValue, ParamPoint, alpha_E_beta, mu12,
                        slope_mu, twisted_v)
@@ -205,7 +205,7 @@ def thm_region_check(beta, alpha) -> CheckReport:
     (beta, alpha): the fundamental strip, the small-width band, and the
     three slope inequalities of the four standard objects.  The point may
     lie off U, which the omega^2 > 0 row reports."""
-    b, a = Fraction(beta), Fraction(alpha)
+    b, a = rational(beta), rational(alpha)
     w2 = 2 * a - b * b
     conds = (
         _cond("beta >= -1/2", b + Fraction(1, 2), strict=False),
@@ -278,7 +278,7 @@ def general_condition_check(spec: CollectionSpec, beta, a0) -> CheckReport:
     reported alongside.  Raises DomainError, from ``ParamPoint``, when the
     point is not in U.
     """
-    beta, a0 = Fraction(beta), Fraction(a0)
+    beta, a0 = rational(beta), rational(a0)
     table, conds, t = _static_conditions(spec, beta)
     ok4 = all(strictly_left(a0 * v1b - v3b, im) for v1b, v3b, im in _simple_rows(table))
     conds.append(Condition("(4) simples charges strictly left", ok4, Fraction(0)))
@@ -297,7 +297,7 @@ def admissible_a_interval(spec: CollectionSpec, beta) -> Optional[tuple[Fraction
     None when conditions (1)-(3) fail or the interval is empty.  Raises
     DomainError, from ``ParamPoint``, when the point (beta, alpha) on the
     distinguished class's parabola is not in U."""
-    beta = Fraction(beta)
+    beta = rational(beta)
     table, conds, upper = _static_conditions(spec, beta)
     if not all(c.passed for c in conds):
         return None

@@ -9,6 +9,11 @@ evaluates v * e^{xH} once in integers and normalizes each component once.
 of P^3, a plane, a line and a point), equivalently chi of every line-bundle
 twist is an integer; in components, v0, v1, v2 + v1/2 and v3 + v2 + v1/3
 are integers.
+
+``rational`` is the one coercion rule for a rational handed in: a
+``Fraction`` is kept as the same object, and anything else becomes
+``Fraction(x)`` once.  Every record and function of the library that
+coerces a single value uses it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,13 @@ from .errors import InputError, quote_token
 # a), so 500 keeps every output under Python's 4300-digit limit on
 # int-to-str conversion.
 DIGIT_BUDGET = 500
+
+
+def rational(x) -> Fraction:
+    """x as a Fraction: a Fraction is returned as the same object (it is
+    immutable, and ``Fraction(q)`` of one would pass the numbers.Rational
+    check only to build a copy); anything else is converted once."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def parse_rational(tok: str) -> Fraction:
@@ -56,8 +68,8 @@ class NumClass(Record):
     __slots__ = ("v0", "v1", "v2", "v3")
 
     def __init__(self, v0, v1, v2, v3):
-        # Fraction(q) of a Fraction q would pass the numbers.Rational check
-        # and build a copy; q is immutable, so it is kept as it is
+        # the rule of ``rational``, inline: the witness of every wall key is
+        # built here, so the call per component is saved
         self._set(v0 if type(v0) is Fraction else Fraction(v0),
                   v1 if type(v1) is Fraction else Fraction(v1),
                   v2 if type(v2) is Fraction else Fraction(v2),
@@ -78,7 +90,7 @@ class NumClass(Record):
         return NumClass(-self.v0, -self.v1, -self.v2, -self.v3)
 
     def __rmul__(self, scalar) -> "NumClass":
-        q = Fraction(scalar)
+        q = rational(scalar)
         return NumClass(q * self.v0, q * self.v1, q * self.v2, q * self.v3)
 
     def __str__(self) -> str:
@@ -124,7 +136,7 @@ def twist_components(v: NumClass, x: Fraction
 
 def tensor_line(v: NumClass, m: int) -> NumClass:
     """Multiply the character by e^{mH}, truncated at degree 3."""
-    return NumClass(*twist_components(v, Fraction(m)))
+    return NumClass(*twist_components(v, rational(m)))
 
 
 def class_of_line_bundle(d: int) -> NumClass:

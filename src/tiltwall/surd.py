@@ -10,6 +10,11 @@ d != e combine when d*e = s^2, since then sqrt(e) = (s/d)*sqrt(d); otherwise
 they are never equal (1, sqrt(d) and sqrt(e) are linearly independent over
 Q), their difference is not a Surd, and they are ordered exactly by
 comparing squares.
+
+The ends of ``mu12`` are built in closed form from one ``Surd.sqrt``:
+sqrt(disc) = s*sqrt(d)/q gives mu -+ (s/(q*|v0|))*sqrt(d), two surds of the
+square-free radicand d, or two rationals when the root is rational, with no
+surd arithmetic in between.
 """
 
 from __future__ import annotations
@@ -21,12 +26,15 @@ from typing import Optional, Union
 
 from ._record import Record
 from .errors import DomainError
+from .numclass import rational
 
 Rational = Union[int, Fraction]
 
 # Largest radicand p*q that Surd.sqrt factors for a rational p/q: the split
 # trial-divides up to the cube root, some 2.3 million odd divisors at 10^20.
 RADICAND_BUDGET = 10**20
+
+_ZERO = Fraction(0)
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -80,18 +88,26 @@ class Surd(Record):
         """a + b*sqrt(d) for an integer d >= 0; ``Surd.sqrt`` builds one
         with square-free d from any rational.  b = 0 or a perfect square
         d = r^2 gives the rational a + b*r."""
-        a = Fraction(a)
-        b = Fraction(b)
+        a = rational(a)
+        b = rational(b)
         r = isqrt(d)
         if b == 0 or r * r == d:
-            a, b, d = a + b * r, Fraction(0), 0
+            a, b, d = a + b * r, _ZERO, 0
         self._set(a, b, d)
+
+    @classmethod
+    def _normal(cls, a: Fraction, b: Fraction, d: int) -> "Surd":
+        """a + b*sqrt(d) already in normal form (b = d = 0, or b != 0 with
+        d > 1 square-free), built without coercion or check."""
+        self = cls.__new__(cls)
+        self._set(a, b, d)
+        return self
 
     @staticmethod
     def sqrt(x: Rational) -> "Surd":
         """Exact square root of a nonnegative rational p/q; DomainError when
         p*q exceeds RADICAND_BUDGET."""
-        x = Fraction(x)
+        x = rational(x)
         if x < 0:
             raise ValueError("square root of a negative rational")
         # sqrt(p/q) = sqrt(p*q)/q = s*sqrt(d)/q
@@ -100,7 +116,11 @@ class Surd(Record):
             raise DomainError("square root of a rational p/q with p*q over "
                               "the radicand budget of 10^20")
         s, d = _squarefree_split(n)
-        return Surd(0, Fraction(s, x.denominator), d)
+        root = Fraction(s, x.denominator)
+        # d is square-free, so the root is rational exactly when d is 0 or 1
+        if d > 1:
+            return Surd._normal(_ZERO, root, d)
+        return Surd._normal(root if d else _ZERO, _ZERO, 0)
 
     @property
     def is_rational(self) -> bool:
@@ -130,7 +150,7 @@ class Surd(Record):
     # arithmetic with rationals, and differences of surds (enough for this
     # library); the radicand d is kept as it is
     def __add__(self, other: Rational) -> "Surd":
-        return Surd(self.a + Fraction(other), self.b, self.d)
+        return Surd(self.a + rational(other), self.b, self.d)
 
     __radd__ = __add__
 
@@ -143,7 +163,7 @@ class Surd(Record):
         d*e = s^2; otherwise the two cannot combine and ValueError is
         raised."""
         if not isinstance(other, Surd):
-            return Surd(self.a - Fraction(other), self.b, self.d)
+            return Surd(self.a - rational(other), self.b, self.d)
         if self.b == 0 or other.b == 0 or self.d == other.d:
             d = self.d if self.b != 0 else other.d
             return Surd(self.a - other.a, self.b - other.b, d)
@@ -156,13 +176,13 @@ class Surd(Record):
         return -(self - other)
 
     def __mul__(self, other: Rational) -> "Surd":
-        q = Fraction(other)
+        q = rational(other)
         return Surd(self.a * q, self.b * q, self.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Rational) -> "Surd":
-        return self * (1 / Fraction(other))
+        return self * (1 / rational(other))
 
     def _cmp(self, other) -> Optional[int]:
         """Sign of self - other, for an int, a Fraction or a surd of any

@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 from ._record import Record
 from .errors import DomainError
-from .numclass import NumClass, twist_components
+from .numclass import NumClass, rational, twist_components
 from .surd import Surd
 
 
@@ -29,7 +29,7 @@ class ParamPoint(Record):
     __slots__ = ("beta", "alpha")
 
     def __init__(self, beta, alpha):
-        beta, alpha = Fraction(beta), Fraction(alpha)
+        beta, alpha = rational(beta), rational(alpha)
         if 2 * alpha - beta * beta <= 0:
             raise DomainError(f"({beta}, {alpha}) is not in U")
         self._set(beta, alpha)
@@ -50,7 +50,7 @@ class Slope(Record):
     __slots__ = ("value",)
 
     def __init__(self, value: Optional[Fraction]):
-        self._set(None if value is None else Fraction(value))
+        self._set(None if value is None else rational(value))
 
     INFINITY: "Slope"
 
@@ -94,12 +94,12 @@ class ChargeValue(Record):
     __slots__ = ("re", "im")
 
     def __init__(self, re, im):
-        self._set(Fraction(re), Fraction(im))
+        self._set(rational(re), rational(im))
 
 
 def twisted_v(v: NumClass, beta) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Twisted components (v0^b, v1^b, v2^b, v3^b): pairings of ch * e^{-beta H}."""
-    return twist_components(v, -Fraction(beta))
+    return twist_components(v, -rational(beta))
 
 
 def slope_mu(v: NumClass) -> Slope:
@@ -130,7 +130,7 @@ def central_charge_2(v: NumClass, p: ParamPoint) -> ChargeValue:
 
 def central_charge_3(v: NumClass, p: ParamPoint, a) -> ChargeValue:
     """Degree-three charge -v3^b + a v1^b + i (v2^b - (alpha - beta^2/2) v0^b)."""
-    a = Fraction(a)
+    a = rational(a)
     _, v1b, v2b, v3b = twisted_v(v, p.beta)
     return ChargeValue(-v3b + a * v1b, v2b - (p.alpha - p.beta * p.beta / 2) * v.v0)
 
@@ -198,9 +198,9 @@ def curve_CE(v: NumClass) -> CurveCE:
 
 
 def curve_endpoint(v: NumClass) -> Union[Fraction, Surd]:
-    """Boundary abscissa of the curve: mu1 of ``mu12``, (v1 -+ sqrt(disc))/v0,
-    or v2/v1 in rank zero; exact, a surd when the discriminant is not a
-    square."""
+    """Boundary abscissa of the curve: mu1 of ``mu12``, the closed form
+    mu - (s/(q*|v0|))*sqrt(d) for sqrt(disc) = s*sqrt(d)/q, or v2/v1 in
+    rank zero; exact, a surd when the discriminant is not a square."""
     c = curve_CE(v)
     if c.is_empty():
         raise DomainError("class has an empty curve")
@@ -213,32 +213,36 @@ def alpha_E_beta(v: NumClass, beta) -> Fraction:
     """alpha on the class's parabola at the given beta."""
     if v.v0 == 0:
         raise DomainError("alpha_E_beta needs nonzero rank")
-    b = Fraction(beta)
+    b = rational(beta)
     return b * b - v.v1 / v.v0 * b + v.v2 / v.v0
 
 
 def mu12(v: NumClass) -> tuple[Union[Fraction, Surd], Union[Fraction, Surd]]:
-    """(mu1, mu2) = mu -+ sqrt(disc)/v0, exact."""
-    if v.v0 == 0:
+    """(mu1, mu2) = (v1 -+ sqrt(disc))/v0 in increasing order, exact, in
+    closed form: with mu = v1/v0 and sqrt(disc) = s*sqrt(d)/q from one
+    ``Surd.sqrt``, the ends are mu -+ (s/(q*|v0|))*sqrt(d).  They are two
+    surds of the square-free radicand d, or two Fractions when the root is
+    rational; no surd arithmetic is done."""
+    v0 = v.v0
+    if v0 == 0:
         raise DomainError("mu12 needs nonzero rank")
     disc = discriminant(v)
     if disc < 0:
         raise DomainError("mu12 needs nonnegative discriminant")
-    mu = Fraction(v.v1, 1) / v.v0
-    root = Surd.sqrt(disc) / v.v0
-    lo, hi = mu - root, mu + root
-    if v.v0 < 0:
-        lo, hi = hi, lo
-    lo = lo.as_fraction() if lo.is_rational else lo
-    hi = hi.as_fraction() if hi.is_rational else hi
-    return lo, hi
+    mu = v.v1 / v0
+    root = Surd.sqrt(disc)
+    if root.is_rational:
+        c = root.a / abs(v0)
+        return mu - c, mu + c
+    c = root.b / abs(v0)
+    return Surd(mu, -c, root.d), Surd(mu, c, root.d)
 
 
 # --- parameter-plane transforms ----------------------------------------------
 
 def shift_transform(p: ParamPoint, n: int) -> ParamPoint:
     """(beta, alpha) -> (beta + n, alpha + n beta + n^2/2); preserves omega^2."""
-    n = Fraction(n)
+    n = rational(n)
     return ParamPoint(p.beta + n, p.alpha + n * p.beta + n * n / 2)
 
 
@@ -274,5 +278,4 @@ def reduce_to_fundamental(p: ParamPoint) -> ReduceResult:
 
 def min_positive_v1beta(beta) -> Fraction:
     """Minimum of {v1 - beta v0 > 0 | (v0, v1) integers} = 1/q for beta = p/q."""
-    b = Fraction(beta)
-    return Fraction(1, b.denominator)
+    return Fraction(1, rational(beta).denominator)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from ._record import Record
 from .errors import DomainError, InputError
-from .numclass import NumClass
+from .numclass import NumClass, rational
 from .tiltcalc import curve_CE, discriminant
 
 from . import _wallscan_py
@@ -52,7 +52,7 @@ class Wall(Record):
 
     @staticmethod
     def from_coefficients(A, B, C) -> "Wall":
-        A, B, C = Fraction(A), Fraction(B), Fraction(C)
+        A, B, C = rational(A), rational(B), rational(C)
         scale = math.lcm(A.denominator, B.denominator, C.denominator)
         return Wall(int(A * scale), int(B * scale), int(C * scale))
 
@@ -97,7 +97,7 @@ def common_slope(v: NumClass) -> Optional[Fraction]:
 
 def passes_through(wall: Wall, q: tuple) -> bool:
     """Exact incidence of the point q = (beta, alpha) on the wall."""
-    beta, alpha = Fraction(q[0]), Fraction(q[1])
+    beta, alpha = rational(q[0]), rational(q[1])
     return wall.A * alpha + wall.B * beta + wall.C == 0
 
 
@@ -108,8 +108,8 @@ class Region(Record):
     __slots__ = ("beta_min", "beta_max", "alpha_max")
 
     def __init__(self, beta_min, beta_max, alpha_max):
-        beta_min, beta_max = Fraction(beta_min), Fraction(beta_max)
-        alpha_max = Fraction(alpha_max)
+        beta_min, beta_max = rational(beta_min), rational(beta_max)
+        alpha_max = rational(alpha_max)
         if beta_min > beta_max:
             raise InputError("empty beta range")
         self._set(beta_min, beta_max, alpha_max)
@@ -223,7 +223,7 @@ def search_box(v: NumClass, disc_bound) -> dict:
     reproducibility.  The rank bound is a heuristic: twice the rank of v
     and twice sqrt of the discriminant budget, with a floor of 8;
     completeness relative to all numerical walls is not claimed."""
-    slack = Fraction(disc_bound)
+    slack = rational(disc_bound)
     budget = discriminant(v) + slack
     root = math.isqrt(math.ceil(budget)) + 1 if budget > 0 else 0
     bound = max(2 * math.ceil(abs(v.v0)) + 2, 2 * root + 2, 8)
@@ -280,7 +280,7 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     are taken in scan order, and the first feasible one fills the witness
     slot, after which its wall's later candidates are skipped.
     """
-    disc_bound = Fraction(disc_bound)
+    disc_bound = rational(disc_bound)
     if disc_bound < 0:
         raise InputError("disc_bound must be nonnegative")
     if discriminant(v) < 0:

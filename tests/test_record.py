@@ -20,6 +20,7 @@ from tiltwall import (ChargeValue, CheckReport, CollectionSpec, CurveCE,
                       Slope, Surd, Wall)
 from tiltwall._record import Record
 from tiltwall.heartgate import Condition
+from tiltwall.numclass import rational
 from tiltwall.tiltcalc import ReduceResult
 
 Q = Fraction
@@ -155,3 +156,32 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# each record field that takes one rational handed in, read back
+RATIONAL_FIELDS = {
+    "ParamPoint.beta": lambda x: ParamPoint(x, 2).beta,
+    "ParamPoint.alpha": lambda x: ParamPoint(0, x).alpha,
+    "ChargeValue.re": lambda x: ChargeValue(x, 0).re,
+    "ChargeValue.im": lambda x: ChargeValue(0, x).im,
+    "Slope.value": lambda x: Slope(x).value,
+    "Surd.a": lambda x: Surd(x, 1, 2).a,
+    "Surd.b": lambda x: Surd(0, x, 2).b,
+    "NumClass.v0": lambda x: NumClass(x, 0, 0, 0).v0,
+    "Region.beta_min": lambda x: Region(x, 1, 1).beta_min,
+}
+
+
+@pytest.mark.parametrize("field", RATIONAL_FIELDS)
+def test_a_fraction_handed_in_is_kept_as_the_same_object(field):
+    q = Q(1, 2)
+    assert rational(q) is q
+    assert RATIONAL_FIELDS[field](q) is q
+
+
+@pytest.mark.parametrize("field", RATIONAL_FIELDS)
+@pytest.mark.parametrize("x", [1, True, "1/2", "3/4"])
+def test_other_rational_inputs_are_converted_once(field, x):
+    value = RATIONAL_FIELDS[field](x)
+    assert type(value) is Fraction and value == Fraction(x)
+    assert type(rational(x)) is Fraction and rational(x) == Fraction(x)

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from tiltwall import DomainError, NumClass, mu12
+from tiltwall import (DomainError, NumClass, class_of_line_bundle,
+                      class_of_named, discriminant, mu12)
 from tiltwall import surd
 from tiltwall.surd import Surd, _squarefree_split
+
+from conftest import lattice_class
 
 nonneg = st.fractions(min_value=0, max_value=1000, max_denominator=60)
 rats = st.fractions(min_value=-30, max_value=30, max_denominator=60)
@@ -180,6 +183,76 @@ def test_mu12_factors_the_radicand_once(monkeypatch):
         mu1, mu2 = mu12(NumClass(2, 0, Fraction(-disc, 4), 0))
         assert calls == [disc]
         assert (mu1.b, mu2.b) == (-mu2.b, mu2.b) and mu2.b > 0
+
+
+# v0 != 0 and disc >= 0, both signs of v0, radicands up to about 10^5
+mu12_classes = st.tuples(*[st.integers(-60, 60)] * 4).map(lattice_class).filter(
+    lambda v: v.v0 != 0 and discriminant(v) >= 0)
+
+T_MINUS_2 = class_of_named("T(-2)")
+SQRT7_CLASS = NumClass.parse("2,-1,-3/2,1/6")
+NEGATIVE_RANK_CLASS = NumClass.parse("-1195,-8954,-9502,-17773/3")
+
+
+@settings(deadline=None)
+@given(mu12_classes)
+@example(T_MINUS_2)
+@example(SQRT7_CLASS)
+@example(class_of_line_bundle(1))
+@example(NEGATIVE_RANK_CLASS)
+def test_mu12_matches_sympy(v):
+    # the ends are sympy's (v1 -+ sqrt(disc))/v0 in increasing order; they
+    # are Fractions exactly when disc is a rational square
+    v0, v1 = sympy.Rational(v.v0), sympy.Rational(v.v1)
+    root = sympy.sqrt(sympy.Rational(discriminant(v)))
+    want = sorted([(v1 - root) / v0, (v1 + root) / v0])
+    ends = mu12(v)
+    kind = Fraction if root.is_rational else Surd
+    for end, w in zip(ends, want):
+        assert type(end) is kind
+        assert sympy.simplify(exact(end) - w) == 0
+
+
+def test_mu12_examples():
+    assert mu12(T_MINUS_2) == (Fraction(-4, 3), 0)
+    lo, hi = mu12(SQRT7_CLASS)  # -1/2 -+ sqrt(7)/2
+    assert (lo.a, lo.b, lo.d) == (Fraction(-1, 2), Fraction(-1, 2), 7)
+    assert (hi.a, hi.b, hi.d) == (Fraction(-1, 2), Fraction(1, 2), 7)
+    lo, hi = mu12(class_of_line_bundle(1))  # disc 0: one double end
+    assert type(lo) is type(hi) is Fraction and lo == hi == 1
+    # v0 < 0: disc = 57,464,336 = 4^2 * 3,591,521
+    v = NEGATIVE_RANK_CLASS
+    assert discriminant(v) == 57464336
+    lo, hi = mu12(v)
+    c = Fraction(4, 1195)
+    assert (lo.a, lo.b, lo.d) == (Fraction(8954, 1195), -c, 3591521)
+    assert (hi.a, hi.b, hi.d) == (Fraction(8954, 1195), c, 3591521)
+
+
+@pytest.mark.parametrize("v", [T_MINUS_2, SQRT7_CLASS, class_of_line_bundle(1),
+                               NEGATIVE_RANK_CLASS, NumClass(-2, 1, 3, 0)],
+                         ids=["T(-2)", "sqrt7", "O(1)", "negative-rank",
+                              "negative-rank-sqrt"])
+def test_mu12_takes_one_root_and_builds_at_most_two_surds(monkeypatch, v):
+    # the closed form: one Surd.sqrt, then the two ends built directly;
+    # generic surd arithmetic (division, then a sum and a difference)
+    # builds several more surds per end
+    calls = []
+    sqrt, init = Surd.sqrt, Surd.__init__
+
+    def counting_sqrt(x):
+        calls.append("sqrt")
+        return sqrt(x)
+
+    def counting_init(self, *args):
+        calls.append("init")
+        init(self, *args)
+
+    monkeypatch.setattr(Surd, "sqrt", staticmethod(counting_sqrt))
+    monkeypatch.setattr(Surd, "__init__", counting_init)
+    mu12(v)
+    assert calls.count("sqrt") == 1
+    assert calls.count("init") <= 2
 
 
 def test_radicand_budget():
