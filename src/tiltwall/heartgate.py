@@ -4,10 +4,12 @@ heart, the four-part condition system for a collection with distinguished
 last member, and the admissible interval of the extra charge parameter.
 
 A collection carries the constants that every check reads, computed once
-when it is built: the members' slopes mu(F0..F3) and mu1(E) of the
-distinguished class E.  The condition system and the interval read these
-and one table per beta, which twists each member F once into
-(v1^b(F), v3^b(F), Im Z(F)) with
+when it is built: the members' slopes mu(F0..F3), and mu1(E) and
+disc(E)/v0(E)^2 of the distinguished class E.  On E's parabola
+omega^2 = (beta - mu(E))^2 - disc(E)/v0(E)^2, so a check takes omega^2
+from these without building a point.  The condition system and the
+interval read these and one table per beta, which twists each member F
+once into (v1^b(F), v3^b(F), Im Z(F)) with
 Im Z(F) = v2^b(F) - (alpha - beta^2/2)*v0(F) = v1^b(F)*(nu(F) - beta); the
 simples S_j = (-1)^j F_{3-j} read the members' rows times (-1)^j.  Every
 verdict carries an exact residual and its strictness.  Condition (4) is
@@ -28,8 +30,8 @@ from .euler import chi_pair_p3
 from .numclass import (NumClass, class_of_named, is_integral_class,
                        parse_rational, rational, shift)
 from .surd import Surd
-from .tiltcalc import (ChargeValue, ParamPoint, alpha_E_beta, mu12,
-                       slope_mu, twisted_v)
+from .tiltcalc import (ChargeValue, ParamPoint, alpha_E_beta, discriminant,
+                       mu12, slope_mu, twisted_v)
 
 Exact = Union[Fraction, Surd]
 
@@ -44,9 +46,10 @@ _BUILTINS = {
 class CollectionSpec(Record):
     """Four numerical classes forming an exceptional-collection datum, with
     the last one distinguished, and the derived slopes ``_mu`` of the
-    members and ``_mu1_E`` of the distinguished class."""
+    members, ``_mu1_E`` of the distinguished class E and ``_disc_v0sq_E``,
+    disc(E)/v0(E)^2."""
 
-    __slots__ = ("names", "classes", "builtin", "_mu", "_mu1_E")
+    __slots__ = ("names", "classes", "builtin", "_mu", "_mu1_E", "_disc_v0sq_E")
 
     def __init__(self, names: tuple[str, str, str, str],
                  classes: tuple[NumClass, NumClass, NumClass, NumClass],
@@ -64,8 +67,9 @@ class CollectionSpec(Record):
         # chi(E, E) = v0(E)^2 - 2 disc(E) = 1 with v0(E) != 0, so
         # disc(E) = (v0(E)^2 - 1)/2 >= 0 and mu12(E) exists; a radicand
         # over the budget raises DomainError here
+        E = classes[3]
         self._set(names, classes, builtin, tuple(m.value for m in mus),
-                  mu12(classes[3])[0])
+                  mu12(E)[0], discriminant(E) / (E.v0 * E.v0))
 
     @property
     def distinguished(self) -> NumClass:
@@ -222,10 +226,18 @@ def thm_region_check(beta, alpha) -> CheckReport:
 def _static_conditions(spec: CollectionSpec, beta: Fraction) -> tuple[list, list, Fraction]:
     """The member table, conditions (1)-(3) (those free of the charge
     parameter a) and t = v3^b(E)/v1^b(E), at the point of the distinguished
-    class's parabola over beta.  Raises DomainError, from ``ParamPoint``,
-    when the point is not in U."""
-    E = spec.distinguished
-    half_w2 = ParamPoint(beta, alpha_E_beta(E, beta)).omega_sq / 2
+    class's parabola over beta.
+
+    omega^2 there is (beta - mu(E))^2 - disc(E)/v0(E)^2, read from the
+    collection's constants.  When it is not positive the point is not in U,
+    and the DomainError comes from building that point as
+    ``ParamPoint(beta, alpha_E_beta(E, beta))``, so its message names the
+    point; an in-U beta builds no point."""
+    dmu = beta - spec._mu[3]
+    w2 = dmu * dmu - spec._disc_v0sq_E
+    if w2 <= 0:
+        ParamPoint(beta, alpha_E_beta(spec.distinguished, beta))  # raises
+    half_w2 = w2 / 2
     table = [(v1b, v3b, v2b - half_w2 * v0)
              for v0, v1b, v2b, v3b in (twisted_v(F, beta) for F in spec.classes)]
     # nu(F) - beta of F0, F1, F2; None (nu infinite) when v1^b(F) = 0

@@ -44,19 +44,33 @@ def rational(x) -> Fraction:
 def parse_rational(tok: str) -> Fraction:
     """Exact rational from a literal such as "3", "-3/4" or "1.5e-3".
 
-    The digit count is made on the text, so a literal over DIGIT_BUDGET
-    raises InputError before any integer is built."""
-    mantissa, _, exponent = tok.lower().partition("e")
-    size = sum(map(str.isdecimal, mantissa))
-    if exponent:
-        try:
-            size += abs(int(exponent))
-        except ValueError:  # malformed, or too long for int(): count its length
-            size += len(exponent)
+    A plain literal, an optional sign and ASCII digits with an optional
+    "/" and ASCII digits, is read directly as Fraction(int(num), int(den)).
+    Every other form (whitespace, underscores, non-ASCII digits, decimals,
+    exponents) goes through ``Fraction(str)``, so it follows the running
+    Python's grammar: Python 3.10 accepts no underscores.  The digit count
+    is made on the text, so a literal over DIGIT_BUDGET raises InputError
+    before any integer is built."""
+    num, slash, den = tok.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    # isascii: str.isdigit also accepts "²" and other non-ASCII digits
+    plain = tok.isascii() and digits.isdigit() and (den.isdigit() or not slash)
+    if plain:
+        size = len(digits) + len(den)
+    else:
+        mantissa, _, exponent = tok.lower().partition("e")
+        size = sum(map(str.isdecimal, mantissa))
+        if exponent:
+            try:
+                size += abs(int(exponent))
+            except ValueError:  # malformed, or too long for int(): count its length
+                size += len(exponent)
     if size > DIGIT_BUDGET:
         raise InputError(f"rational literal over the budget of {DIGIT_BUDGET} "
                          "digits (mantissa digits plus |exponent|)")
     try:
+        if plain:
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(tok.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational literal {quote_token(tok)}") from exc

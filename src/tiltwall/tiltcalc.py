@@ -24,20 +24,22 @@ class ParamPoint(Record):
 
     Every ParamPoint is in U: the constructor raises DomainError when
     omega^2 = 2*alpha - beta^2 <= 0, so no function taking one checks
-    again."""
+    again.  The omega^2 that check computes is kept in the derived slot
+    ``_omega_sq``, so a point derives it once."""
 
-    __slots__ = ("beta", "alpha")
+    __slots__ = ("beta", "alpha", "_omega_sq")
 
     def __init__(self, beta, alpha):
         beta, alpha = rational(beta), rational(alpha)
-        if 2 * alpha - beta * beta <= 0:
+        omega_sq = 2 * alpha - beta * beta
+        if omega_sq <= 0:
             raise DomainError(f"({beta}, {alpha}) is not in U")
-        self._set(beta, alpha)
+        self._set(beta, alpha, omega_sq)
 
     @property
     def omega_sq(self) -> Fraction:
-        """2*alpha - beta^2, positive."""
-        return 2 * self.alpha - self.beta * self.beta
+        """2*alpha - beta^2, positive, computed once by the constructor."""
+        return self._omega_sq
 
 
 @total_ordering
@@ -129,10 +131,11 @@ def central_charge_2(v: NumClass, p: ParamPoint) -> ChargeValue:
 
 
 def central_charge_3(v: NumClass, p: ParamPoint, a) -> ChargeValue:
-    """Degree-three charge -v3^b + a v1^b + i (v2^b - (alpha - beta^2/2) v0^b)."""
+    """Degree-three charge -v3^b + a v1^b + i (v2^b - (alpha - beta^2/2) v0^b),
+    with alpha - beta^2/2 read as the point's omega^2/2."""
     a = rational(a)
     _, v1b, v2b, v3b = twisted_v(v, p.beta)
-    return ChargeValue(-v3b + a * v1b, v2b - (p.alpha - p.beta * p.beta / 2) * v.v0)
+    return ChargeValue(-v3b + a * v1b, v2b - p.omega_sq / 2 * v.v0)
 
 
 def bg_margin(v: NumClass, p: ParamPoint) -> Fraction:

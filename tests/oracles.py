@@ -9,8 +9,9 @@ from tiltwall import (ChargeValue, CheckReport, CollectionSpec, NumClass,
                       ParamPoint, Region, Wall, alpha_E_beta, central_charge_3,
                       chi_p3, chi_pair_p3, mu12, simples_classes, slope_mu,
                       tensor_line, tilt_slope_nu, twisted_v)
+from tiltwall.errors import InputError, quote_token
 from tiltwall.heartgate import Condition
-from tiltwall.numclass import dual
+from tiltwall.numclass import DIGIT_BUDGET, dual
 from tiltwall.walls import _clip, _region_ends, _wall_window
 
 Q = Fraction
@@ -27,6 +28,27 @@ def wall_between_fraction(v: NumClass, w: NumClass) -> Optional[Wall]:
     if A == 0 and B == 0 and C == 0:
         return None
     return Wall.from_coefficients(A, B, C)
+
+
+def parse_rational_by_fraction(tok: str) -> Fraction:
+    """Every literal through ``Fraction(str)``: the digit budget counted on
+    the text (mantissa digits plus |exponent|), then the string parsed by
+    the running Python's own grammar, and a ValueError or
+    ZeroDivisionError reported as a bad literal."""
+    mantissa, _, exponent = tok.lower().partition("e")
+    size = sum(map(str.isdecimal, mantissa))
+    if exponent:
+        try:
+            size += abs(int(exponent))
+        except ValueError:
+            size += len(exponent)
+    if size > DIGIT_BUDGET:
+        raise InputError(f"rational literal over the budget of {DIGIT_BUDGET} "
+                         "digits (mantissa digits plus |exponent|)")
+    try:
+        return Fraction(tok.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational literal {quote_token(tok)}") from exc
 
 
 def tensor_line_rat(v: NumClass, m: Fraction) -> NumClass:

@@ -9,12 +9,14 @@ import hypothesis.strategies as st
 
 from tiltwall import (ChargeValue, CollectionSpec, NumClass, ParamPoint, Surd,
                       admissible_a_interval, alpha_E_beta, central_charge_3,
-                      class_of_named, cone_check, general_condition_check,
+                      class_of_named, cone_check, discriminant,
+                      general_condition_check,
                       mu12, simples_classes, slope_mu, strictly_left,
                       tensor_line, thm_region_check, twisted_v)
 from tiltwall import heartgate, tiltcalc
 from tiltwall.errors import DomainError, InputError
 
+from conftest import integral_classes
 from oracles import (condition_check_by_charges, interval_by_charges,
                      simplecase_z_oracle)
 
@@ -424,9 +426,90 @@ def test_copied_collection_gives_the_same_verdicts():
         for round_trip in (copy.copy, copy.deepcopy,
                            lambda s: pickle.loads(pickle.dumps(s))):
             copied = round_trip(spec)
-            assert (copied._mu, copied._mu1_E) == (spec._mu, spec._mu1_E)
+            assert ((copied._mu, copied._mu1_E, copied._disc_v0sq_E)
+                    == (spec._mu, spec._mu1_E, spec._disc_v0sq_E))
             assert general_condition_check(copied, beta, Q(1, 32)) == report
             assert admissible_a_interval(copied, beta) == iv
+
+
+# beta on a 1/12 grid over [-5, 5]
+BETA_GRID = [Q(k, 12) for k in range(-60, 61)]
+
+
+def _parabola_omega_sq(E: NumClass, beta: Fraction) -> Fraction:
+    """omega^2 = 2*alpha - beta^2 at alpha on E's parabola over beta."""
+    return 2 * alpha_E_beta(E, beta) - beta * beta
+
+
+def test_parabola_omega_sq_closed_form_on_collections():
+    # (beta - mu(E))^2 - disc(E)/v0(E)^2, from the collection's constants
+    for spec in _builtins_and_twists():
+        E = spec.distinguished
+        assert spec._disc_v0sq_E == discriminant(E) / (E.v0 * E.v0)
+        for beta in BETA_GRID:
+            w2 = (beta - spec._mu[3]) ** 2 - spec._disc_v0sq_E
+            assert w2 == _parabola_omega_sq(E, beta)
+            if w2 > 0:
+                assert ParamPoint(beta, alpha_E_beta(E, beta)).omega_sq == w2
+
+
+@given(integral_classes.filter(lambda v: v.v0 != 0))
+def test_parabola_omega_sq_closed_form_on_integral_classes(E):
+    mu, disc_v0sq = E.v1 / E.v0, discriminant(E) / (E.v0 * E.v0)
+    for beta in BETA_GRID:
+        w2 = (beta - mu) ** 2 - disc_v0sq
+        assert w2 == _parabola_omega_sq(E, beta)
+        if w2 > 0:
+            assert ParamPoint(beta, alpha_E_beta(E, beta)).omega_sq == w2
+
+
+def _off_U_betas(spec: CollectionSpec) -> list[Fraction]:
+    """mu(E), where omega^2 = -disc(E)/v0(E)^2, and the grid points off U."""
+    E = spec.distinguished
+    return [spec._mu[3]] + [b for b in BETA_GRID if _parabola_omega_sq(E, b) <= 0]
+
+
+def test_off_U_message_names_the_parabola_point():
+    for spec in _builtins_and_twists():
+        for beta in _off_U_betas(spec):
+            alpha = alpha_E_beta(spec.distinguished, beta)
+            message = f"({beta}, {alpha}) is not in U"
+            for call in (lambda: general_condition_check(spec, beta, Q(1, 32)),
+                         lambda: admissible_a_interval(spec, beta)):
+                with pytest.raises(DomainError) as exc:
+                    call()
+                assert str(exc.value) == message
+
+
+def test_in_U_calls_build_no_point(monkeypatch):
+    # omega^2 comes from the collection's constants; only an off-U beta
+    # builds the point, for its DomainError
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(heartgate, "ParamPoint",
+                        counting("ParamPoint", tiltcalc.ParamPoint))
+    monkeypatch.setattr(heartgate, "alpha_E_beta",
+                        counting("alpha_E_beta", tiltcalc.alpha_E_beta))
+    for spec in _builtins_and_twists():
+        off_U = _off_U_betas(spec)
+        for beta in BETA_GRID[::6] + off_U:
+            for call in (lambda: general_condition_check(spec, beta, Q(1, 32)),
+                         lambda: admissible_a_interval(spec, beta)):
+                calls.clear()
+                try:
+                    call()
+                except DomainError:
+                    assert beta in off_U
+                    assert calls == ["alpha_E_beta", "ParamPoint"]
+                else:
+                    assert beta not in off_U
+                    assert calls == []
 
 
 def test_mu1_over_the_radicand_budget_rejects_the_collection():

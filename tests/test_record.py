@@ -149,6 +149,21 @@ def test_pinned_reprs():
         "log=('shift:-2', 'dual'))")
 
 
+def test_param_point_keeps_omega_sq():
+    # omega^2 is derived once, by the U check, and read back as that object;
+    # the fields alone make the repr, equality, hash and the round trips
+    p = ParamPoint(Q(-1, 4), Q(1, 8))
+    assert p.omega_sq is p.omega_sq and p.omega_sq == Q(3, 16)
+    assert p.__match_args__ == ("beta", "alpha")
+    assert repr(p) == "ParamPoint(beta=Fraction(-1, 4), alpha=Fraction(1, 8))"
+    assert hash(p) == hash((p.beta, p.alpha))
+    for round_trip in ROUND_TRIPS:
+        copied = round_trip(p)
+        assert copied == p and copied.omega_sq == Q(3, 16)
+    with pytest.raises(AttributeError):
+        p._omega_sq = Q(1)
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     code = ("import sys, tiltwall.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
