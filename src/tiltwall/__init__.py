@@ -13,9 +13,8 @@ from .surd import Surd
 from .tiltcalc import (ChargeValue, CurveCE, ParamPoint, Slope, alpha_E_beta,
                        bg_margin, central_charge_2, central_charge_3,
                        curve_CE, curve_endpoint, discriminant, dual_transform,
-                       min_positive_v1beta, mu12, quadratic_form_Q,
-                       reduce_to_fundamental, shift_transform, slope_mu,
-                       tilt_slope_nu, twisted_v)
+                       mu12, quadratic_form_Q, reduce_to_fundamental,
+                       shift_transform, slope_mu, tilt_slope_nu, twisted_v)
 from .walls import (Region, Wall, common_slope, enumerate_candidate_walls,
                     passes_through, pi_point, plot_scene, scene_svg,
                     wall_between)

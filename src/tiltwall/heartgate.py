@@ -313,16 +313,14 @@ def admissible_a_interval(spec: CollectionSpec, beta) -> Optional[tuple[Fraction
     table, conds, upper = _static_conditions(spec, beta)
     if not all(c.passed for c in conds):
         return None
-    lower: Optional[Fraction] = None
-    for v1b, v3b, im in _simple_rows(table):
-        # Re Z_a(s) = a*v1^b(s) - v3^b(s) < 0 bounds a by v3^b(s)/v1^b(s):
-        # from below when v1^b(s) < 0, and from above when v1^b(s) > 0,
-        # where (3) puts it at or above the gate's, so it never binds.
-        if v1b < 0:
-            bound = v3b / v1b
-            lower = bound if lower is None else max(lower, bound)
-        elif v1b == 0 and not strictly_left(-v3b, im):
-            return None
-    if lower is None or lower >= upper:
+    # Re Z_a(s) = a*v1^b(s) - v3^b(s) < 0 bounds a by v3^b(s)/v1^b(s): from
+    # below when v1^b(s) < 0, and from above when v1^b(s) > 0, where (3)
+    # puts it at or above the gate's, so it never binds.  A simple with
+    # v1^b(s) = 0 is strictly left for every a: s is not E, whose v1^b = 0
+    # is off U and has raised, so s = -F2, F1 or -F0, and (3) with
+    # v1^b(F) = 0 reads v3^b(F) < 0 for F0, F2 and > 0 for F1, that is
+    # v3^b(s) > 0 and Re Z_a(s) = -v3^b(s) < 0.
+    bounds = [v3b / v1b for v1b, v3b, _ in _simple_rows(table) if v1b < 0]
+    if not bounds or (lower := max(bounds)) >= upper:
         return None
     return lower, upper

@@ -126,11 +126,6 @@ class Surd(Record):
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def sign(self) -> int:
         a, b = self.a, self.b
         if b == 0:
@@ -141,10 +136,10 @@ class Surd(Record):
             return 1
         if a < 0 and b < 0:
             return -1
-        # mixed signs: compare a^2 with b^2 d
+        # mixed signs: compare a^2 with b^2 d, never equal: with b != 0, d is
+        # no perfect square (the constructor collapses squares, and _normal
+        # gets square-free d > 1), so (a/b)^2 = d has no rational solution
         t = a * a - b * b * self.d
-        if t == 0:
-            return 0
         return (1 if t > 0 else -1) * (1 if a > 0 else -1)
 
     # arithmetic with rationals, and differences of surds (enough for this

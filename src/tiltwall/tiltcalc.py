@@ -277,8 +277,3 @@ def reduce_to_fundamental(p: ParamPoint) -> ReduceResult:
         q = dual_transform(q)
         log.append("dual")
     return ReduceResult(q, tuple(log))
-
-
-def min_positive_v1beta(beta) -> Fraction:
-    """Minimum of {v1 - beta v0 > 0 | (v0, v1) integers} = 1/q for beta = p/q."""
-    return Fraction(1, rational(beta).denominator)

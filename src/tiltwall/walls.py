@@ -50,18 +50,6 @@ class Wall(Record):
             g = -g
         self._set(A // g, B // g, C // g)
 
-    @staticmethod
-    def from_coefficients(A, B, C) -> "Wall":
-        A, B, C = rational(A), rational(B), rational(C)
-        scale = math.lcm(A.denominator, B.denominator, C.denominator)
-        return Wall(int(A * scale), int(B * scale), int(C * scale))
-
-    def slope(self) -> Optional[Fraction]:
-        """d alpha / d beta, None for a vertical wall (A = 0)."""
-        if self.A == 0:
-            return None
-        return Fraction(-self.B, self.A)
-
     def __str__(self) -> str:
         return f"{self.A}*alpha + {self.B}*beta + {self.C} = 0"
 
@@ -353,12 +341,18 @@ _TOO_LARGE = "scene too large to draw: a value is beyond the float range"
 
 def plot_frame(beta_min, beta_max, alpha_max) -> tuple[float, float, float, float]:
     """The float frame (bmin, bmax, amin, amax) in which ``scene_svg`` draws
-    a region, alpha from 0 or from 1 below a cap that is not positive;
-    InputError when a side of it is beyond the float range."""
+    a region, alpha from 0 or from 1 below a cap that is not positive, and a
+    side of width 0 widened to 1; InputError when a side is beyond the float
+    range or still of width 0, as past 2^53, where adding 1 can leave a
+    float as it is."""
     try:
         bmin, bmax, amax = (float(Fraction(x)) for x in (beta_min, beta_max, alpha_max))
         amin = 0.0 if amax > 0 else amax - 1.0
-        if math.isfinite(bmax - bmin) and math.isfinite(amax - amin):
+        if bmax == bmin:
+            bmax = bmin + 1.0
+        if amax == amin:
+            amax = amin + 1.0
+        if all(w != 0 and math.isfinite(w) for w in (bmax - bmin, amax - amin)):
             return bmin, bmax, amin, amax
     except OverflowError:
         pass
@@ -380,10 +374,6 @@ def _svg_text(scene: dict, precision: int) -> str:
     width, height = 480, 360
     bmin, bmax, amin, amax = plot_frame(
         *(scene["region"][k] for k in ("beta_min", "beta_max", "alpha_max")))
-    if bmax == bmin:
-        bmax = bmin + 1.0
-    if amax == amin:
-        amax = amin + 1.0
     pad = 20.0
 
     def fmt(x: float) -> str:

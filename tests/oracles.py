@@ -3,6 +3,7 @@ against.  They are not part of the library: each one computes a result the
 library computes by a different route."""
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from tiltwall import (ChargeValue, CheckReport, CollectionSpec, NumClass,
@@ -27,7 +28,15 @@ def wall_between_fraction(v: NumClass, w: NumClass) -> Optional[Wall]:
     C = v.v2 * w.v1 - w.v2 * v.v1
     if A == 0 and B == 0 and C == 0:
         return None
-    return Wall.from_coefficients(A, B, C)
+    return wall_from_coefficients(A, B, C)
+
+
+def wall_from_coefficients(A, B, C) -> Wall:
+    """The wall A*alpha + B*beta + C = 0 of rational coefficients, made
+    integral by the lcm of their denominators."""
+    A, B, C = Fraction(A), Fraction(B), Fraction(C)
+    scale = lcm(A.denominator, B.denominator, C.denominator)
+    return Wall(int(A * scale), int(B * scale), int(C * scale))
 
 
 def parse_rational_by_fraction(tok: str) -> Fraction:

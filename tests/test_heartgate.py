@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import pickle
 from fractions import Fraction
@@ -14,6 +15,7 @@ from tiltwall import (ChargeValue, CollectionSpec, NumClass, ParamPoint, Surd,
                       mu12, simples_classes, slope_mu, strictly_left,
                       tensor_line, thm_region_check, twisted_v)
 from tiltwall import heartgate, tiltcalc
+from tiltwall.cli import run as cli_run
 from tiltwall.errors import DomainError, InputError
 
 from conftest import integral_classes
@@ -590,3 +592,54 @@ def test_custom_collection_validation():
         CollectionSpec.from_json_dict(bad)
     with pytest.raises(InputError):
         CollectionSpec.from_json_dict({"names": ["x"], "classes": []})
+
+
+# beilinson4 with O and O(1) shifted: (O(-1), T(-2), O[1], O(1)[1])
+SHIFTED_BEILINSON = {"names": ["O(-1)", "T(-2)", "O[1]", "O(1)[1]"],
+                     "classes": [["1", "-1", "1/2", "-1/6"],
+                                 ["3", "-2", "0", "2/3"],
+                                 ["-1", "0", "0", "0"],
+                                 ["-1", "-1", "-1/2", "-1/6"]]}
+
+
+def test_interval_is_empty_where_the_lower_end_meets_the_gate(tmp_path, capsys):
+    spec = CollectionSpec.from_json_dict(SHIFTED_BEILINSON)
+    for beta, gate in ((Q(1, 48), Q(2209, 13824)), (Q(1, 8), Q(49, 384))):
+        table, conds, upper = heartgate._static_conditions(spec, beta)
+        assert all(c.passed for c in conds) and upper == gate
+        lower = max(v3b / v1b for v1b, v3b, _ in heartgate._simple_rows(table)
+                    if v1b < 0)
+        assert lower == upper
+        assert admissible_a_interval(spec, beta) is None
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(SHIFTED_BEILINSON))
+    assert cli_run(["interval", f"@{path}", "--beta", "1/48"]) == 1
+    assert capsys.readouterr().out == "no admissible interval\n"
+
+
+def _member_sign_patterns():
+    """Each built-in with each of the 16 sign patterns of its members."""
+    for spec in (BEILINSON, OMEGA, LINES):
+        for signs in itertools.product((1, -1), repeat=4):
+            yield spec, CollectionSpec(
+                spec.names, tuple(s * c for s, c in zip(signs, spec.classes)))
+
+
+def test_simples_with_zero_twisted_degree_are_strictly_left():
+    # where (1)-(3) pass, a simple with v1^b(s) = 0 has Re Z_a(s) < 0 for
+    # every a, so it cannot empty the interval
+    grid = [Q(k, 48) for k in range(-200, 201)]
+    seen = set()
+    for builtin, spec in _member_sign_patterns():
+        for beta in grid + list(spec._mu):
+            try:
+                table, conds, _ = heartgate._static_conditions(spec, beta)
+            except DomainError:  # off U
+                continue
+            if not all(c.passed for c in conds):
+                continue
+            for v1b, v3b, im in heartgate._simple_rows(table):
+                if v1b == 0:
+                    assert strictly_left(-v3b, im)
+                    seen.add((builtin.builtin, beta, (v1b, v3b, im)))
+    assert ("omega", Q(-1, 3), (0, Q(10, 27), Q(5, 6))) in seen

@@ -18,9 +18,9 @@ rats = st.fractions(min_value=-30, max_value=30, max_denominator=60)
 
 
 def test_sqrt_of_square_is_rational():
-    assert Surd.sqrt(Fraction(9, 4)).as_fraction() == Fraction(3, 2)
-    assert Surd.sqrt(0).as_fraction() == 0
-    assert Surd.sqrt(Fraction(49)).as_fraction() == 7
+    for x, root in ((Fraction(9, 4), Fraction(3, 2)), (0, 0), (Fraction(49), 7)):
+        s = Surd.sqrt(x)
+        assert s.is_rational and s.a == root
 
 
 def test_sqrt_normalizes_radicand():
@@ -367,3 +367,18 @@ def test_squarefree_split_large_radicands():
     assert _squarefree_split(12 * p * p) == (2 * p, 3)
     s = Surd.sqrt(Fraction(12 * p * p, 5))
     assert (s.b, s.d) == (Fraction(2 * p, 5), 15)
+
+
+def test_str_of_a_rational_and_of_a_pure_surd():
+    assert str(Surd(3)) == "3"
+    assert str(Surd(0, 2, 3)) == "2*sqrt(3)"
+
+
+@given(rats, rats, st.integers(min_value=0, max_value=200))
+def test_irrational_sign_is_never_zero(a, b, d):
+    # b != 0 keeps d no perfect square, so a + b*sqrt(d) = 0 has no solution
+    s = Surd(a, b, d)
+    if s.is_rational:
+        return
+    assert s.sign() == (1 if sympy.Rational(a) + sympy.Rational(b) * sympy.sqrt(d) > 0
+                        else -1)

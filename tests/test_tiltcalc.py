@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 from tiltwall import (NumClass, ParamPoint, Slope, alpha_E_beta, bg_margin,
                       central_charge_2, central_charge_3, class_of_line_bundle,
                       class_of_named, curve_CE, curve_endpoint, discriminant,
-                      dual_shifted, dual_transform, min_positive_v1beta, mu12,
+                      dual_shifted, dual_transform, mu12,
                       quadratic_form_Q, reduce_to_fundamental, shift,
                       shift_transform, slope_mu, tensor_line, tilt_slope_nu,
                       twisted_v)
@@ -218,10 +218,8 @@ def test_reduce_lands_in_fundamental_strip(p):
 
 
 def test_min_positive_examples():
-    assert min_positive_v1beta(Q(-1, 2)) == Q(1, 2)
-    assert min_positive_v1beta(0) == 1
-    assert min_positive_v1beta(Q(-2, 3)) == Q(1, 3)
-    # the beta = -1/2 minimum is attained by Omega(1)
+    # the minimum of v1 - beta*v0 > 0 over integers is 1/q for beta = p/q,
+    # and at beta = -1/2 Omega(1) attains it
     om = class_of_named("Omega(1)")
     assert twisted_v(om, Q(-1, 2))[1] == Q(1, 2)
 
@@ -244,7 +242,7 @@ def test_omega_sq_decreases_toward_curve_exit(v):
     if c.kind != "parabola":
         return
     root = (Fraction(v.v1) - Surd.sqrt(discriminant(v))) / v.v0
-    rb = root.as_fraction() if root.is_rational else _rational_below(root)
+    rb = root.a if root.is_rational else _rational_below(root)
     if c.direction == 1:  # valid branch is to the left of the root
         b1, b2 = rb - 2, rb - 1
     else:  # valid branch is to the right
@@ -262,3 +260,12 @@ def _rational_below(s: Surd) -> Fraction:
     while x + q < s:
         x += q
     return x
+
+
+def test_alpha_E_beta_and_mu12_domain_errors():
+    with pytest.raises(DomainError, match="^alpha_E_beta needs nonzero rank$"):
+        alpha_E_beta(class_of_named("point"), 0)
+    v = NumClass(1, 0, 1, 0)
+    assert discriminant(v) == -2
+    with pytest.raises(DomainError, match="^mu12 needs nonnegative discriminant$"):
+        mu12(v)

@@ -16,11 +16,11 @@ from tiltwall.errors import DomainError, InputError
 from tiltwall import _wallscan_py, walls as walls_module
 from tiltwall._wallscan_py import _quadratic_interval, _row_interval
 from tiltwall.walls import (_region_ends, _scaled_inputs, _wall_window,
-                            _witness_class, search_box)
+                            _witness_class, plot_frame, search_box)
 
 from conftest import integral_classes, lattice_class
 from oracles import (scan_candidates_exhaustive, wall_between_fraction,
-                     wall_feasible as _wall_feasible)
+                     wall_feasible as _wall_feasible, wall_from_coefficients)
 
 Q = Fraction
 
@@ -36,12 +36,12 @@ def test_wall_between_examples():
 
 
 def test_wall_normalization():
-    w = Wall.from_coefficients(Q(-1), Q(1, 2), 0)
+    w = wall_from_coefficients(Q(-1), Q(1, 2), 0)
     assert (w.A, w.B, w.C) == (2, -1, 0)
-    w = Wall.from_coefficients(0, Q(-3), Q(6))
+    w = wall_from_coefficients(0, Q(-3), Q(6))
     assert (w.A, w.B, w.C) == (0, 1, -2)
     with pytest.raises(DomainError):
-        Wall.from_coefficients(0, 0, 0)
+        wall_from_coefficients(0, 0, 0)
 
 
 def test_wall_constructor_normalizes():
@@ -53,7 +53,7 @@ def test_wall_constructor_normalizes():
     for given_, normal in (((-1, 2, 3), (1, -2, -3)), ((0, -4, 2), (0, 2, -1)),
                            ((0, 0, -5), (0, 0, 1)), ((6, 0, -4), (3, 0, -2))):
         w = Wall(*given_)
-        assert (w.A, w.B, w.C) == normal and w == Wall.from_coefficients(*given_)
+        assert (w.A, w.B, w.C) == normal and w == wall_from_coefficients(*given_)
     with pytest.raises(DomainError, match="degenerate wall"):
         Wall(0, 0, 0)
 
@@ -73,7 +73,7 @@ def test_common_slope_examples():
 
 
 def test_passes_through_examples():
-    w = Wall.from_coefficients(2, -1, 0)  # alpha = beta/2
+    w = wall_from_coefficients(2, -1, 0)  # alpha = beta/2
     assert passes_through(w, (0, 0))
     assert passes_through(w, (1, Q(1, 2)))
     assert not passes_through(w, (1, 1))
@@ -96,7 +96,7 @@ def test_parallelism_for_rank_zero(v, w):
     if wall is None:
         return
     if wall.A != 0:
-        assert wall.slope() == common_slope(v)
+        assert Q(-wall.B, wall.A) == common_slope(v)
 
 
 @given(integral_classes, integral_classes)
@@ -178,7 +178,7 @@ def test_enumeration_rank_zero_all_walls_flat():
     walls = enumerate_candidate_walls(v, Region(-2, 2, 3), 2)
     assert walls
     for wall, _ in walls:
-        assert wall.A != 0 and wall.slope() == common_slope(v) == Q(-1, 2)
+        assert wall.A != 0 and Q(-wall.B, wall.A) == common_slope(v) == Q(-1, 2)
 
 
 def test_enumeration_filters_and_determinism():
@@ -609,7 +609,7 @@ rank_zero_window = (NumClass(0, 2, 0, 0), NumClass(0, 1, 0, 0))  # Im Z = 1 > 0
      Region(-2, 0, 3), False),
 ])
 def test_wall_feasible_edge_cases(coeffs, v_w, region, expected):
-    wall = Wall.from_coefficients(*coeffs)
+    wall = wall_from_coefficients(*coeffs)
     v, w = v_w
     assert _wall_feasible(wall, v, w, region) is expected
     assert _sympy_feasible(wall, v, w, region) is expected
@@ -638,7 +638,7 @@ def wall_feasibility_cases(draw):
             lambda c: c[0] or c[1]))
         w = NumClass(draw(small_rank), draw(coefficient), 0, 0)
         v = NumClass(draw(small_rank), draw(coefficient), 0, 0)
-        return Wall.from_coefficients(*coeffs), v, w, region
+        return wall_from_coefficients(*coeffs), v, w, region
     t = draw(st.fractions(min_value=0, max_value=1, max_denominator=4))
     beta = region.beta_min + t * (region.beta_max - region.beta_min)
     alpha = beta * beta / 2 + draw(st.fractions(min_value=Q(1, 8), max_value=2,
@@ -651,7 +651,7 @@ def wall_feasibility_cases(draw):
     k, m = draw(st.integers(-2, 4)), draw(st.integers(-2, 4))
     w = NumClass(w0, beta * w0 + Q(k, 2), 0, 0)
     v = w + NumClass(u0, beta * u0 + Q(m, 2), 0, 0)
-    return Wall.from_coefficients(A, B, -(A * alpha + B * beta)), v, w, region
+    return wall_from_coefficients(A, B, -(A * alpha + B * beta)), v, w, region
 
 
 @given(wall_feasibility_cases())
@@ -712,3 +712,34 @@ def test_scene_serialization():
     svg = scene_svg(scene, precision=3)
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert "polyline" in svg
+
+
+def test_scene_svg_draws_a_vertical_wall_as_a_line():
+    scene = {"schema": "tiltwall/scene-v1",
+             "region": {"beta_min": "-2", "beta_max": "0", "alpha_max": "2"},
+             "curves": [{"kind": "wall", "A": 0, "B": 1, "C": 1}],  # beta = -1
+             "points": []}
+    assert ('<line x1="240.0000" y1="20.0000" x2="240.0000" y2="340.0000" '
+            'stroke="red"/>') in scene_svg(scene).splitlines()
+
+
+def test_plot_frame_widens_a_side_of_width_zero():
+    assert plot_frame(Q(1, 3), Q(1, 3), 1) == (1 / 3, 1 / 3 + 1.0, 0.0, 1.0)
+    # alpha_max - 1 rounds to alpha_max = -2^53, and the cap moves up by 1
+    assert plot_frame(-1, 1, -2 ** 53) == (-1.0, 1.0, -2.0 ** 53, 1 - 2.0 ** 53)
+
+
+@pytest.mark.parametrize("region", [
+    (10 ** 20, 10 ** 20, 10 ** 40),  # beta + 1 rounds back to beta
+    (-1, 1, -2 ** 54),               # alpha_max - 1 rounds back to alpha_max
+])
+def test_a_frame_that_stays_of_width_zero_is_input_error(region):
+    with pytest.raises(InputError, match="^scene too large to draw"):
+        plot_frame(*region)
+    scene = {"schema": "tiltwall/scene-v1",
+             "region": dict(zip(("beta_min", "beta_max", "alpha_max"),
+                                map(str, region))),
+             "curves": [{"kind": "boundary-parabola", "eq": "alpha = beta^2/2"}],
+             "points": []}
+    with pytest.raises(InputError, match="^scene too large to draw"):
+        scene_svg(scene)
