@@ -5,18 +5,22 @@ candidate enumeration over integral classes, and plot-scene construction.
 Walls are lines A*alpha + B*beta + C = 0, which ``Wall`` puts in a
 canonical integer normal form.  One integer scaling of a class
 (``_scaled``) and one cross product give every wall key: ``wall_between``
-scales both classes, and enumeration scales v once and runs the integer
-candidate scan of ``_wallscan_py``, which visits only the (w0, w1) rows
-that admit a real t, taking its candidates in scan order and computing
-each key inline.
+scales v and takes w either as a class, which it scales too, or as the
+integer triple (w0, w1, t) = (ch0, ch1, 2*ch2) of a class up to a positive
+factor, which is what the scan yields.  Enumeration scales v once and runs
+the integer candidate scan of ``_wallscan_py``, which visits only the
+(w0, w1) rows that admit a real t, taking its candidates in scan order and
+computing each key inline.
 The per-key work is integers.  One table per call maps each wall key to
 [wall, window, witness]: the key's first candidate builds its ``Wall``
-through ``wall_between`` and its window, the beta interval where it meets
-the region, the alpha cap and U (``_wall_window``, on the region's integers
-read once by ``_region_ends``), and the witness slot stays None until a
-candidate passes; rejections are kept too.  Per witness only the two strict
-Im Z window constraints are added.  The first feasible witness of a wall
-wins.  Every verdict is exact, in integers and ``Fraction`` only.
+through ``wall_between`` on its triple and its window, the beta interval
+where it meets the region, the alpha cap and U (``_wall_window``, on the
+region's integers read once by ``_region_ends``), and the witness slot
+stays None until a candidate passes; rejections are kept too.  Per
+candidate only the two strict Im Z window constraints are added.  The
+first feasible candidate of a wall wins, and only it becomes a witness
+``NumClass``, so a call builds one class per returned wall.  Every verdict
+is exact, in integers and ``Fraction`` only.
 """
 
 from __future__ import annotations
@@ -54,16 +58,21 @@ class Wall(Record):
         return f"{self.A}*alpha + {self.B}*beta + {self.C} = 0"
 
 
-def wall_between(v: NumClass, w: NumClass) -> Optional[Wall]:
+def wall_between(v: NumClass,
+                 w: NumClass | tuple[int, int, int]) -> Optional[Wall]:
     """The locus nu(v) = nu(w): the line with A = w0 v1 - v0 w1,
-    B = w2 v0 - v2 w0, C = v2 w1 - w2 v1; None for proportional
-    truncations (A = B = C = 0).  Both classes are scaled to integers by
-    positive factors R and S (``_scaled``), which scales the coefficients
-    by 2RS > 0 and leaves the wall as it is."""
+    B = w2 v0 - v2 w0, C = v2 w1 - w2 v1.  ``w`` is a ``NumClass`` or the
+    integer triple (w0, w1, t) = (ch0, ch1, 2*ch2) of a class up to a
+    positive factor, as the wall scan yields it.  Both sides are scaled to
+    integers by positive factors R and S (``_scaled``), which scales the
+    coefficients by 2RS > 0 and leaves the wall as it is.  None when
+    A = B = 0: the locus is then C = 0, all of the plane for proportional
+    truncations (C = 0 too) and no point at all otherwise, as for two
+    rank-zero classes whose tilt slopes never agree."""
     P0, P1, T2, _ = _scaled(v)
-    w0, w1, t, _ = _scaled(w)
-    A, B, C = 2 * (w0 * P1 - P0 * w1), t * P0 - T2 * w0, T2 * w1 - t * P1
-    return None if A == B == C == 0 else Wall(A, B, C)
+    w0, w1, t = w if isinstance(w, tuple) else _scaled(w)[:3]
+    A, B = 2 * (w0 * P1 - P0 * w1), t * P0 - T2 * w0
+    return None if A == B == 0 else Wall(A, B, T2 * w1 - t * P1)
 
 
 def pi_point(v: NumClass) -> Optional[tuple[Fraction, Fraction]]:
@@ -258,15 +267,14 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     of this call: its wall key is ``wall_between``'s coefficients in
     ``Wall``'s normal form, computed inline, and the table maps the key to
     [wall, window, witness].  The first candidate of each key builds the
-    wall with ``wall_between`` and its window with ``_wall_window``, both
-    in integers; a rejected window stays in the table as None, so a wall
-    that misses region /\\ U is never looked at again.  That first
-    candidate also builds a witness ``NumClass``, in ``Fraction``, because
-    ``wall_between`` takes classes; building it only for accepted walls
-    waits for a way to count keys other than calls of ``wall_between``.
-    Per witness only the two Im-window constraints are added.  Candidates
-    are taken in scan order, and the first feasible one fills the witness
-    slot, after which its wall's later candidates are skipped.
+    wall with ``wall_between`` on its triple (w0, w1, t) and its window
+    with ``_wall_window``, both in integers; a rejected window stays in the
+    table as None, so a wall that misses region /\\ U is never looked at
+    again.  Per candidate only the two Im-window constraints are added.
+    Candidates are taken in scan order, and the first feasible one fills
+    the witness slot with its ``NumClass`` (``_witness_class``, the one
+    ``Fraction`` step), after which its wall's later candidates are
+    skipped; so a call builds one witness class per returned wall.
     """
     disc_bound = rational(disc_bound)
     if disc_bound < 0:
@@ -299,7 +307,7 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         A, B, C = key = A // g, B // g, C // g
         entry = table.get(key)
         if entry is None:  # the wall's first candidate; perfbench counts keys here
-            entry = table[key] = [wall_between(v, _witness_class(w0, w1, t)),
+            entry = table[key] = [wall_between(v, (w0, w1, t)),
                                   _wall_window(A, B, C, ends), None]
         _, window, witness = entry
         # Im Z(w) > 0 and R * Im Z(v - w) > 0 along the wall

@@ -22,11 +22,11 @@ def wall_between_fraction(v: NumClass, w: NumClass) -> Optional[Wall]:
     """The wall nu(v) = nu(w) from its rational coefficients
     A = w0 v1 - v0 w1, B = w2 v0 - v2 w0, C = v2 w1 - w2 v1, made integral
     by the lcm of their denominators and normalized by ``Wall``'s rules;
-    None when all three vanish."""
+    None when A and B vanish, where C = 0 holds everywhere or nowhere."""
     A = w.v0 * v.v1 - v.v0 * w.v1
     B = w.v2 * v.v0 - v.v2 * w.v0
     C = v.v2 * w.v1 - w.v2 * v.v1
-    if A == 0 and B == 0 and C == 0:
+    if A == 0 and B == 0:
         return None
     return wall_from_coefficients(A, B, C)
 

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 from sympy.solvers.inequalities import solve_poly_inequality
 
 from tiltwall import (NumClass, ParamPoint, Region, Wall, class_of_line_bundle,
-                      class_of_named, common_slope, discriminant,
+                      class_of_named, common_slope, discriminant, dual_shifted,
                       enumerate_candidate_walls, is_integral_class,
                       passes_through, pi_point, plot_scene, scene_svg,
                       shift, tilt_slope_nu, wall_between)
@@ -374,6 +374,51 @@ def test_wall_between_runs_once_per_distinct_scanned_key(monkeypatch):
     assert (total_calls, total_candidates) == (3360, 18629)
 
 
+def _sweep_inputs():
+    """The 72 (v, region, disc) inputs of the walls-sweep pool."""
+    for token in SWEEP_CLASSES:
+        v = NumClass.parse(token) if "," in token else class_of_named(token)
+        for region in SWEEP_REGIONS:
+            for disc in SWEEP_DISCS:
+                yield v, region, disc
+
+
+def test_enumeration_builds_one_witness_class_per_wall(monkeypatch):
+    """Only the first feasible candidate of a wall becomes a NumClass: one
+    walls-sweep pass builds 146 witness classes for its 146 walls, not one
+    per distinct key."""
+    built = []
+
+    def counting(w0, w1, t):
+        built.append(_witness_class(w0, w1, t))
+        return built[-1]
+
+    monkeypatch.setattr(walls_module, "_witness_class", counting)
+    total_walls = 0
+    for v, region, disc in _sweep_inputs():
+        built.clear()
+        walls = enumerate_candidate_walls(v, region, disc)
+        assert len(built) == len(walls) and set(built) == {w for _, w in walls}
+        total_walls += len(walls)
+    assert total_walls == 146
+
+
+def test_enumeration_commutes_with_the_dual():
+    """The shifted dual v -> -v^vee sends (beta, alpha) to (-beta, alpha):
+    on the walls-sweep inputs, the walls of dual_shifted(v) over the
+    mirrored beta range are exactly the walls of v with B negated."""
+    total = 0
+    for v, region, disc in _sweep_inputs():
+        mirrored = Region(-region.beta_max, -region.beta_min, region.alpha_max)
+        walls = [w for w, _ in enumerate_candidate_walls(v, region, disc)]
+        dual = [w for w, _ in
+                enumerate_candidate_walls(dual_shifted(v), mirrored, disc)]
+        assert len(dual) == len(walls)
+        assert set(dual) == {Wall(w.A, -w.B, w.C) for w in walls}
+        total += len(walls)
+    assert total == 146
+
+
 @given(enumeration_cases)
 @settings(max_examples=80, deadline=None)
 def test_wall_between_scanned_witnesses_matches_fraction_oracle(case):
@@ -410,6 +455,49 @@ def wall_pairs(draw):
 def test_wall_between_matches_fraction_oracle(pair):
     v, w = pair
     assert wall_between(v, w) == wall_between_fraction(v, w)
+
+
+def test_wall_between_without_a_line_is_none():
+    # two rank-zero classes whose tilt slopes never agree: A = B = 0 and
+    # C = 2, so the locus C = 0 has no point; as a class or as its triple
+    v, w = NumClass(0, 1, 0, 0), NumClass(0, 0, 1, 0)
+    assert wall_between(v, w) is None
+    assert wall_between(v, (0, 0, 2)) is None
+    assert wall_between_fraction(v, w) is None
+
+
+lattice_triples = st.builds(lambda w0, w1, b: (w0, w1, w1 + 2 * b),
+                            st.integers(-12, 12), st.integers(-12, 12),
+                            st.integers(-12, 12))
+
+
+@st.composite
+def triple_cases(draw):
+    """(v, triples): v of every rank sign, made rank zero half the time,
+    with the triples (w0, w1, t) that the scan yields for v in a drawn
+    region, or with random lattice points."""
+    v = draw(enumeration_classes)
+    if draw(st.booleans()):
+        v = NumClass(0, v.v1, v.v2, v.v3)
+    if draw(st.booleans()):
+        region, disc = draw(enumeration_regions()), draw(st.integers(0, 20))
+        return v, _scanned(v, region, disc)
+    return v, draw(st.lists(lattice_triples, min_size=1, max_size=20))
+
+
+@given(triple_cases(), st.integers(min_value=1, max_value=6))
+@example((NumClass(0, 1, 0, 0), [(0, 0, 2), (0, 1, 1), (1, 0, 0)]), 2)
+@example((class_of_named("T(-2)"), [(1, 0, 0), (-1, 1, 1), (3, -2, 0)]), 1)
+@settings(max_examples=100, deadline=None)
+def test_wall_between_of_a_triple_matches_its_class(case, k):
+    """wall_between reads (w0, w1, t) as the class _witness_class builds
+    from it, and as any positive multiple of that triple."""
+    v, triples = case
+    for w0, w1, t in triples:
+        w = _witness_class(w0, w1, t)
+        wall = wall_between(v, (w0, w1, t))
+        assert wall == wall_between(v, w) == wall_between_fraction(v, w)
+        assert wall_between(v, (k * w0, k * w1, k * t)) == wall
 
 
 def _brute_force_scan(P0, P1, T2, R, DS, w0_lo, w0_hi, beta_lo, beta_hi,
@@ -633,7 +721,7 @@ def wall_feasibility_cases(draw):
     zero."""
     region = draw(regions)
     if draw(st.booleans()):
-        # A = B = 0 is no line at all, and no pair of classes yields it
+        # A = B = 0 is no line at all: wall_between gives None there
         coeffs = draw(st.tuples(coefficient, coefficient, coefficient).filter(
             lambda c: c[0] or c[1]))
         w = NumClass(draw(small_rank), draw(coefficient), 0, 0)
