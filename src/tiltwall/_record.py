@@ -12,10 +12,25 @@ equality and hashing on the tuple of fields, the ``Name(field=value, ...)``
 repr in slot order, an ``AttributeError`` on assigning or deleting any
 slot, and pickling and copying through the constructor, which derives the
 derived slots again.  A class may replace the equality, hash or repr with
-its own.  Its one import is ``operator``, which ``fractions`` loads anyway.
+its own.  A class that defines ``_cmp(other)``, the sign of self - other or
+None for an operand it does not compare, is ordered by it instead: it gets
+``==``, ``<``, ``<=``, ``>``, ``>=`` from one ``_cmp`` call each, None giving
+NotImplemented, and keeps its own ``__hash__``.  Its one import is
+``operator``, which ``fractions`` loads anyway.
 """
 
-from operator import attrgetter
+from operator import attrgetter, eq, ge, gt, le, lt
+
+
+def _order(test):
+    """The rich comparison ``test`` of a record with another value, from one
+    ``_cmp`` call: ``test`` applied to the sign of self - other and 0, or
+    NotImplemented for an operand that ``_cmp`` does not compare."""
+
+    def compare(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is None else test(c, 0)
+    return compare
 
 
 class Record:
@@ -38,6 +53,10 @@ class Record:
         cls._values = staticmethod(
             get if len(fields) > 1 else lambda record: (get(record),))
         cls.__match_args__ = fields
+        if "_cmp" in vars(cls):
+            # one _cmp call per comparison; != is the negation of ==
+            for test in (eq, lt, le, gt, ge):
+                setattr(cls, f"__{test.__name__}__", _order(test))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -82,12 +82,7 @@ class NumClass(Record):
     __slots__ = ("v0", "v1", "v2", "v3")
 
     def __init__(self, v0, v1, v2, v3):
-        # the rule of ``rational``, inline: the witness of every wall key is
-        # built here, so the call per component is saved
-        self._set(v0 if type(v0) is Fraction else Fraction(v0),
-                  v1 if type(v1) is Fraction else Fraction(v1),
-                  v2 if type(v2) is Fraction else Fraction(v2),
-                  v3 if type(v3) is Fraction else Fraction(v3))
+        self._set(rational(v0), rational(v1), rational(v2), rational(v3))
 
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.v0, self.v1, self.v2, self.v3)

@@ -8,8 +8,9 @@ exact.  ``Surd.sqrt`` is the one place a new radicand enters: it factors it
 once into a square-free d, and arithmetic keeps that d.  Surds with radicands
 d != e combine when d*e = s^2, since then sqrt(e) = (s/d)*sqrt(d); otherwise
 they are never equal (1, sqrt(d) and sqrt(e) are linearly independent over
-Q), their difference is not a Surd, and they are ordered exactly by
-comparing squares.
+Q) and their difference is not a Surd.  A comparison builds no surd: it
+applies one sign rule to the fields of both operands, comparing squares
+when the radicands differ.
 
 The ends of ``mu12`` are built in closed form from one ``Surd.sqrt``:
 sqrt(disc) = s*sqrt(d)/q gives mu -+ (s/(q*|v0|))*sqrt(d), two surds of the
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from operator import eq, ge, gt, le, lt
 from typing import Optional, Union
 
 from ._record import Record
@@ -65,22 +65,24 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, d * m
 
 
-def _order(test):
-    """The rich comparison ``test`` of a surd with another value, from one
-    ``_cmp`` call: ``test`` applied to the sign of self - other and 0, or
-    NotImplemented for an operand that ``_cmp`` does not compare."""
-
-    def compare(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else test(c, 0)
-    return compare
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Sign of a + b*sqrt(d) for rationals a, b and an integer d >= 0 that is
+    no perfect square unless b = 0."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    # mixed signs: compare a^2 with b^2 d, never equal, since (a/b)^2 = d has
+    # no rational solution when d is no perfect square
+    t = a * a - b * b * d
+    return (1 if t > 0 else -1) * (1 if a > 0 else -1)
 
 
 class Surd(Record):
     """Immutable exact value a + b*sqrt(d), totally ordered against rationals.
 
-    A record whose equality, hash and repr are those of the number it
-    denotes rather than of its fields."""
+    A record ordered through the base's ``_cmp`` rule, whose equality, hash
+    and repr are those of the number it denotes rather than of its fields."""
 
     __slots__ = ("a", "b", "d")
 
@@ -127,20 +129,9 @@ class Surd(Record):
         return self.b == 0
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # mixed signs: compare a^2 with b^2 d, never equal: with b != 0, d is
-        # no perfect square (the constructor collapses squares, and _normal
-        # gets square-free d > 1), so (a/b)^2 = d has no rational solution
-        t = a * a - b * b * self.d
-        return (1 if t > 0 else -1) * (1 if a > 0 else -1)
+        # with b != 0, d is no perfect square: the constructor collapses
+        # squares, and _normal gets square-free d > 1
+        return _sign(self.a, self.b, self.d)
 
     # arithmetic with rationals, and differences of surds (enough for this
     # library); the radicand d is kept as it is
@@ -181,32 +172,28 @@ class Surd(Record):
 
     def _cmp(self, other) -> Optional[int]:
         """Sign of self - other, for an int, a Fraction or a surd of any
-        radicand; None for any other operand, which is not compared.
+        radicand; None for any other operand, which is not compared.  No
+        surd is built.
 
-        When the radicands d and e do not combine, self - other is X - Y
-        with X = (a - c) + b*sqrt(d) and Y = f*sqrt(e).  X - Y has the sign
-        of X when the signs of X and Y differ; otherwise it has that common
-        sign times the sign of X^2 - Y^2, a surd of radicand d minus the
-        rational f^2*e."""
-        if not isinstance(other, (int, Fraction, Surd)):
+        With other = c + f*sqrt(e): when f = 0 or e = d, self - other is
+        (a - c) + (b - f)*sqrt(d).  Otherwise it is X - Y with
+        X = (a - c) + b*sqrt(d) and Y = f*sqrt(e), f != 0.  X - Y has the
+        sign of X when the signs of X and Y differ; otherwise it has that
+        common sign times the sign of X^2 - Y^2, which is
+        (p^2 + b^2 d - f^2 e) + 2pb*sqrt(d) for p = a - c."""
+        if isinstance(other, Surd):
+            c, f, e = other.a, other.b, other.d
+        elif isinstance(other, (int, Fraction)):
+            c, f, e = other, 0, 0
+        else:
             return None
-        try:
-            return (self - other).sign()
-        except ValueError:  # surds whose radicands do not combine
-            pass
-        p, b, d = self.a - other.a, self.b, self.d
-        sx, sy = Surd(p, b, d).sign(), (1 if other.b > 0 else -1)
+        p, b, d = self.a - c, self.b, self.d
+        if f == 0 or e == d:
+            return _sign(p, b - f, d)
+        sx, sy = _sign(p, b, d), (1 if f > 0 else -1)
         if sx != sy:
             return 1 if sx > sy else -1
-        return sx * Surd(p * p + b * b * d - other.b * other.b * other.d,
-                         2 * p * b, d).sign()
-
-    # one _cmp call per comparison; != is the negation of ==
-    __eq__ = _order(eq)
-    __lt__ = _order(lt)
-    __le__ = _order(le)
-    __gt__ = _order(gt)
-    __ge__ = _order(ge)
+        return sx * _sign(p * p + b * b * d - f * f * e, 2 * p * b, d)
 
     def __hash__(self):
         # equal irrational surds share a, b^2*d and the sign of b

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import total_ordering
 from typing import Optional, Union
 
 from ._record import Record
@@ -42,12 +41,12 @@ class ParamPoint(Record):
         return self._omega_sq
 
 
-@total_ordering
 class Slope(Record):
     """A finite rational slope or the distinguished +infinity (value None).
 
-    A slope compares with slopes and rationals (int, Fraction) only; a
-    finite slope equals, and hashes as, the rational it holds."""
+    A slope compares with slopes and rationals (int, Fraction) only, through
+    the base's ``_cmp`` rule; a finite slope equals, and hashes as, the
+    rational it holds."""
 
     __slots__ = ("value",)
 
@@ -60,25 +59,17 @@ class Slope(Record):
     def is_infinite(self) -> bool:
         return self.value is None
 
-    def _key(self):
-        return (1,) if self.is_infinite else (0, self.value)
-
-    @staticmethod
-    def _key_of(other):
-        """The order key of a slope or a rational; None for anything else."""
+    def _cmp(self, other) -> Optional[int]:
+        """Sign of self - other, +infinity lying above every finite value;
+        None for an operand other than a slope, an int or a Fraction."""
         if isinstance(other, Slope):
-            return other._key()
-        if isinstance(other, (int, Fraction)):
-            return (0, other)
-        return None
-
-    def __eq__(self, other):
-        key = self._key_of(other)
-        return NotImplemented if key is None else self._key() == key
-
-    def __lt__(self, other):
-        key = self._key_of(other)
-        return NotImplemented if key is None else self._key() < key
+            other = other.value
+        elif not isinstance(other, (int, Fraction)):
+            return None
+        a = self.value
+        if a is None or other is None:
+            return (a is None) - (other is None)
+        return (a > other) - (a < other)
 
     def __hash__(self):
         return hash(self.value)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -272,6 +273,16 @@ def test_plot_writes_svg(tmp_path, capsys):
                 "--alpha-max", "2", "-o", str(out)]) == 0
     svg = out.read_text()
     assert svg.startswith("<svg") and "</svg>" in svg
+    # a rank-0 class whose curve is the vertical line beta = -1/2, inside
+    # the region: the scene lists it and the SVG draws it as one blue line
+    capsys.readouterr()
+    assert run(["plot", "0,1,-1/2,1/6", "--beta-min", "-2", "--beta-max", "0",
+                "--alpha-max", "2", "-o", str(out), "--json"]) == 0
+    curves = json.loads(out_of(capsys))["curves"]
+    assert {"kind": "curve-CE", "shape": "vertical", "beta": "-1/2"} in curves
+    assert [line for line in out.read_text().splitlines() if "blue" in line] == [
+        '<line x1="350.0000" y1="20.0000" x2="350.0000" y2="340.0000" '
+        'stroke="blue"/>']
 
 
 def test_out_flag(tmp_path):
@@ -464,6 +475,28 @@ def test_custom_collection_json_accepted(tmp_path, capsys):
     assert out_of(capsys) == "(3/32, 25/96)"
 
 
+def test_a_collection_file_without_an_object_is_input_error(tmp_path, capsys):
+    path = tmp_path / "collection.json"
+    path.write_text("[]")
+    assert run(["collection-check", f"@{path}", "--beta", "-5/4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: collection JSON needs an object with 'names' and 'classes'\n")
+
+
+def test_a_custom_collection_check_notes_what_it_leaves_unverified(tmp_path, capsys):
+    # the classes of the built-in lines under new names: the same verdicts,
+    # with a note that the custom collection's exceptionality is unchecked
+    path = tmp_path / "collection.json"
+    path.write_text(json.dumps({"names": ["A", "B", "C", "D"],
+                                "classes": LINES_CLASSES}))
+    check = ["--beta", "-5/4", "--a0", "1/8", "--json"]
+    assert run(["collection-check", "lines"] + check) == 0
+    builtin = json.loads(out_of(capsys))
+    assert run(["collection-check", f"@{path}"] + check) == 0
+    assert json.loads(out_of(capsys)) == {**builtin, "notes": [
+        "categorical exceptionality of a custom collection is not verified"]}
+
+
 # Exact stdout, exit code and SVG digest of every verb, text and --json,
 # recorded from the CLI before its handlers shared one output path.  The
 # SVG path is written as "{svg}".
@@ -491,3 +524,36 @@ def test_plot_of_a_frame_of_width_zero_is_input_error(tmp_path, capsys, region):
     assert capsys.readouterr().err == (
         "error: scene too large to draw: a value is beyond the float range\n")
     assert not svg.exists()
+
+
+# --- README ------------------------------------------------------------------
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, re.M | re.S)
+
+
+def test_readme_cli_examples_print_what_their_comments_say(capsys):
+    # "tiltwall ARGS  # OUTPUT", where "..." in OUTPUT ends a prefix
+    examples = [re.fullmatch(r"tiltwall (.*?)\s+# (.*)", line).groups()
+                for block in readme_blocks("sh") for line in block.splitlines()
+                if line.startswith("tiltwall ") and "#" in line]
+    assert len(examples) == 5
+    for args, shown in examples:
+        assert run(shlex.split(args)) == 0, args
+        out = out_of(capsys)
+        prefix, dots, _ = shown.partition("...")
+        assert out.startswith(prefix) if dots else out == shown, args
+
+
+def test_readme_library_snippet_prints_what_its_comments_say(capsys):
+    # each comment opens with the line its print writes, in order
+    (snippet,) = readme_blocks("python")
+    exec(snippet, {})
+    printed = iter(out_of(capsys).splitlines())
+    shown = [re.split(r"[,:]", comment)[0]
+             for comment in re.findall(r"# (.*)", snippet)]
+    assert len(shown) == 3
+    assert all(line in printed for line in shown), shown

@@ -1,3 +1,4 @@
+import math
 import operator
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from tiltwall import (DomainError, NumClass, class_of_line_bundle,
+from tiltwall import (DomainError, NumClass, Slope, class_of_line_bundle,
                       class_of_named, discriminant, mu12)
 from tiltwall import surd
 from tiltwall.surd import Surd, _squarefree_split
@@ -130,25 +131,57 @@ COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge,
                operator.eq, operator.ne)
 
 
-@pytest.mark.parametrize("other", [1, Fraction(3, 2), Surd.sqrt(3)],
-                         ids=["int", "Fraction", "sqrt3"])
-def test_each_comparison_makes_one_exact_comparison(monkeypatch, other):
-    # sqrt(2) = 1.414... lies apart from 1, 3/2 and sqrt(3) = 1.732..., so
-    # the float order is the exact one; both operand orders are checked
+def as_float(x):
+    if isinstance(x, Slope):
+        return math.inf if x.is_infinite else float(x.value)
+    return float(x)
+
+
+@pytest.mark.parametrize("x, other", [
+    pytest.param(Surd.sqrt(2), 1, id="int"),
+    pytest.param(Surd.sqrt(2), Fraction(3, 2), id="Fraction"),
+    pytest.param(Surd.sqrt(2), Surd.sqrt(3), id="sqrt3"),
+    pytest.param(Slope(Fraction(3, 2)), Slope(2), id="slope-slope"),
+    pytest.param(Slope(Fraction(3, 2)), 1, id="slope-int"),
+    pytest.param(Slope(Fraction(3, 2)), Fraction(3, 2), id="slope-Fraction"),
+    pytest.param(Slope(Fraction(3, 2)), Slope.INFINITY, id="slope-infinity"),
+])
+def test_each_comparison_makes_one_exact_comparison(monkeypatch, x, other):
+    # sqrt(2) = 1.414... lies apart from 1, 3/2 and sqrt(3) = 1.732..., and
+    # a slope holds a rational or +infinity, so the float order is the exact
+    # one; both operand orders are checked
     calls = []
-    cmp = Surd._cmp
+    cls = type(x)
+    cmp = cls._cmp
 
     def counting(self, other):
         calls.append(other)
         return cmp(self, other)
 
-    monkeypatch.setattr(Surd, "_cmp", counting)
-    x = Surd.sqrt(2)
+    monkeypatch.setattr(cls, "_cmp", counting)
     for compare in COMPARISONS:
         for left, right in ((x, other), (other, x)):
             calls.clear()
-            assert compare(left, right) == compare(float(left), float(right))
+            assert compare(left, right) == compare(as_float(left), as_float(right))
             assert len(calls) == 1, (compare.__name__, left, right)
+
+
+@pytest.mark.parametrize("other", [
+    1, Fraction(3, 2), Surd(1, -1, 2), Surd.sqrt(3), Surd(0, 1, 8)],
+    ids=["int", "Fraction", "same-radicand", "other-radicand", "unreduced"])
+def test_a_comparison_builds_no_surd(monkeypatch, other):
+    x, want = Surd.sqrt(2), sympy.sign(exact(Surd.sqrt(2)) - exact(other))
+    builds, set_slots = [], Surd._set
+
+    def counting(self, *values):
+        builds.append(values)
+        set_slots(self, *values)
+
+    monkeypatch.setattr(Surd, "_set", counting)
+    for compare in COMPARISONS:
+        assert compare(x, other) == compare(want, 0)
+        assert compare(other, x) == compare(0, want)
+    assert builds == []
 
 
 def test_difference_of_surds():

@@ -831,3 +831,11 @@ def test_a_frame_that_stays_of_width_zero_is_input_error(region):
              "points": []}
     with pytest.raises(InputError, match="^scene too large to draw"):
         scene_svg(scene)
+
+
+def test_scene_svg_turns_a_float_overflow_into_input_error():
+    # the region is drawable, but the curve's coefficient 10^400 is no float
+    scene = plot_scene(NumClass(1, 10 ** 400, 0, 0), Region(-1, 0, 1), [])
+    with pytest.raises(InputError, match="^scene too large to draw: a value "
+                       "is beyond the float range$"):
+        scene_svg(scene)
