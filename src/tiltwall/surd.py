@@ -5,12 +5,10 @@ discriminant, which is rational but rarely a perfect square.  Rather than
 fall back to floats, values are kept as quadratic surds with rational a, b
 and a nonnegative integer radicand d, so every comparison in the library is
 exact.  ``Surd.sqrt`` is the one place a new radicand enters: it factors it
-once into a square-free d, and arithmetic keeps that d.  Surds with radicands
-d != e combine when d*e = s^2, since then sqrt(e) = (s/d)*sqrt(d); otherwise
-they are never equal (1, sqrt(d) and sqrt(e) are linearly independent over
-Q) and their difference is not a Surd.  A comparison builds no surd: it
-applies one sign rule to the fields of both operands, comparing squares
-when the radicands differ.
+once into a square-free d.  The one arithmetic is subtracting an int or a
+Fraction, which keeps b and d.  A comparison builds no surd: it applies
+one sign rule to the fields of both operands, comparing squares when the
+radicands differ.
 
 The ends of ``mu12`` are built in closed form from one ``Surd.sqrt``:
 sqrt(disc) = s*sqrt(d)/q gives mu -+ (s/(q*|v0|))*sqrt(d), two surds of the
@@ -128,47 +126,12 @@ class Surd(Record):
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def sign(self) -> int:
-        # with b != 0, d is no perfect square: the constructor collapses
-        # squares, and _normal gets square-free d > 1
-        return _sign(self.a, self.b, self.d)
-
-    # arithmetic with rationals, and differences of surds (enough for this
-    # library); the radicand d is kept as it is
-    def __add__(self, other: Rational) -> "Surd":
-        return Surd(self.a + rational(other), self.b, self.d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Surd":
-        return Surd(-self.a, -self.b, self.d)
-
     def __sub__(self, other) -> "Surd":
-        """Difference with a rational or a surd.  A surd c + f*sqrt(e) with
-        e != d is rewritten over d, f*sqrt(e) = (f*s/d)*sqrt(d), when
-        d*e = s^2; otherwise the two cannot combine and ValueError is
-        raised."""
-        if not isinstance(other, Surd):
-            return Surd(self.a - rational(other), self.b, self.d)
-        if self.b == 0 or other.b == 0 or self.d == other.d:
-            d = self.d if self.b != 0 else other.d
-            return Surd(self.a - other.a, self.b - other.b, d)
-        s = isqrt(self.d * other.d)
-        if s * s != self.d * other.d:
-            raise ValueError("cannot combine surds with different radicands")
-        return Surd(self.a - other.a, self.b - other.b * s / self.d, self.d)
-
-    def __rsub__(self, other: Rational) -> "Surd":
-        return -(self - other)
-
-    def __mul__(self, other: Rational) -> "Surd":
-        q = rational(other)
-        return Surd(self.a * q, self.b * q, self.d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Rational) -> "Surd":
-        return self * (1 / rational(other))
+        """a - q + b*sqrt(d) for an int or Fraction q, the radicand kept;
+        NotImplemented for any other operand, surds included."""
+        if isinstance(other, (int, Fraction)):
+            return Surd(self.a - other, self.b, self.d)
+        return NotImplemented
 
     def _cmp(self, other) -> Optional[int]:
         """Sign of self - other, for an int, a Fraction or a surd of any
@@ -200,9 +163,6 @@ class Surd(Record):
         if self.is_rational:
             return hash(self.a)
         return hash((self.a, self.b * self.b * self.d, self.b > 0))
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * self.d ** 0.5
 
     def __repr__(self) -> str:
         if self.b == 0:

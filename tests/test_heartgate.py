@@ -5,6 +5,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -615,6 +616,43 @@ def test_interval_is_empty_where_the_lower_end_meets_the_gate(tmp_path, capsys):
     path.write_text(json.dumps(SHIFTED_BEILINSON))
     assert cli_run(["interval", f"@{path}", "--beta", "1/48"]) == 1
     assert capsys.readouterr().out == "no admissible interval\n"
+
+
+# lines' first three members and E = (9, 2, -2, 1/3), integral with
+# chi(E, E) = 1 and disc(E) = 40: mu1(E) = (2 - 2*sqrt(10))/9 is irrational,
+# so condition (1)'s residual mu1(E) - beta is a surd minus a rational
+IRRATIONAL_MU1 = {"names": ["O(-3)", "O(-2)", "O(-1)", "E"],
+                  "classes": LINES.to_json_dict()["classes"][:3]
+                  + [["9", "2", "-2", "1/3"]]}
+
+
+def test_condition_1_against_an_irrational_mu1(tmp_path, capsys):
+    spec = CollectionSpec.from_json_dict(IRRATIONAL_MU1)
+    E = spec.distinguished
+    assert discriminant(E) == 40
+    v0, v1, v2 = (sympy.Rational(x) for x in (E.v0, E.v1, E.v2))
+    mu1 = (v1 - sympy.sqrt(v1 * v1 - 2 * v0 * v2)) / v0
+    for beta, a0, passed in ((Q(-5, 4), Q(1, 8), True), (Q(1), Q(0), False)):
+        cond = general_condition_check(spec, beta, a0).conditions[0]
+        assert (cond.name, cond.passed) == ("(1) beta < mu1(E)", passed)
+        r = cond.residual
+        assert isinstance(r, Surd) and r.d == 10
+        exact = sympy.Rational(r.a) + sympy.Rational(r.b) * sympy.sqrt(r.d)
+        assert sympy.expand(exact - (mu1 - sympy.Rational(beta))) == 0
+    path = tmp_path / "irrational.json"
+    path.write_text(json.dumps(IRRATIONAL_MU1))
+    spec_arg = f"@{path}"
+    assert cli_run(["collection-check", spec_arg, "--beta", "-5/4", "--a0", "1/8"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "(1) beta < mu1(E): residual 53/36 + -2/9*sqrt(10) > 0 -> pass"
+    assert cli_run(["interval", spec_arg, "--beta", "-5/4"]) == 0
+    assert capsys.readouterr().out == "(3/32, 893/5088)\n"
+    assert cli_run(["collection-check", spec_arg, "--beta", "1", "--a0", "0",
+                    "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["conditions"][0] == {"name": "(1) beta < mu1(E)", "passed": False,
+                                       "residual": "-7/9 + -2/9*sqrt(10)",
+                                       "strict": True}
 
 
 def _member_sign_patterns():

@@ -80,7 +80,7 @@ def test_fields_cannot_be_set_or_deleted(cls):
 
 
 def test_surd_residual_report_pickles_and_copies():
-    residual = Surd.sqrt(13) / 2 - 1
+    residual = Surd.sqrt(Q(13, 4)) - 1
     report = CheckReport((Condition("beta < mu1(E)", True, residual),),
                          ("a note",))
     for round_trip in ROUND_TRIPS:

@@ -2,6 +2,7 @@ import operator
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -167,10 +168,10 @@ def test_curve_endpoint():
     assert curve_endpoint(class_of_line_bundle(0)) == 0
     assert curve_endpoint(class_of_named("T(-2)")) == Q(-4, 3)
     assert curve_endpoint(NumClass(0, 1, 0, 0)) == 0
-    # irrational endpoint: (0 - sqrt(2))/1
+    # irrational endpoint: (0 - sqrt(2))/1, by sympy
     end = curve_endpoint(NumClass(1, 0, -1, 0))
     assert isinstance(end, Surd)
-    assert end == -Surd.sqrt(2)
+    assert sympy.Rational(end.a) + sympy.Rational(end.b) * sympy.sqrt(end.d) == -sympy.sqrt(2)
     with pytest.raises(DomainError):
         curve_endpoint(class_of_named("point"))
 
@@ -241,8 +242,11 @@ def test_omega_sq_decreases_toward_curve_exit(v):
     c = curve_CE(v)
     if c.kind != "parabola":
         return
-    root = (Fraction(v.v1) - Surd.sqrt(discriminant(v))) / v.v0
-    rb = root.a if root.is_rational else _rational_below(root)
+    root = (sympy.Rational(v.v1) - sympy.sqrt(sympy.Rational(discriminant(v)))) / v.v0
+    if root.is_rational:
+        rb = Fraction(int(root.p), int(root.q))
+    else:  # within 1/64 below the root
+        rb = Fraction(int(sympy.floor(64 * root)), 64)
     if c.direction == 1:  # valid branch is to the left of the root
         b1, b2 = rb - 2, rb - 1
     else:  # valid branch is to the right
@@ -250,16 +254,6 @@ def test_omega_sq_decreases_toward_curve_exit(v):
     w1 = 2 * alpha_E_beta(v, b1) - b1 * b1
     w2 = 2 * alpha_E_beta(v, b2) - b2 * b2
     assert w1 > w2 > 0
-
-
-def _rational_below(s: Surd) -> Fraction:
-    q = Fraction(1, 64)
-    x = s.a
-    while not x < s:
-        x -= q
-    while x + q < s:
-        x += q
-    return x
 
 
 def test_alpha_E_beta_and_mu12_domain_errors():
