@@ -5,20 +5,23 @@ candidate enumeration over integral classes, and plot-scene construction.
 Walls are lines A*alpha + B*beta + C = 0, which ``Wall`` puts in a
 canonical integer normal form.  One integer scaling of a class
 (``_scaled``) and one cross product give every wall key: ``wall_between``
-scales v and takes w either as a class, which it scales too, or as the
-integer triple (w0, w1, t) = (ch0, ch1, 2*ch2) of a class up to a positive
-factor, which is what the scan yields.  Enumeration scales v once and runs
-the integer candidate scan of ``_wallscan_py``, which visits only the
+takes v and w each either as a class, which it scales, or as the integer
+triple (ch0, ch1, 2*ch2) of a class up to a positive factor; the scan
+yields w as such a triple (w0, w1, t), and enumeration passes v as its
+scaled triple (P0, P1, T2).  Enumeration scales v once and runs the
+integer candidate scan of ``_wallscan_py``, which visits only the
 (w0, w1) rows that admit a real t, taking its candidates in scan order and
 computing each key inline.
 The per-key work is integers.  One table per call maps each wall key to
-[wall, window, witness]: the key's first candidate builds its ``Wall``
-through ``wall_between`` on its triple and its window, the beta interval
-where it meets the region, the alpha cap and U (``_wall_window``, on the
-region's integers read once by ``_region_ends``), and the witness slot
-stays None until a candidate passes; rejections are kept too.  Per
-candidate only the two strict Im Z window constraints are added.  The
-first feasible candidate of a wall wins, and only it becomes a witness
+[wall, point, witness]: the key's first candidate builds its ``Wall``
+through ``wall_between`` on its triple and its point, one rational beta
+n/m of the wall inside the region, under the alpha cap and in U, or None
+when there is none (``_wall_window``, on the region's integers read once
+by ``_region_ends``); the witness slot stays None until a candidate
+passes.  A candidate passes when Im Z(w) > 0 and Im Z(v - w) > 0 at that
+one point, two integer signs, which decide the strict Im Z window on the
+whole wall (``enumerate_candidate_walls`` gives the proof).  The first
+passing candidate of a wall wins, and only it becomes a witness
 ``NumClass``, so a call builds one class per returned wall.  Every verdict
 is exact, in integers and ``Fraction`` only.
 """
@@ -58,18 +61,19 @@ class Wall(Record):
         return f"{self.A}*alpha + {self.B}*beta + {self.C} = 0"
 
 
-def wall_between(v: NumClass,
+def wall_between(v: NumClass | tuple[int, int, int],
                  w: NumClass | tuple[int, int, int]) -> Optional[Wall]:
     """The locus nu(v) = nu(w): the line with A = w0 v1 - v0 w1,
-    B = w2 v0 - v2 w0, C = v2 w1 - w2 v1.  ``w`` is a ``NumClass`` or the
-    integer triple (w0, w1, t) = (ch0, ch1, 2*ch2) of a class up to a
-    positive factor, as the wall scan yields it.  Both sides are scaled to
-    integers by positive factors R and S (``_scaled``), which scales the
-    coefficients by 2RS > 0 and leaves the wall as it is.  None when
-    A = B = 0: the locus is then C = 0, all of the plane for proportional
-    truncations (C = 0 too) and no point at all otherwise, as for two
-    rank-zero classes whose tilt slopes never agree."""
-    P0, P1, T2, _ = _scaled(v)
+    B = w2 v0 - v2 w0, C = v2 w1 - w2 v1.  Each of ``v`` and ``w`` is a
+    ``NumClass`` or the integer triple (ch0, ch1, 2*ch2) of a class up to a
+    positive factor, as the wall scan yields w as (w0, w1, t) and
+    enumeration passes v as (P0, P1, T2).  A class is scaled to integers by
+    the least positive factor that makes them so (``_scaled``); positive
+    factors R and S scale the coefficients by 2RS > 0 and leave the wall as
+    it is.  None when A = B = 0: the locus is then C = 0, all of the plane
+    for proportional truncations (C = 0 too) and no point at all otherwise,
+    as for two rank-zero classes whose tilt slopes never agree."""
+    P0, P1, T2 = v if isinstance(v, tuple) else _scaled(v)[:3]
     w0, w1, t = w if isinstance(w, tuple) else _scaled(w)[:3]
     A, B = 2 * (w0 * P1 - P0 * w1), t * P0 - T2 * w0
     return None if A == B == 0 else Wall(A, B, T2 * w1 - t * P1)
@@ -116,81 +120,75 @@ class Region(Record):
                 "alpha_max": str(self.alpha_max)}
 
 
-# --- exact feasibility of one wall -------------------------------------------
+# --- a point of one wall ----------------------------------------------------
 #
 # Along a non-vertical wall (A > 0) everything is a function of beta.  The
-# region, the alpha cap and the Im window cut out an interval of beta, and
-# with alpha = -(B beta + C)/A the U condition alpha > beta^2/2 reads
+# region and the alpha cap cut out a closed interval of beta, and with
+# alpha = -(B beta + C)/A the U condition alpha > beta^2/2 reads
 # q(beta) = A beta^2 + 2B beta + 2C < 0.  q is convex, so it is negative
 # somewhere on a nonempty interval iff it is negative at the vertex -B/A
-# clamped into the interval's closure.  The region and the cap depend only
-# on the wall (``_wall_window``); the Im window depends on the witness too.
+# clamped into the interval, and that clamped vertex is the wall's point.
 
-def _clip(A, B, C, window, constraints):
-    """Cut the beta interval ``window`` = (lo, lo_strict, hi, hi_strict) by
-    linear constraints (c, d, strict), each meaning c*beta + d > 0 (>= 0 if
-    not strict), and return the result, or None when it is empty or, on a
-    non-vertical wall, q >= 0 on all of it.  An end is a pair (n, m) for
-    n/m with m > 0, so that every comparison is one cross-multiplication
-    and nothing is reduced; with integer c and d it is all integers."""
-    (ln, ld), lo_strict, (hn, hd), hi_strict = window
-    for c, d, strict in constraints:
-        if c == 0:
-            if d < 0 or (strict and d == 0):
-                return None
-            continue
-        if c > 0:  # beta > -d/c
-            s = ln * c + d * ld  # sign of lo - (-d/c)
-            if s < 0:
-                ln, ld, lo_strict = -d, c, strict
-            elif s == 0:
-                lo_strict = lo_strict or strict
-        else:  # beta < d/(-c)
-            s = hn * c + d * hd  # sign of (-d/c) - hi
-            if s < 0:
-                hn, hd, hi_strict = d, -c, strict
-            elif s == 0:
-                hi_strict = hi_strict or strict
-    s = ln * hd - hn * ld  # sign of lo - hi
-    if s > 0 or (s == 0 and (lo_strict or hi_strict)):
+def _clip(A, B, C, lo, hi, c, d):
+    """The vertex -B/A of q clamped into the closed beta interval [lo, hi]
+    cut by c*beta + d >= 0, as (n, m) for n/m with m > 0, or None when the
+    cut interval is empty or q >= 0 at that vertex (A > 0).  An end is a
+    pair (n, m) for n/m with m > 0, so that every comparison is one
+    cross-multiplication and nothing is reduced; with integer c and d it
+    is all integers."""
+    (ln, ld), (hn, hd) = lo, hi
+    if c > 0:  # beta >= -d/c
+        if ln * c + d * ld < 0:  # lo < -d/c
+            ln, ld = -d, c
+    elif c < 0:  # beta <= d/(-c)
+        if hn * c + d * hd < 0:  # -d/c < hi
+            hn, hd = d, -c
+    elif d < 0:
         return None
-    if A != 0:
-        # the vertex -B/A clamped into [lo, hi], and the sign of m^2 q(n/m)
-        n, m = -B, A
-        if n * ld < ln * m:
-            n, m = ln, ld
-        elif n * hd > hn * m:
-            n, m = hn, hd
-        if (A * n + 2 * B * m) * n + 2 * C * m * m >= 0:
-            return None
-    return (ln, ld), lo_strict, (hn, hd), hi_strict
+    if ln * hd > hn * ld:
+        return None
+    n, m = -B, A
+    if n * ld < ln * m:
+        n, m = ln, ld
+    elif n * hd > hn * m:
+        n, m = hn, hd
+    # the sign of m^2 q(n/m)
+    if (A * n + 2 * B * m) * n + 2 * C * m * m >= 0:
+        return None
+    return n, m
 
 
 def _region_ends(region: Region):
-    """The region in integers, read once per enumeration: its closed beta
-    range as a ``_clip`` window, whose two ends are also the scan's beta
-    integers, and its alpha cap n/m as (n, m); ``_wall_window`` takes the
-    pair."""
-    lo, hi = region.beta_min, region.beta_max
-    return ((lo.as_integer_ratio(), False, hi.as_integer_ratio(), False),
+    """The region in integers, read once per enumeration: the ends of its
+    closed beta range, which are also the scan's beta integers, and its
+    alpha cap, each n/m as (n, m) with m > 0; ``_wall_window`` takes the
+    triple."""
+    return (region.beta_min.as_integer_ratio(),
+            region.beta_max.as_integer_ratio(),
             region.alpha_max.as_integer_ratio())
 
 
 def _wall_window(A: int, B: int, C: int, ends):
-    """The beta interval of the wall A*alpha + B*beta + C = 0 inside the
-    region's beta range and under its alpha cap (both non-strict), or None
-    when the wall misses region /\\ cap /\\ U; ``ends`` is the region's
-    ``_region_ends``.  It depends only on the wall, so enumeration computes
-    it once per wall.  A vertical wall beta = -C/B pins the interval to
-    [beta0, beta0]; U holds at some alpha under the cap n/m iff
-    n/m > beta0^2/2, that is 2*n*B^2 - m*C^2 > 0."""
-    beta_range, (n, m) = ends
+    """One rational beta n/m of the wall A*alpha + B*beta + C = 0, in
+    ``Wall``'s normal form, as (n, m) with m > 0: a point of the wall
+    inside the region's closed beta range, under its alpha cap and in U.
+    None when the wall misses region /\\ cap /\\ U; ``ends`` is the
+    region's ``_region_ends``.  It depends only on the wall, so
+    enumeration computes it once per wall.  On a non-vertical wall the
+    point is the vertex -B/A clamped into the wall's closed beta window
+    (``_clip``), where q < 0.  A vertical wall beta0 = -C/B (B > 0 in
+    normal form; B = 0 leaves C = 0, no point) has the point beta0 when
+    beta0 is in the range and U holds at some alpha under the cap n/m,
+    that is n/m > beta0^2/2, or 2*n*B^2 - m*C^2 > 0."""
+    lo, hi, (n, m) = ends
     if A == 0:
-        constraints = ((B, C, False), (-B, -C, False),
-                       (0, 2 * n * B * B - m * C * C, True))
-    else:  # alpha(beta) <= alpha_max, times m
-        constraints = ((B * m, C * m + A * n, False),)
-    return _clip(A, B, C, beta_range, constraints)
+        (ln, ld), (hn, hd) = lo, hi
+        if (B == 0 or -C * ld < ln * B or -C * hd > hn * B
+                or 2 * n * B * B - m * C * C <= 0):
+            return None
+        return -C, B
+    # alpha(beta) <= alpha_max, times m
+    return _clip(A, B, C, lo, hi, B * m, C * m + A * n)
 
 
 # --- candidate enumeration ---------------------------------------------------
@@ -266,24 +264,51 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     (w0, w1, t) costs a few integer operations and one lookup in a table
     of this call: its wall key is ``wall_between``'s coefficients in
     ``Wall``'s normal form, computed inline, and the table maps the key to
-    [wall, window, witness].  The first candidate of each key builds the
-    wall with ``wall_between`` on its triple (w0, w1, t) and its window
-    with ``_wall_window``, both in integers; a rejected window stays in the
-    table as None, so a wall that misses region /\\ U is never looked at
-    again.  Per candidate only the two Im-window constraints are added.
-    Candidates are taken in scan order, and the first feasible one fills
-    the witness slot with its ``NumClass`` (``_witness_class``, the one
-    ``Fraction`` step), after which its wall's later candidates are
-    skipped; so a call builds one witness class per returned wall.
+    [wall, point, witness].  The first candidate of each key builds the
+    wall with ``wall_between`` on the triples (P0, P1, T2) of v and
+    (w0, w1, t), and the point n/m with ``_wall_window``, both in integers;
+    a wall that misses region /\\ cap /\\ U keeps the point None and is
+    never looked at again.  A candidate passes iff w1*m - w0*n > 0 and
+    (P1 - R*w1)*m - (P0 - R*w0)*n > 0, that is iff Im Z(w) > 0 and
+    Im Z(v - w) > 0 at beta = n/m (times m and m*R).  Candidates are taken
+    in scan order, and the first one that passes fills the witness slot
+    with its ``NumClass`` (``_witness_class``, the one ``Fraction`` step),
+    after which its wall's later candidates are skipped; so a call builds
+    one witness class per returned wall.
+
+    Why one point decides the window.  Write Im Z = ch1^b = ch1 - beta*ch0
+    and X = -Re Z = ch2^b - (omega^2/2)*ch0, with omega^2 = 2*alpha -
+    beta^2 > 0 in U.  The wall of w is the locus
+    X(w)*ch1^b(v) = X(v)*ch1^b(w), which expands to A*alpha + B*beta + C,
+    and v - w has the same wall.  Let I be the set of beta of the wall's
+    points in region /\\ cap /\\ U: the wall's closed window under the
+    region and the cap, cut by the open interval q < 0, so an interval,
+    and it holds n/m.
+      * On a non-vertical wall, ch1^b(v) has no zero on I.  Delta(v) >= 0,
+        checked first, puts Pi(v) = (v1/v0, v2/v0) on or below
+        alpha = beta^2/2, outside U, and the wall meets beta = mu(v), the
+        one zero of ch1^b(v), only at Pi.  In rank 0, ch1^b(v) = v1 != 0.
+      * So ch1^b(w) = 0 at a beta of I would force X(w) = 0 there, that is
+        Z(w) = 0, and then Delta(w) = (ch1^b)^2 - 2*ch0*ch2^b =
+        -omega^2*w0^2.  The scan keeps only Delta(w) >= 0, so w0 = 0, and
+        Z(w) = 0 then reads w1 = w2 = 0: w = 0, whose key is skipped
+        (g = 0).  The same holds for v - w, with Delta(v - w) >= 0 and
+        v - w = 0 again giving g = 0.
+      * So Im Z(w) and Im Z(v - w) keep their signs on I, and the two tests
+        at n/m give the verdict on the whole wall, which is whether some
+        point of it in region /\\ cap /\\ U has 0 < Im Z(w) < Im Z(v).
+      * A vertical wall is beta = mu(v), so I is the one beta = n/m, where
+        Im Z(v) = 0: R times the first test plus the second is
+        P1*m - P0*n = 0, and no candidate passes.
     """
     disc_bound = rational(disc_bound)
     if disc_bound < 0:
         raise InputError("disc_bound must be nonnegative")
-    if discriminant(v) < 0:
-        raise DomainError("class has negative discriminant; no walls")
-    if v.v0 == 0 and v.v1 == 0:  # Im Z(v) = 0: an empty Im window
-        return []
     P0, P1, T2, R, DS = _scaled_inputs(v, disc_bound)
+    if P1 * P1 - P0 * T2 < 0:  # R^2 * disc(v)
+        raise DomainError("class has negative discriminant; no walls")
+    if P0 == P1 == 0:  # Im Z(v) = 0: an empty Im window
+        return []
     box = search_box(v, disc_bound)
     width = box["w0_max"] - box["w0_min"] + 1
     if width > SCAN_W0_BUDGET:
@@ -291,8 +316,9 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
                          f"{_digits(width)} values of w0, over the scan budget "
                          f"of {SCAN_W0_BUDGET}")
     ends = _region_ends(region)
-    (bln, bld), _, (bhn, bhd), _ = ends[0]
-    table: dict[tuple[int, int, int], list] = {}  # key -> [wall, window, witness]
+    (bln, bld), (bhn, bhd), _ = ends
+    vt = (P0, P1, T2)
+    table: dict[tuple[int, int, int], list] = {}  # key -> [wall, point, witness]
     for w0, w1, t in _wallscan_py.scan_candidates(
             P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], bln, bld, bhn, bhd):
         # the wall key: wall_between's coefficients, as Wall normalizes them
@@ -307,14 +333,14 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         A, B, C = key = A // g, B // g, C // g
         entry = table.get(key)
         if entry is None:  # the wall's first candidate; perfbench counts keys here
-            entry = table[key] = [wall_between(v, (w0, w1, t)),
+            entry = table[key] = [wall_between(vt, (w0, w1, t)),
                                   _wall_window(A, B, C, ends), None]
-        _, window, witness = entry
-        # Im Z(w) > 0 and R * Im Z(v - w) > 0 along the wall
-        if witness is None and window is not None and _clip(
-                A, B, C, window, ((-w0, w1, True),
-                                  (R * w0 - P0, P1 - R * w1, True))) is not None:
-            entry[2] = _witness_class(w0, w1, t)
+        _, point, witness = entry
+        if witness is None and point is not None:
+            n, m = point
+            # Im Z(w) > 0 and R * Im Z(v - w) > 0 at beta = n/m, times m
+            if w1 * m - w0 * n > 0 and (P1 - R * w1) * m - (P0 - R * w0) * n > 0:
+                entry[2] = _witness_class(w0, w1, t)
     found = [(key, wall, w) for key, (wall, _, w) in table.items() if w is not None]
     return [(wall, w) for _, wall, w in sorted(found)]
 

@@ -13,7 +13,6 @@ from tiltwall import (ChargeValue, CheckReport, CollectionSpec, NumClass,
 from tiltwall.errors import InputError, quote_token
 from tiltwall.heartgate import Condition
 from tiltwall.numclass import DIGIT_BUDGET, dual
-from tiltwall.walls import _clip, _region_ends, _wall_window
 
 Q = Fraction
 
@@ -206,15 +205,67 @@ def interval_by_charges(spec: CollectionSpec, beta) -> Optional[tuple[Fraction, 
     return lower, upper
 
 
+def _clip_interval(A, B, C, window, constraints):
+    """Cut the beta interval ``window`` = (lo, lo_strict, hi, hi_strict) by
+    linear constraints (c, d, strict), each meaning c*beta + d > 0 (>= 0 if
+    not strict), and return the result, or None when it is empty or, on a
+    non-vertical wall, q = A beta^2 + 2B beta + 2C >= 0 on all of it.  An
+    end is a pair (n, m) for n/m with m > 0.  q is convex, so it is
+    negative somewhere on a nonempty interval iff it is negative at the
+    vertex -B/A clamped into the interval's closure."""
+    (ln, ld), lo_strict, (hn, hd), hi_strict = window
+    for c, d, strict in constraints:
+        if c == 0:
+            if d < 0 or (strict and d == 0):
+                return None
+            continue
+        if c > 0:  # beta > -d/c
+            s = ln * c + d * ld  # sign of lo - (-d/c)
+            if s < 0:
+                ln, ld, lo_strict = -d, c, strict
+            elif s == 0:
+                lo_strict = lo_strict or strict
+        else:  # beta < d/(-c)
+            s = hn * c + d * hd  # sign of (-d/c) - hi
+            if s < 0:
+                hn, hd, hi_strict = d, -c, strict
+            elif s == 0:
+                hi_strict = hi_strict or strict
+    s = ln * hd - hn * ld  # sign of lo - hi
+    if s > 0 or (s == 0 and (lo_strict or hi_strict)):
+        return None
+    if A != 0:
+        # the vertex -B/A clamped into [lo, hi], and the sign of m^2 q(n/m)
+        n, m = -B, A
+        if n * ld < ln * m:
+            n, m = ln, ld
+        elif n * hd > hn * m:
+            n, m = hn, hd
+        if (A * n + 2 * B * m) * n + 2 * C * m * m >= 0:
+            return None
+    return (ln, ld), lo_strict, (hn, hd), hi_strict
+
+
 def wall_feasible(wall: Wall, v: NumClass, w: NumClass, region: Region) -> bool:
     """Does the wall meet region /\\ U at a point with 0 < Im Z(w) < Im Z(v)?
 
-    Exact and rational: the wall's window, cut by the two strict Im-window
-    constraints w1 - beta*w0 > 0 and (v1 - w1) - beta*(v0 - w0) > 0.
+    Exact and rational, for any wall, v and w: the closed beta range of the
+    region, cut by the alpha cap (on a vertical wall beta = beta0, by
+    beta0 itself and by U under the cap), then by the two strict Im-window
+    constraints w1 - beta*w0 > 0 and (v1 - w1) - beta*(v0 - w0) > 0, one
+    interval of beta throughout.
     """
     A, B, C = wall.A, wall.B, wall.C
-    window = _wall_window(A, B, C, _region_ends(region))
-    return window is not None and _clip(
+    lo, hi = region.beta_min, region.beta_max
+    n, m = region.alpha_max.as_integer_ratio()
+    if A == 0:
+        constraints = ((B, C, False), (-B, -C, False),
+                       (0, 2 * n * B * B - m * C * C, True))
+    else:  # alpha(beta) <= alpha_max, times m
+        constraints = ((B * m, C * m + A * n, False),)
+    window = _clip_interval(A, B, C, (lo.as_integer_ratio(), False,
+                                      hi.as_integer_ratio(), False), constraints)
+    return window is not None and _clip_interval(
         A, B, C, window, ((-w.v0, w.v1, True),
                           (w.v0 - v.v0, v.v1 - w.v1, True))) is not None
 

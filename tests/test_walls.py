@@ -278,7 +278,7 @@ def test_witness_class_is_the_line_bundle_sum():
 def _scan_args(v, region, disc, w0_box=None):
     """scan_candidates' arguments for v, as enumerate_candidate_walls makes
     them, with the search box's w0 range or [-w0_box, w0_box]."""
-    (bln, bld), _, (bhn, bhd), _ = _region_ends(region)[0]
+    (bln, bld), (bhn, bhd), _ = _region_ends(region)
     if w0_box is None:
         box = search_box(v, disc)
         w0_lo, w0_hi = box["w0_min"], box["w0_max"]
@@ -751,12 +751,118 @@ def test_wall_feasible_matches_sympy(case):
 @given(wall_feasibility_cases())
 @settings(max_examples=150, deadline=None)
 def test_wall_window_matches_sympy(case):
-    """The window is None exactly when the wall misses region /\\ cap /\\ U:
-    the sympy oracle with an Im window that holds everywhere."""
+    """The point is None exactly when the wall misses region /\\ cap /\\ U:
+    the sympy oracle with an Im window that holds everywhere.  Otherwise
+    it is a point of the wall there."""
     wall, _, _, region = case
-    window = _wall_window(wall.A, wall.B, wall.C, _region_ends(region))
-    assert (window is not None) == _sympy_feasible(wall, *rank_zero_window,
-                                                   region)
+    point = _wall_window(wall.A, wall.B, wall.C, _region_ends(region))
+    assert (point is not None) == _sympy_feasible(wall, *rank_zero_window,
+                                                  region)
+    if point is not None:
+        _assert_point_of_wall(wall, point, region)
+
+
+def _assert_point_of_wall(wall, point, region):
+    """The point n/m of ``_wall_window``, checked in Fraction: on the wall
+    (at alpha = the cap on a vertical wall), in the closed beta range of
+    the region, under its cap and in U."""
+    n, m = point
+    assert m > 0
+    beta = Q(n, m)
+    alpha = region.alpha_max if wall.A == 0 else -(wall.B * beta + wall.C) / wall.A
+    assert passes_through(wall, (beta, alpha))
+    assert region.beta_min <= beta <= region.beta_max
+    assert beta * beta / 2 < alpha <= region.alpha_max
+
+
+def _points(v, region, disc):
+    """{wall: point} for every distinct wall of the scanned candidates."""
+    ends = _region_ends(region)
+    walls = {wall_between(v, c) for c in _scanned(v, region, disc)} - {None}
+    return {w: _wall_window(w.A, w.B, w.C, ends) for w in walls}
+
+
+def test_every_wall_of_the_sweep_pool_has_its_point():
+    """Each distinct key of the 72 walls-sweep inputs: its point lies on
+    it inside region /\\ cap /\\ U, and every returned wall has one; 1,458
+    of the 3,360 keys have a point, and 146 of those become walls."""
+    with_point = 0
+    for v, region, disc in _sweep_inputs():
+        points = _points(v, region, disc)
+        for wall, point in points.items():
+            if point is not None:
+                _assert_point_of_wall(wall, point, region)
+                with_point += 1
+        assert all(points[w] is not None
+                   for w, _ in enumerate_candidate_walls(v, region, disc))
+    assert with_point == 1458
+
+
+@pytest.mark.parametrize("text, region, disc, wall, point, returned", [
+    # the vertical wall beta = mu(O) = 0: a point, but never a witness
+    ("O", Region(-4, 2, 6), 20, Wall(0, 1, 0), (0, 1), False),
+    # 2*alpha = 5*beta: the vertex 5/2 is clamped onto beta_max = 2
+    ("O", Region(-4, 2, 6), 20, Wall(2, -5, 0), (2, 1), False),
+    # rank 0: the wall 2*alpha + beta = 0 at its vertex -1/2
+    ("0,1,-1/2,1/6", Region(-2, 2, 3), 2, Wall(2, 1, 0), (-1, 2), True),
+])
+def test_named_wall_points(text, region, disc, wall, point, returned):
+    v = NumClass.parse(text) if "," in text else class_of_named(text)
+    assert _points(v, region, disc)[wall] == point
+    _assert_point_of_wall(wall, point, region)
+    walls = [w for w, _ in enumerate_candidate_walls(v, region, disc)]
+    assert (wall in walls) is returned
+
+
+def _assert_sign_tests_match_oracle(v, region, disc) -> int:
+    """Enumeration's two sign tests on every scanned candidate: with
+    ``_witness_class`` made to return None, no witness slot ever fills, so
+    enumeration tests each candidate of every wall that has a point and
+    records those that pass.  They must be exactly the candidates that the
+    interval oracle ``wall_feasible`` accepts; a wall without a point must
+    have none.  On a wall that is not vertical, neither Im Z(w) nor
+    Im Z(v - w) is zero at the point, as enumeration's proof has it (so a
+    test >= 0 in place of > 0 would give the same verdicts there).
+    Returns the number of candidates."""
+    passed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walls_module, "_witness_class",
+                   lambda *c: passed.append(c))
+        assert enumerate_candidate_walls(v, region, disc) == []
+    scanned = _scanned(v, region, disc)
+    points = _points(v, region, disc)
+    feasible = []
+    for c in scanned:
+        wall = wall_between(v, c)
+        if wall is None:
+            continue
+        w = _witness_class(*c)
+        if wall.A != 0 and points[wall] is not None:
+            beta = Q(*points[wall])
+            assert w.v1 - beta * w.v0 != 0 != v.v1 - w.v1 - beta * (v.v0 - w.v0)
+        if _wall_feasible(wall, v, w, region):
+            feasible.append(c)
+    assert passed == feasible
+    return len(scanned)
+
+
+def test_sign_tests_match_the_interval_oracle_on_every_candidate():
+    """Every candidate of the walls-sweep pool and of the disc-400 probe."""
+    total = sum(_assert_sign_tests_match_oracle(*case) for case in _sweep_inputs())
+    assert total == 18629
+    probe = (NumClass(2, -1, Q(-3, 2), Q(1, 6)), Region(-4, 2, 6), 400)
+    assert _assert_sign_tests_match_oracle(*probe) == 40261
+
+
+@given(enumeration_cases, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sign_tests_match_the_interval_oracle(case, rank_zero):
+    """The same over v of every rank sign, made rank zero half the time,
+    and random regions."""
+    v, region, disc = case
+    if rank_zero:  # disc(v) = v1^2 >= 0 holds for every rank-0 class
+        v = NumClass(0, v.v1, v.v2, v.v3)
+    _assert_sign_tests_match_oracle(v, region, disc)
 
 
 def test_search_box_reported():
