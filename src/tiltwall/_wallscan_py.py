@@ -47,11 +47,37 @@ are 0 and +-R*w0*DS, so the condition is
 with a real t, or, when P1 = 0, every row or none.  The scan visits only
 the w1 of that interval inside the Im-window range, so a row it skips
 has no real t, and the candidate list is that of the whole range.
+
+Mirror.  For a lattice class, R = 1 and T2 = P1 (mod 2), v is itself the
+lattice point (P0, P1, T2), and
+
+    iota(w0, w1, t) = (P0 - w0, P1 - w1, T2 - t),   that is w -> v - w,
+
+is an involution of the triples with t = w1 (mod 2).  It keeps every
+filter: it swaps disc(w) >= 0 with disc(v - w) >= 0 and keeps their sum,
+so the DS budget; it swaps the two Im-window inequalities, since
+w1 - beta*w0 of iota(w) is (v1 - beta*v0) - (w1 - beta*w0); and it keeps
+the skip of w0 = P0 = 0.  The filters are exact, so the candidate set of
+the rows [w0_lo, w0_hi] holds iota(c) with each c whose image row P0 - w0
+lies in [w0_lo, w0_hi] too.  iota negates each coordinate up to a
+constant, so it reverses the order of triples: the candidates of a block
+of rows are those of the mirror block, mapped by iota, in reverse order.
+``mirror_rows`` names the rows a < w0 <= top, with a = max(P0 // 2,
+w0_lo - 1) and top = min(w0_hi, P0 - w0_lo).  Each has its mirror row
+P0 - w0 in [w0_lo, a]: P0 - w0 >= P0 - top >= w0_lo, and w0 > P0 // 2
+gives P0 - w0 < P0 - P0 // 2, so P0 - w0 <= P0 // 2 <= a.  So the scan
+builds the rows up to a, then the rows (a, top] as iota of the block
+[P0 - top, P0 - a), reversed, then scans the rows above top: the list of
+scanning every row, order included, with a mirrored row costing only its
+candidates.  Any other class has no mirrored row (a = top = w0_hi).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import chain, islice
 from math import isqrt
+from typing import Iterator
 
 
 def _quadratic_interval(a: int, b: int, c: int) -> tuple[int, int]:
@@ -90,10 +116,61 @@ def _row_interval(P0: int, P1: int, T2: int, R: int, DS: int, w0: int,
     return max(lo, r_lo), min(hi, r_hi)
 
 
+def mirror_rows(P0: int, P1: int, T2: int, R: int,
+                w0_lo: int, w0_hi: int) -> tuple[int, int]:
+    """(a, top) with w0_lo - 1 <= a <= top <= w0_hi: each row a < w0 <= top
+    of [w0_lo, w0_hi] is the image under iota of the row P0 - w0, which
+    lies in [w0_lo, a] (the module docstring).  Only a lattice class
+    (R = 1 and T2 = P1 (mod 2)) has mirrored rows; for any other class
+    a = top = w0_hi."""
+    if R != 1 or (T2 - P1) % 2:
+        return w0_hi, w0_hi
+    a = min(max(P0 // 2, w0_lo - 1), w0_hi)
+    return a, max(a, min(w0_hi, P0 - w0_lo))
+
+
 def scan_candidates(P0: int, P1: int, T2: int, R: int, DS: int,
                     w0_lo: int, w0_hi: int,
                     bln: int, bld: int, bhn: int, bhd: int) -> list[tuple[int, int, int]]:
+    """The candidates (w0, w1, t) of the rows w0_lo <= w0 <= w0_hi, in
+    increasing order: the rows up to a and above top scanned, the rows
+    a < w0 <= top of ``mirror_rows`` taken as iota of rows already built
+    (the module docstring)."""
     out: list[tuple[int, int, int]] = []
+    a, top = mirror_rows(P0, P1, T2, R, w0_lo, w0_hi)
+    _scan_rows(out, P0, P1, T2, R, DS, w0_lo, a, bln, bld, bhn, bhd)
+    # iota of the rows [P0 - top, P0 - a), read backwards; each w0 and each
+    # w1 is one int for its run, as in a scanned row
+    x0 = x1 = None
+    for y0, y1, y in map(out.__getitem__,
+                         range(bisect_left(out, (P0 - a,)) - 1,
+                               bisect_left(out, (P0 - top,)) - 1, -1)):
+        if y0 != x0:
+            x0, w0 = y0, P0 - y0
+        if y1 != x1:
+            x1, w1 = y1, P1 - y1
+        out.append((w0, w1, T2 - y))
+    _scan_rows(out, P0, P1, T2, R, DS, top + 1, w0_hi, bln, bld, bhn, bhd)
+    return out
+
+
+def unmirrored_candidates(P0: int, P1: int, T2: int, R: int, DS: int,
+                          w0_lo: int, w0_hi: int, bln: int, bld: int,
+                          bhn: int, bhd: int) -> Iterator[tuple[int, int, int]]:
+    """The list of ``scan_candidates`` less its mirrored rows
+    a < w0 <= top, in order, iterated in place: each candidate left out is
+    iota of an earlier one (``enumerate_candidate_walls`` says why it
+    needs no visit)."""
+    out = scan_candidates(P0, P1, T2, R, DS, w0_lo, w0_hi, bln, bld, bhn, bhd)
+    a, top = mirror_rows(P0, P1, T2, R, w0_lo, w0_hi)
+    return chain(islice(out, bisect_left(out, (a + 1,))),
+                 islice(out, bisect_left(out, (top + 1,)), None))
+
+
+def _scan_rows(out: list, P0: int, P1: int, T2: int, R: int, DS: int,
+               w0_lo: int, w0_hi: int, bln: int, bld: int, bhn: int, bhd: int) -> None:
+    """Append the candidates of the rows w0_lo <= w0 <= w0_hi to out, in
+    increasing order."""
     R2 = R * R
     Dd = bld * bhd
     DD = R * Dd
@@ -156,4 +233,3 @@ def scan_candidates(P0: int, P1: int, T2: int, R: int, DS: int,
             while t <= thi:
                 out.append((w0, w1, t))
                 t += 2
-    return out

@@ -78,7 +78,8 @@ class CollectionSpec(Record):
     @staticmethod
     @cache
     def builtin_by_name(name: str) -> "CollectionSpec":
-        """The named built-in collection, built and validated once."""
+        """The named built-in collection, built and validated anew on each
+        call."""
         names = _BUILTINS.get(name)
         if names is None:
             raise InputError(f"unknown builtin collection {quote_token(name)}")

@@ -11,7 +11,9 @@ yields w as such a triple (w0, w1, t), and enumeration passes v as its
 scaled triple (P0, P1, T2).  Enumeration scales v once and runs the
 integer candidate scan of ``_wallscan_py``, which visits only the
 (w0, w1) rows that admit a real t, taking its candidates in scan order and
-computing each key inline.
+computing each key inline; for a lattice class it skips the rows that are
+the images of earlier rows under w -> v - w, which give the same keys and
+verdicts.
 The per-key work is integers.  One table per call maps each wall key to
 [wall, point, witness]: the key's first candidate builds its ``Wall``
 through ``wall_between`` on its triple and its point, one rational beta
@@ -199,10 +201,16 @@ def _witness_class(w0: int, w1: int, t: int) -> NumClass:
     return NumClass(w0, w1, Fraction(t, 2), Fraction(3 * t - 2 * w1, 6))
 
 
-# Values of w0 a scan may visit.  Each costs at least about 1.6 us, for a
-# row that admits no w1 (3000000,0,0,0 near its bound; 2-vCPU Intel Xeon,
-# Python 3.11.7), so a search box over this many values would scan for 16 s
-# or more and is rejected before the scan.
+# Values of w0 a scan may visit.  A scanned row costs at least about
+# 1.5 us, and a mirrored row (a lattice class, ``_wallscan_py.mirror_rows``)
+# about a thirtieth of a scanned one, its candidates included: 1.5-2.9 us
+# against 0.04-0.08 us for 200000,0,0,0, whose box of 800,005 rows has
+# 500,003 scanned and 300,002 mirrored, with 99,999 candidates in these
+# (best of 7, 2-vCPU Intel Xeon, Python 3.11.7, varying with the host's
+# load).  A lattice class still scans more than half of the rows of its box,
+# which is symmetric, and any other class all of them, so a search box over
+# this many values would scan for 7 s or more and is rejected before the
+# scan.
 SCAN_W0_BUDGET = 10**7
 
 
@@ -274,7 +282,9 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     in scan order, and the first one that passes fills the witness slot
     with its ``NumClass`` (``_witness_class``, the one ``Fraction`` step),
     after which its wall's later candidates are skipped; so a call builds
-    one witness class per returned wall.
+    one witness class per returned wall.  For a lattice class the rows
+    a < w0 <= top of ``_wallscan_py.mirror_rows`` are not visited at all
+    (``_wallscan_py.unmirrored_candidates``; why below).
 
     Why one point decides the window.  Write Im Z = ch1^b = ch1 - beta*ch0
     and X = -Re Z = ch2^b - (omega^2/2)*ch0, with omega^2 = 2*alpha -
@@ -300,6 +310,23 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
       * A vertical wall is beta = mu(v), so I is the one beta = n/m, where
         Im Z(v) = 0: R times the first test plus the second is
         P1*m - P0*n = 0, and no candidate passes.
+
+    Why the mirrored rows need no visit.  For a lattice class (R = 1 and
+    T2 = P1 (mod 2)), iota(w0, w1, t) = (P0 - w0, P1 - w1, T2 - t), that is
+    w -> v - w, maps the scanned candidates of the rows a < w0 <= top onto
+    scanned candidates of rows at most a, which come earlier in the list
+    (``_wallscan_py``'s docstring).  Take c in such a row.
+      * iota(c) has the key of c: it negates A, B and C (A of iota(c) is
+        2*((P0 - w0)*P1 - P0*(P1 - w1)) = -A, and so on), and the normal
+        form forgets the sign; g = 0 for both or for neither.
+      * iota(c) has the verdict of c: with R = 1 the first test of iota(c),
+        (P1 - w1)*m - (P0 - w0)*n > 0, is the second test of c, and the
+        second, w1*m - w0*n > 0, is the first; the point n/m is the key's.
+    So c is never its key's first candidate, which builds the wall with
+    ``wall_between`` and the point, and never the first candidate of its
+    key that passes, since iota(c), earlier, passes with it.  Leaving
+    those rows out keeps every ``wall_between`` call, its arguments and
+    their order, and every witness.
     """
     disc_bound = rational(disc_bound)
     if disc_bound < 0:
@@ -319,7 +346,7 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     (bln, bld), (bhn, bhd), _ = ends
     vt = (P0, P1, T2)
     table: dict[tuple[int, int, int], list] = {}  # key -> [wall, point, witness]
-    for w0, w1, t in _wallscan_py.scan_candidates(
+    for w0, w1, t in _wallscan_py.unmirrored_candidates(
             P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], bln, bld, bhn, bhd):
         # the wall key: wall_between's coefficients, as Wall normalizes them
         A = 2 * (w0 * P1 - P0 * w1)

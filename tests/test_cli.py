@@ -135,6 +135,16 @@ def test_walls_golden_digest_at_disc_400(capsys):
         "a61149e48e6c84298a6b9665bc56d55b66bfd225b5994e224c8345842ea768fd")
 
 
+def test_walls_golden_digest_at_disc_4000(capsys):
+    # the same class and region: 1,435,405 scanned candidates, 722,707 of
+    # them visited, 83,088 distinct wall keys and 5 walls
+    args = ["walls", "2,-1,-3/2,1/6", "--beta-min", "-4", "--beta-max", "2",
+            "--alpha-max", "6", "--disc-bound", "4000", "--json"]
+    assert run(args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "43b1d8961c0a7c5c412a86b70e15dacff1f8da939f7c595bbe5690d6e4c5885b")
+
+
 # Inputs whose scan once walked every w1 of a huge Im-window range: each
 # must answer in a fresh process within the time limit
 FAST_WALLS_ARGV = [

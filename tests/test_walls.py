@@ -570,8 +570,9 @@ def scan_inputs(draw):
                             lambda k: P1 * P1 - P0 * T2 + k * R * R)))
     lo = draw(st.fractions(-6, 4, max_denominator=3))
     hi = lo + draw(st.fractions(0, 8, max_denominator=3))
-    w0_box = draw(st.integers(0, 8))
-    return (P0, P1, T2, R, DS, -w0_box, w0_box,
+    w0_lo = draw(st.integers(-8, 8))
+    w0_hi = draw(st.integers(w0_lo - 1, 8))
+    return (P0, P1, T2, R, DS, w0_lo, w0_hi,
             lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
 
@@ -590,6 +591,22 @@ def scan_inputs(draw):
 # denominators: the prefilter's two ends coincide, then differ in sign
 @example(_scan_args(NumClass(2, -1, Q(-3, 2), Q(1, 6)), Region(Q(-5, 3), Q(-5, 3), 4), 20))
 @example(_scan_args(class_of_named("T(-2)"), Region(Q(-3, 2), Q(2, 3), 4), 20))
+# lattice classes, whose rows (a, top] of mirror_rows are mirrored, on w0
+# boxes that are not symmetric: a box above P0 // 2 has no mirrored row,
+# and a last scanned block started at P0 // 2 + 1 would scan rows below it
+@example((-7, 5, -1, 1, 78, -1, 12, -11, 2, 5, 2))
+# even P0, whose row P0/2 is its own mirror and is scanned
+@example((4, 1, -3, 1, 20, -3, 6, -2, 1, 1, 1))
+# odd P0
+@example((3, -1, -5, 1, 30, -6, 6, -3, 1, 1, 1))
+# rank 0
+@example((0, 1, -1, 1, 20, -4, 5, -2, 1, 1, 2))
+# negative rank
+@example((-3, 1, 3, 1, 25, -5, 4, -2, 1, 1, 1))
+# R = 1 with T2 - P1 odd: no mirrored row
+@example((2, -1, -2, 1, 30, -6, 6, -4, 1, 2, 1))
+# P0 - w0_lo < w0_hi: the rows above top are scanned
+@example((-2, 1, 3, 1, 20, -3, 6, -2, 1, 2, 1))
 def test_scan_matches_exhaustive_loop(args):
     """The row filter only skips rows without a real t: the scan's list is
     the exhaustive loop's, order included."""
@@ -814,24 +831,36 @@ def test_named_wall_points(text, region, disc, wall, point, returned):
     assert (wall in walls) is returned
 
 
+def _mirror(args, c):
+    """iota(c) = (P0 - w0, P1 - w1, T2 - t), the triple of v - w, for the
+    scan arguments of a lattice class."""
+    P0, P1, T2 = args[:3]
+    return P0 - c[0], P1 - c[1], T2 - c[2]
+
+
 def _assert_sign_tests_match_oracle(v, region, disc) -> int:
     """Enumeration's two sign tests on every scanned candidate: with
     ``_witness_class`` made to return None, no witness slot ever fills, so
-    enumeration tests each candidate of every wall that has a point and
-    records those that pass.  They must be exactly the candidates that the
-    interval oracle ``wall_feasible`` accepts; a wall without a point must
-    have none.  On a wall that is not vertical, neither Im Z(w) nor
-    Im Z(v - w) is zero at the point, as enumeration's proof has it (so a
-    test >= 0 in place of > 0 would give the same verdicts there).
-    Returns the number of candidates."""
+    enumeration tests each candidate it visits of every wall that has a
+    point and records those that pass.  They must be exactly the visited
+    candidates that the interval oracle ``wall_feasible`` accepts; a wall
+    without a point must have none.  A candidate that enumeration skips
+    (a mirrored row of a lattice class) must have its mirror iota(c)
+    earlier in the scan, with the same ``wall_between_fraction`` wall and
+    the same ``wall_feasible`` verdict.  On a wall that is not vertical,
+    neither Im Z(w) nor Im Z(v - w) is zero at the point, as enumeration's
+    proof has it (so a test >= 0 in place of > 0 would give the same
+    verdicts there).  Returns the number of scanned candidates."""
     passed = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(walls_module, "_witness_class",
                    lambda *c: passed.append(c))
         assert enumerate_candidate_walls(v, region, disc) == []
-    scanned = _scanned(v, region, disc)
+    args = _scan_args(v, region, disc)
+    scanned = _wallscan_py.scan_candidates(*args)
+    visited = list(_wallscan_py.unmirrored_candidates(*args))
     points = _points(v, region, disc)
-    feasible = []
+    feasible = {}
     for c in scanned:
         wall = wall_between(v, c)
         if wall is None:
@@ -840,9 +869,15 @@ def _assert_sign_tests_match_oracle(v, region, disc) -> int:
         if wall.A != 0 and points[wall] is not None:
             beta = Q(*points[wall])
             assert w.v1 - beta * w.v0 != 0 != v.v1 - w.v1 - beta * (v.v0 - w.v0)
-        if _wall_feasible(wall, v, w, region):
-            feasible.append(c)
-    assert passed == feasible
+        feasible[c] = _wall_feasible(wall, v, w, region)
+    assert passed == [c for c in visited if feasible.get(c)]
+    position = {c: i for i, c in enumerate(scanned)}
+    for c in set(scanned).difference(visited):
+        m = _mirror(args, c)
+        assert position[m] < position[c]
+        assert (wall_between_fraction(v, _witness_class(*m))
+                == wall_between_fraction(v, _witness_class(*c)))
+        assert feasible.get(m) == feasible.get(c)
     return len(scanned)
 
 
@@ -863,6 +898,54 @@ def test_sign_tests_match_the_interval_oracle(case, rank_zero):
     if rank_zero:  # disc(v) = v1^2 >= 0 holds for every rank-0 class
         v = NumClass(0, v.v1, v.v2, v.v3)
     _assert_sign_tests_match_oracle(v, region, disc)
+
+
+def _assert_scan_mirrors(v, region, disc) -> int:
+    """The scan of a lattice class is closed under iota inside its w0 box,
+    and iota keeps each candidate's ``wall_between_fraction`` wall and its
+    ``wall_feasible`` verdict.  Enumeration visits the scan less the rows
+    of ``mirror_rows``, and none of the candidates it skips is the first
+    of its wall key.  Returns the number of candidates it visits."""
+    args = _scan_args(v, region, disc)
+    P0, P1, T2, R, _, w0_lo, w0_hi = args[:7]
+    assert R == 1 and (T2 - P1) % 2 == 0
+    scanned = _wallscan_py.scan_candidates(*args)
+    verdict = {}  # candidate -> (wall, feasible)
+    first = {}  # wall -> the position of its first candidate
+    for i, c in enumerate(scanned):
+        w = _witness_class(*c)
+        wall = wall_between_fraction(v, w)
+        verdict[c] = wall, wall is not None and _wall_feasible(wall, v, w, region)
+        first.setdefault(wall, i)
+    for c in scanned:
+        m = _mirror(args, c)
+        if w0_lo <= m[0] <= w0_hi:
+            assert m in verdict and verdict[m] == verdict[c]
+    a, top = _wallscan_py.mirror_rows(P0, P1, T2, R, w0_lo, w0_hi)
+    visited = list(_wallscan_py.unmirrored_candidates(*args))
+    assert visited == [c for c in scanned if not a < c[0] <= top]
+    for i, c in enumerate(scanned):
+        if a < c[0] <= top and verdict[c][0] is not None:
+            assert first[verdict[c][0]] < i
+    return len(visited)
+
+
+def test_enumeration_skips_the_mirrored_rows_of_the_sweep_pool():
+    """Every walls-sweep class is a lattice class: one pass visits 9,684 of
+    its 18,629 scanned candidates."""
+    assert sum(_assert_scan_mirrors(*case) for case in _sweep_inputs()) == 9684
+
+
+@given(st.tuples(small_lattice, small_lattice, small_lattice,
+                 small_lattice).filter(any).map(lattice_class),
+       enumeration_regions(), st.integers(min_value=0, max_value=20),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_scan_mirrors_on_lattice_classes(v, region, disc, rank_zero):
+    if rank_zero:  # still a lattice class, and disc(v) = v1^2 >= 0
+        v = NumClass(0, v.v1, v.v2, v.v3)
+    if discriminant(v) >= 0:
+        _assert_scan_mirrors(v, region, disc)
 
 
 def test_search_box_reported():
