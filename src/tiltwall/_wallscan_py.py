@@ -135,22 +135,29 @@ def scan_candidates(P0: int, P1: int, T2: int, R: int, DS: int,
     """The candidates (w0, w1, t) of the rows w0_lo <= w0 <= w0_hi, in
     increasing order: the rows up to a and above top scanned, the rows
     a < w0 <= top of ``mirror_rows`` taken as iota of rows already built
-    (the module docstring)."""
+    (the module docstring).  A MemoryError empties the list before it
+    leaves, so that the frames it unwinds through can be freed: with the
+    list still full, CPython can lose the error there and raise a
+    SystemError in its place."""
     out: list[tuple[int, int, int]] = []
     a, top = mirror_rows(P0, P1, T2, R, w0_lo, w0_hi)
-    _scan_rows(out, P0, P1, T2, R, DS, w0_lo, a, bln, bld, bhn, bhd)
-    # iota of the rows [P0 - top, P0 - a), read backwards; each w0 and each
-    # w1 is one int for its run, as in a scanned row
-    x0 = x1 = None
-    for y0, y1, y in map(out.__getitem__,
-                         range(bisect_left(out, (P0 - a,)) - 1,
-                               bisect_left(out, (P0 - top,)) - 1, -1)):
-        if y0 != x0:
-            x0, w0 = y0, P0 - y0
-        if y1 != x1:
-            x1, w1 = y1, P1 - y1
-        out.append((w0, w1, T2 - y))
-    _scan_rows(out, P0, P1, T2, R, DS, top + 1, w0_hi, bln, bld, bhn, bhd)
+    try:
+        _scan_rows(out, P0, P1, T2, R, DS, w0_lo, a, bln, bld, bhn, bhd)
+        # iota of the rows [P0 - top, P0 - a), read backwards; each w0 and
+        # each w1 is one int for its run, as in a scanned row
+        x0 = x1 = None
+        for y0, y1, y in map(out.__getitem__,
+                             range(bisect_left(out, (P0 - a,)) - 1,
+                                   bisect_left(out, (P0 - top,)) - 1, -1)):
+            if y0 != x0:
+                x0, w0 = y0, P0 - y0
+            if y1 != x1:
+                x1, w1 = y1, P1 - y1
+            out.append((w0, w1, T2 - y))
+        _scan_rows(out, P0, P1, T2, R, DS, top + 1, w0_hi, bln, bld, bhn, bhd)
+    except MemoryError:
+        out.clear()
+        raise
     return out
 
 

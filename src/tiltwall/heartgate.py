@@ -78,8 +78,8 @@ class CollectionSpec(Record):
     @staticmethod
     @cache
     def builtin_by_name(name: str) -> "CollectionSpec":
-        """The named built-in collection, built and validated anew on each
-        call."""
+        """The named built-in collection, built and validated once and
+        cached: every call with a name returns the same object."""
         names = _BUILTINS.get(name)
         if names is None:
             raise InputError(f"unknown builtin collection {quote_token(name)}")

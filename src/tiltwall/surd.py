@@ -39,9 +39,9 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     """Return (s, d) with n = s^2 * d and d square-free (n >= 0).
 
     Trial division stops once p^3 > m: the cofactor m then has at most two
-    prime factors, so it is square-free unless it is a perfect square."""
-    if n < 0:
-        raise ValueError("negative radicand")
+    prime factors, so it is square-free unless it is a perfect square.
+    No sign check: ``Surd.sqrt``, the one caller, rejects x < 0 first, and
+    a negative n would still raise ValueError from ``isqrt``."""
     if n in (0, 1):
         return 1, n
     s, d = 1, 1

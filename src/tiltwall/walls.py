@@ -15,15 +15,11 @@ computing each key inline; for a lattice class it skips the rows that are
 the images of earlier rows under w -> v - w, which give the same keys and
 verdicts.
 The per-key work is integers.  One table per call maps each wall key to
-[wall, point, witness]: the key's first candidate builds its ``Wall``
-through ``wall_between`` on its triple and its point, one rational beta
-n/m of the wall inside the region, under the alpha cap and in U, or None
-when there is none (``_wall_window``, on the region's integers read once
-by ``_region_ends``); the witness slot stays None until a candidate
-passes.  A candidate passes when Im Z(w) > 0 and Im Z(v - w) > 0 at that
-one point, two integer signs, which decide the strict Im Z window on the
-whole wall (``enumerate_candidate_walls`` gives the proof).  The first
-passing candidate of a wall wins, and only it becomes a witness
+[wall, point, witness], and one Im Z window rule, checked for the region,
+for each wall and for each candidate (``enumerate_candidate_walls``),
+decides which keys become walls: a key's first candidate builds its
+``Wall`` through ``wall_between`` and its point (``_wall_window``), and
+the first candidate that passes at that point becomes its witness
 ``NumClass``, so a call builds one class per returned wall.  Every verdict
 is exact, in integers and ``Fraction`` only.
 """
@@ -131,14 +127,27 @@ class Region(Record):
 # somewhere on a nonempty interval iff it is negative at the vertex -B/A
 # clamped into the interval, and that clamped vertex is the wall's point.
 
-def _clip(A, B, C, lo, hi, c, d):
-    """The vertex -B/A of q clamped into the closed beta interval [lo, hi]
-    cut by c*beta + d >= 0, as (n, m) for n/m with m > 0, or None when the
-    cut interval is empty or q >= 0 at that vertex (A > 0).  An end is a
-    pair (n, m) for n/m with m > 0, so that every comparison is one
-    cross-multiplication and nothing is reduced; with integer c and d it
-    is all integers."""
-    (ln, ld), (hn, hd) = lo, hi
+def _region_ends(region: Region):
+    """The region in integers, read once per enumeration: the ends of its
+    closed beta range, which are also the scan's beta integers, and its
+    alpha cap, each n/m as (n, m) with m > 0; ``_wall_window`` takes the
+    triple."""
+    return (region.beta_min.as_integer_ratio(),
+            region.beta_max.as_integer_ratio(),
+            region.alpha_max.as_integer_ratio())
+
+
+def _wall_window(A: int, B: int, C: int, ends, P0: int, P1: int):
+    """The point where enumeration tests the candidates of the wall
+    A*alpha + B*beta + C = 0 (``Wall``'s normal form), as (n, m, S): beta
+    n/m with m > 0 in the region's closed beta range (``ends``), under its
+    cap and in U, and S = P1*m - P0*n = m*R*Im Z(v) > 0 there; None when
+    there is none.  A vertical wall is beta = mu(v), where Im Z(v) = 0."""
+    if A == 0:
+        return None
+    (ln, ld), (hn, hd), (cn, cd) = ends
+    # the cap alpha(beta) <= cn/cd, times cd: c*beta + d >= 0
+    c, d = B * cd, C * cd + A * cn
     if c > 0:  # beta >= -d/c
         if ln * c + d * ld < 0:  # lo < -d/c
             ln, ld = -d, c
@@ -154,43 +163,11 @@ def _clip(A, B, C, lo, hi, c, d):
         n, m = ln, ld
     elif n * hd > hn * m:
         n, m = hn, hd
-    # the sign of m^2 q(n/m)
-    if (A * n + 2 * B * m) * n + 2 * C * m * m >= 0:
+    S = P1 * m - P0 * n
+    # the sign of m^2 q(n/m), then Im Z(v) > 0
+    if (A * n + 2 * B * m) * n + 2 * C * m * m >= 0 or S <= 0:
         return None
-    return n, m
-
-
-def _region_ends(region: Region):
-    """The region in integers, read once per enumeration: the ends of its
-    closed beta range, which are also the scan's beta integers, and its
-    alpha cap, each n/m as (n, m) with m > 0; ``_wall_window`` takes the
-    triple."""
-    return (region.beta_min.as_integer_ratio(),
-            region.beta_max.as_integer_ratio(),
-            region.alpha_max.as_integer_ratio())
-
-
-def _wall_window(A: int, B: int, C: int, ends):
-    """One rational beta n/m of the wall A*alpha + B*beta + C = 0, in
-    ``Wall``'s normal form, as (n, m) with m > 0: a point of the wall
-    inside the region's closed beta range, under its alpha cap and in U.
-    None when the wall misses region /\\ cap /\\ U; ``ends`` is the
-    region's ``_region_ends``.  It depends only on the wall, so
-    enumeration computes it once per wall.  On a non-vertical wall the
-    point is the vertex -B/A clamped into the wall's closed beta window
-    (``_clip``), where q < 0.  A vertical wall beta0 = -C/B (B > 0 in
-    normal form; B = 0 leaves C = 0, no point) has the point beta0 when
-    beta0 is in the range and U holds at some alpha under the cap n/m,
-    that is n/m > beta0^2/2, or 2*n*B^2 - m*C^2 > 0."""
-    lo, hi, (n, m) = ends
-    if A == 0:
-        (ln, ld), (hn, hd) = lo, hi
-        if (B == 0 or -C * ld < ln * B or -C * hd > hn * B
-                or 2 * n * B * B - m * C * C <= 0):
-            return None
-        return -C, B
-    # alpha(beta) <= alpha_max, times m
-    return _clip(A, B, C, lo, hi, B * m, C * m + A * n)
+    return n, m, S
 
 
 # --- candidate enumeration ---------------------------------------------------
@@ -261,55 +238,61 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     region, each with one integral witness class w satisfying the
     discriminant filters and the Im Z window on the wall.
 
+    The Im Z window is one rule: the wall of w is a wall of v when some
+    point of it in region /\\ cap /\\ U has 0 < Im Z(w) < Im Z(v), where
+    Im Z = ch1^b = ch1 - beta*ch0.  Enumeration applies it at three levels,
+    in integers.
+      * The region, before the w0 budget and the scan: [] when
+        Im Z(v) <= 0 at both ends n/d of the closed beta range
+        (P1*d - P0*n <= 0), so on all of it, being linear in beta (as for
+        v0 = v1 = 0), or when the cap cn/cd lies at or below U over the
+        range (2*cn*y^2 <= cd*x^2, x/y the beta of the range nearest 0).
+      * The wall: its first candidate builds it with ``wall_between`` on
+        the triples (P0, P1, T2) and (w0, w1, t), and its point (n, m, S)
+        with ``_wall_window``, where S = m*R*Im Z(v) > 0, or None, which
+        ends the key's tests.
+      * The candidate (w0, w1, t): with k = w1*m - w0*n = m*Im Z(w) at n/m,
+        it passes iff 0 < k and R*k < S, that is iff Im Z(w) > 0 and
+        Im Z(v - w) > 0 there.
+
     The scan skips every row (w0, w1) that admits no real t, by a
     discriminant bound (see ``_wallscan_py``), so its work follows the rows
-    that do, not the width of the region's Im window: a line bundle of huge
-    index or a region reaching far in beta costs few rows.  A class with
-    v0 = v1 = 0 has Im Z(v) = 0, so no w has 0 < Im Z(w) < Im Z(v): it has
-    no wall, and [] is returned without the scan (every w1 of its rows
-    would have a real t).  A search box of more than SCAN_W0_BUDGET values
-    of w0 raises InputError before the scan.  A scanned candidate
-    (w0, w1, t) costs a few integer operations and one lookup in a table
-    of this call: its wall key is ``wall_between``'s coefficients in
-    ``Wall``'s normal form, computed inline, and the table maps the key to
-    [wall, point, witness].  The first candidate of each key builds the
-    wall with ``wall_between`` on the triples (P0, P1, T2) of v and
-    (w0, w1, t), and the point n/m with ``_wall_window``, both in integers;
-    a wall that misses region /\\ cap /\\ U keeps the point None and is
-    never looked at again.  A candidate passes iff w1*m - w0*n > 0 and
-    (P1 - R*w1)*m - (P0 - R*w0)*n > 0, that is iff Im Z(w) > 0 and
-    Im Z(v - w) > 0 at beta = n/m (times m and m*R).  Candidates are taken
+    that do, not the width of the region's Im window.  A search box of
+    more than SCAN_W0_BUDGET values of w0 raises InputError before the
+    scan.  A scanned candidate's wall key is ``wall_between``'s
+    coefficients in ``Wall``'s normal form, computed inline, and one table
+    of this call maps it to [wall, point, witness].  Candidates are taken
     in scan order, and the first one that passes fills the witness slot
-    with its ``NumClass`` (``_witness_class``, the one ``Fraction`` step),
-    after which its wall's later candidates are skipped; so a call builds
-    one witness class per returned wall.  For a lattice class the rows
+    (``_witness_class``, the one ``Fraction`` step), after which its
+    wall's later candidates are skipped.  For a lattice class the rows
     a < w0 <= top of ``_wallscan_py.mirror_rows`` are not visited at all
     (``_wallscan_py.unmirrored_candidates``; why below).
 
-    Why one point decides the window.  Write Im Z = ch1^b = ch1 - beta*ch0
-    and X = -Re Z = ch2^b - (omega^2/2)*ch0, with omega^2 = 2*alpha -
-    beta^2 > 0 in U.  The wall of w is the locus
-    X(w)*ch1^b(v) = X(v)*ch1^b(w), which expands to A*alpha + B*beta + C,
-    and v - w has the same wall.  Let I be the set of beta of the wall's
-    points in region /\\ cap /\\ U: the wall's closed window under the
-    region and the cap, cut by the open interval q < 0, so an interval,
-    and it holds n/m.
+    Why one point decides the window.  Write X = -Re Z = ch2^b -
+    (omega^2/2)*ch0, with omega^2 = 2*alpha - beta^2 > 0 in U.  The wall of
+    w is the locus X(w)*ch1^b(v) = X(v)*ch1^b(w), which expands to
+    A*alpha + B*beta + C, and v - w has the same wall.  Let I be the set of
+    beta of the wall's points in region /\\ cap /\\ U: the wall's closed
+    window under the region and the cap, cut by the open interval q < 0,
+    so an interval, and it holds n/m.
+      * A vertical wall is beta = mu(v), where Im Z(v) = 0, so it has no
+        point.  For v0 != 0 every wall of v passes through
+        Pi(v) = (v1/v0, v2/v0); in rank 0, A = 2*w0*P1 with P1 != 0 (else
+        the region rule fires) and w0 != 0 (the scan skips w0 = P0 = 0).
       * On a non-vertical wall, ch1^b(v) has no zero on I.  Delta(v) >= 0,
-        checked first, puts Pi(v) = (v1/v0, v2/v0) on or below
-        alpha = beta^2/2, outside U, and the wall meets beta = mu(v), the
-        one zero of ch1^b(v), only at Pi.  In rank 0, ch1^b(v) = v1 != 0.
-      * So ch1^b(w) = 0 at a beta of I would force X(w) = 0 there, that is
+        checked first, puts Pi(v) on or below alpha = beta^2/2, outside U,
+        and the wall meets beta = mu(v), the one zero of ch1^b(v), only at
+        Pi.  In rank 0, ch1^b(v) = v1 != 0.  So S <= 0 at n/m means
+        Im Z(v) < 0 on all of I, and no w has a window there.
+      * ch1^b(w) = 0 at a beta of I would force X(w) = 0 there, that is
         Z(w) = 0, and then Delta(w) = (ch1^b)^2 - 2*ch0*ch2^b =
         -omega^2*w0^2.  The scan keeps only Delta(w) >= 0, so w0 = 0, and
         Z(w) = 0 then reads w1 = w2 = 0: w = 0, whose key is skipped
         (g = 0).  The same holds for v - w, with Delta(v - w) >= 0 and
         v - w = 0 again giving g = 0.
-      * So Im Z(w) and Im Z(v - w) keep their signs on I, and the two tests
-        at n/m give the verdict on the whole wall, which is whether some
+      * So Im Z(w) and Im Z(v - w) keep their signs on I, and the test at
+        n/m gives the verdict on the whole wall, which is whether some
         point of it in region /\\ cap /\\ U has 0 < Im Z(w) < Im Z(v).
-      * A vertical wall is beta = mu(v), so I is the one beta = n/m, where
-        Im Z(v) = 0: R times the first test plus the second is
-        P1*m - P0*n = 0, and no candidate passes.
 
     Why the mirrored rows need no visit.  For a lattice class (R = 1 and
     T2 = P1 (mod 2)), iota(w0, w1, t) = (P0 - w0, P1 - w1, T2 - t), that is
@@ -319,9 +302,8 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
       * iota(c) has the key of c: it negates A, B and C (A of iota(c) is
         2*((P0 - w0)*P1 - P0*(P1 - w1)) = -A, and so on), and the normal
         form forgets the sign; g = 0 for both or for neither.
-      * iota(c) has the verdict of c: with R = 1 the first test of iota(c),
-        (P1 - w1)*m - (P0 - w0)*n > 0, is the second test of c, and the
-        second, w1*m - w0*n > 0, is the first; the point n/m is the key's.
+      * iota(c) has the verdict of c: with R = 1 it maps k to S - k at the
+        key's point, so 0 < k < S holds for both or for neither.
     So c is never its key's first candidate, which builds the wall with
     ``wall_between`` and the point, and never the first candidate of its
     key that passes, since iota(c), earlier, passes with it.  Leaving
@@ -334,7 +316,12 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     P0, P1, T2, R, DS = _scaled_inputs(v, disc_bound)
     if P1 * P1 - P0 * T2 < 0:  # R^2 * disc(v)
         raise DomainError("class has negative discriminant; no walls")
-    if P0 == P1 == 0:  # Im Z(v) = 0: an empty Im window
+    ends = _region_ends(region)
+    (bln, bld), (bhn, bhd), (cn, cd) = ends
+    # x/y: the beta of the range nearest 0, where U reaches lowest
+    x, y = (bln, bld) if bln > 0 else (bhn, bhd) if bhn < 0 else (0, 1)
+    if (P1 * bld - P0 * bln <= 0 and P1 * bhd - P0 * bhn <= 0
+            or 2 * cn * y * y <= cd * x * x):
         return []
     box = search_box(v, disc_bound)
     width = box["w0_max"] - box["w0_min"] + 1
@@ -342,8 +329,6 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         raise InputError(f"search box |w0| <= {_digits(box['w0_max'])} holds "
                          f"{_digits(width)} values of w0, over the scan budget "
                          f"of {SCAN_W0_BUDGET}")
-    ends = _region_ends(region)
-    (bln, bld), (bhn, bhd), _ = ends
     vt = (P0, P1, T2)
     table: dict[tuple[int, int, int], list] = {}  # key -> [wall, point, witness]
     for w0, w1, t in _wallscan_py.unmirrored_candidates(
@@ -361,12 +346,12 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         entry = table.get(key)
         if entry is None:  # the wall's first candidate; perfbench counts keys here
             entry = table[key] = [wall_between(vt, (w0, w1, t)),
-                                  _wall_window(A, B, C, ends), None]
+                                  _wall_window(A, B, C, ends, P0, P1), None]
         _, point, witness = entry
         if witness is None and point is not None:
-            n, m = point
-            # Im Z(w) > 0 and R * Im Z(v - w) > 0 at beta = n/m, times m
-            if w1 * m - w0 * n > 0 and (P1 - R * w1) * m - (P0 - R * w0) * n > 0:
+            n, m, S = point
+            k = w1 * m - w0 * n  # m * Im Z(w) at beta = n/m
+            if 0 < k and R * k < S:
                 entry[2] = _witness_class(w0, w1, t)
     found = [(key, wall, w) for key, (wall, _, w) in table.items() if w is not None]
     return [(wall, w) for _, wall, w in sorted(found)]

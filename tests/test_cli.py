@@ -192,6 +192,14 @@ def test_walls_over_the_scan_budget_is_input_error_in_time(argv):
     assert proc.stderr.count("\n") == 1
 
 
+def test_walls_with_an_empty_window_is_answered_before_the_scan_budget(capsys):
+    # over the w0 budget, but Im Z(O) = -beta <= 0 on all of [0, 1]: no
+    # wall, and no box to scan
+    assert run(["walls", "O", "--disc-bound", "1e400", "--beta-min", "0",
+                "--beta-max", "1", "--alpha-max", "1"]) == 0
+    assert capsys.readouterr() == ("no walls found\n", "")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="an RLIMIT_AS address-space limit is Linux-only")
 def test_out_of_memory_is_internal_error_on_one_line():
@@ -205,6 +213,41 @@ def test_out_of_memory_is_internal_error_on_one_line():
 
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "tiltwall.cli", "walls", "O",
+                           "--beta-min", "-1", "--beta-max", "0", "--alpha-max", "1",
+                           "--disc-bound", "1e9"],
+                          capture_output=True, text=True, env=env, timeout=30,
+                          preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "internal error: MemoryError\n"
+
+
+# enumerate_candidate_walls wrapped in a frame of 200 locals, then the CLI
+_WIDE_FRAME_CLI = """
+import sys
+from tiltwall import cli
+inner = cli.enumerate_candidate_walls
+source = ("def wrapper(v, region, disc):\\n"
+          + "".join(f"    x{i} = {i}\\n" for i in range(200))
+          + "    return inner(v, region, disc)\\n")
+exec(source)
+cli.enumerate_candidate_walls = wrapper
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="an RLIMIT_AS address-space limit is Linux-only")
+def test_out_of_memory_message_does_not_depend_on_the_frames_above_the_scan():
+    # the scan frees its candidate list before its MemoryError unwinds;
+    # with the list still held, CPython 3.11 printed "SystemError: error
+    # return without exception set" under a caller with a large frame
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _WIDE_FRAME_CLI, "walls", "O",
                            "--beta-min", "-1", "--beta-max", "0", "--alpha-max", "1",
                            "--disc-bound", "1e9"],
                           capture_output=True, text=True, env=env, timeout=30,

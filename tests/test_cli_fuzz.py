@@ -6,6 +6,7 @@ Exit 3, a traceback or an unbounded stderr line is a bug."""
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -107,7 +108,8 @@ def verb_argv(verb, valid):
         stray = st.sampled_from([[], ["--bogus"]]) | junk.map(lambda j: [j])
     # walls and plot draw small classes and regions only (|beta|, alpha <= 8,
     # disc <= 40): the scan has no work budget yet, and a large class or
-    # region can take minutes
+    # region can take minutes unless the region has no Im window
+    # (test_large_classes_without_a_window_have_no_walls)
     box_class = classes(rationals(3, 6)) | named(st.integers(-8, 8))
     if valid:
         region = st.tuples(fracs(-8, 8), fracs(-8, 8), rationals(8)).map(
@@ -180,3 +182,51 @@ def test_every_input_is_answered_or_rejected_on_one_line(verb, folder, data):
     assert err == "" or (err.count("\n") == 1 and err.endswith("\n")), err
     assert len(err) <= 243 + 1  # the line and its newline
     assert "Traceback" not in err and "internal error" not in err
+
+
+# Large classes and discriminant bounds, in regions that the region rule of
+# wall enumeration answers before any scan: Im Z(v) = v1 - beta*v0 <= 0
+# over the whole beta range, or an alpha cap at or below U over it.
+big = fracs(-10**6, 10**6)
+nonneg = fracs(0, 10**6)
+
+
+@st.composite
+def windowless_box(draw):
+    """(class, region) with components up to 10^6 and no point of the
+    region where Im Z(v) > 0 under a cap above U."""
+    if draw(st.booleans()):
+        v = draw(st.lists(big, min_size=4, max_size=4))
+        token = ",".join(map(str, v))
+    else:
+        d = draw(st.integers(-10**6, 10**6))
+        v, token = [1, d], f"O({d})"  # v0 = 1, v1 = d
+    a, b = draw(nonneg), draw(nonneg)
+    if v[0] != 0 and draw(st.booleans()):
+        mu = Fraction(v[1]) / v[0]
+        lo = mu + a if v[0] > 0 else mu - a - b
+        region = (lo, lo + b, draw(big))
+    else:
+        lo = a if draw(st.booleans()) else -a - b  # the end nearest 0: a or -a
+        region = (lo, lo + b, a * a / 2 - draw(nonneg))
+    return token, [str(x) for x in region]
+
+
+@pytest.mark.parametrize("verb", ["walls", "plot"])
+@settings(max_examples=50, deadline=None)
+@given(box=windowless_box(), disc=st.integers(0, 10**9))
+def test_large_classes_without_a_window_have_no_walls(verb, folder, box, disc):
+    token, (lo, hi, cap) = box
+    argv = [verb, token, "--beta-min", lo, "--beta-max", hi, "--alpha-max", cap,
+            "--disc-bound", str(disc)]
+    if verb == "plot":
+        argv += ["-o", str(folder / "scene.svg")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    if code == 2:  # only a class of negative discriminant is rejected
+        assert err.getvalue() == "error: class has negative discriminant; no walls\n"
+    else:
+        assert (code, err.getvalue()) == (0, "")
+        assert out.getvalue() == ("no walls found\n" if verb == "walls"
+                                  else f"wrote {argv[-1]} (0 walls)\n")

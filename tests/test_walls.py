@@ -15,8 +15,9 @@ from tiltwall import (NumClass, ParamPoint, Region, Wall, class_of_line_bundle,
 from tiltwall.errors import DomainError, InputError
 from tiltwall import _wallscan_py, walls as walls_module
 from tiltwall._wallscan_py import _quadratic_interval, _row_interval
-from tiltwall.walls import (_region_ends, _scaled_inputs, _wall_window,
-                            _witness_class, plot_frame, search_box)
+from tiltwall.walls import (_region_ends, _scaled, _scaled_inputs,
+                            _wall_window, _witness_class, plot_frame,
+                            search_box)
 
 from conftest import integral_classes, lattice_class
 from oracles import (scan_candidates_exhaustive, wall_between_fraction,
@@ -336,6 +337,60 @@ def test_class_without_rank_or_degree_has_no_wall(v):
     assert _scanned(v, region, 20)
     assert _reference_walls(v, region, 20) == []
     assert enumerate_candidate_walls(v, region, 20) == []
+
+
+# Regions with no point where Im Z(v) > 0 (the first and the last), or whose
+# cap lies at or below U: without the region rule, the first two outgrow a
+# 400 MB address space, the third gives no answer in 20 s and the last is
+# over the w0 budget
+NO_WINDOW_INPUTS = [
+    ("0,-1000,0,0", Region(-1, 1, 2), 0),
+    ("6/7,699870,693553,193926", Region(-2, 3, -2), 34),
+    ("863513/4790,780711,23/8,260399/2379", Region(4, 6, 2), 40),
+    ("0,-1e100,0,0", Region(-1, 1, 2), 0),
+]
+
+
+class _Scanned(Exception):
+    pass
+
+
+def _no_scan(*args):
+    raise _Scanned
+
+
+@pytest.mark.parametrize("text, region, disc", NO_WINDOW_INPUTS)
+def test_a_region_without_a_window_is_answered_before_the_scan(
+        monkeypatch, text, region, disc):
+    monkeypatch.setattr(_wallscan_py, "scan_candidates", _no_scan)
+    assert enumerate_candidate_walls(NumClass.parse(text), region, disc) == []
+
+
+def _region_rule_fires(v, region) -> bool:
+    """The region rule in Fraction: Im Z(v) = v1 - beta*v0 <= 0 at both
+    ends of the beta range, or the cap at or below beta^2/2 at the beta of
+    the range nearest 0."""
+    nearest = min(max(Q(0), region.beta_min), region.beta_max)
+    return (all(v.v1 - beta * v.v0 <= 0
+                for beta in (region.beta_min, region.beta_max))
+            or region.alpha_max <= nearest * nearest / 2)
+
+
+@given(enumeration_cases)
+@settings(max_examples=150, deadline=None)
+def test_region_rule_only_drops_regions_without_a_wall(case):
+    """Enumeration skips the scan exactly when the region rule fires, and
+    then the reference enumeration finds no wall either."""
+    v, region, disc = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_wallscan_py, "scan_candidates", _no_scan)
+        try:
+            fired = enumerate_candidate_walls(v, region, disc) == []
+        except _Scanned:
+            fired = False
+    assert fired == _region_rule_fires(v, region)
+    if fired:
+        assert _reference_walls(v, region, disc) == []
 
 
 # The walls-sweep pool of the benchmark (perfbench/workloads.py): six
@@ -765,68 +820,90 @@ def test_wall_feasible_matches_sympy(case):
     assert _wall_feasible(*case) == _sympy_feasible(*case)
 
 
+def _im_v_vanishes_on_wall(wall, v, region) -> bool:
+    """Does Im Z(v) = v1 - beta*v0 vanish at a point of the non-vertical
+    wall in region /\\ cap /\\ U?  Never on a wall of v (Delta(v) >= 0
+    puts Pi(v) outside U), but the drawn lines are not all walls of v."""
+    if v.v0 == 0:
+        return v.v1 == 0
+    mu = v.v1 / v.v0
+    alpha = -(wall.B * mu + wall.C) / wall.A
+    return (region.beta_min <= mu <= region.beta_max
+            and mu * mu / 2 < alpha <= region.alpha_max)
+
+
 @given(wall_feasibility_cases())
 @settings(max_examples=150, deadline=None)
 def test_wall_window_matches_sympy(case):
-    """The point is None exactly when the wall misses region /\\ cap /\\ U:
-    the sympy oracle with an Im window that holds everywhere.  Otherwise
-    it is a point of the wall there."""
-    wall, _, _, region = case
-    point = _wall_window(wall.A, wall.B, wall.C, _region_ends(region))
-    assert (point is not None) == _sympy_feasible(wall, *rank_zero_window,
-                                                  region)
+    """A point is a point of the wall in region /\\ cap /\\ U where
+    Im Z(v) > 0.  There is none exactly when the sympy oracle with
+    w = v/2, whose window 0 < Im Z(w) < Im Z(v) reads Im Z(v) > 0, finds no
+    such point, whenever Im Z(v) has no zero on the wall there, as on
+    every wall of v; a vertical wall never has one."""
+    wall, v, _, region = case
+    P0, P1 = _scaled(v)[:2]
+    point = _wall_window(wall.A, wall.B, wall.C, _region_ends(region), P0, P1)
     if point is not None:
-        _assert_point_of_wall(wall, point, region)
+        _assert_point_of_wall(wall, point, v, region)
+    elif wall.A == 0 or _im_v_vanishes_on_wall(wall, v, region):
+        return
+    assert (point is not None) == _sympy_feasible(wall, v, Q(1, 2) * v, region)
 
 
-def _assert_point_of_wall(wall, point, region):
-    """The point n/m of ``_wall_window``, checked in Fraction: on the wall
-    (at alpha = the cap on a vertical wall), in the closed beta range of
-    the region, under its cap and in U."""
-    n, m = point
-    assert m > 0
+def _assert_point_of_wall(wall, point, v, region):
+    """The point (n, m, S) of ``_wall_window``, checked in Fraction: beta
+    = n/m on the wall, which is not vertical, in the closed beta range of
+    the region, under its cap and in U, with S = m*R*Im Z(v) > 0 there."""
+    n, m, S = point
+    assert m > 0 and wall.A != 0
     beta = Q(n, m)
-    alpha = region.alpha_max if wall.A == 0 else -(wall.B * beta + wall.C) / wall.A
+    alpha = -(wall.B * beta + wall.C) / wall.A
     assert passes_through(wall, (beta, alpha))
     assert region.beta_min <= beta <= region.beta_max
     assert beta * beta / 2 < alpha <= region.alpha_max
+    R = _scaled(v)[3]
+    assert S == m * R * (v.v1 - beta * v.v0) > 0
 
 
 def _points(v, region, disc):
     """{wall: point} for every distinct wall of the scanned candidates."""
     ends = _region_ends(region)
+    P0, P1 = _scaled(v)[:2]
     walls = {wall_between(v, c) for c in _scanned(v, region, disc)} - {None}
-    return {w: _wall_window(w.A, w.B, w.C, ends) for w in walls}
+    return {w: _wall_window(w.A, w.B, w.C, ends, P0, P1) for w in walls}
 
 
 def test_every_wall_of_the_sweep_pool_has_its_point():
     """Each distinct key of the 72 walls-sweep inputs: its point lies on
-    it inside region /\\ cap /\\ U, and every returned wall has one; 1,458
-    of the 3,360 keys have a point, and 146 of those become walls."""
+    it inside region /\\ cap /\\ U where Im Z(v) > 0, and every returned
+    wall has one; 1,073 of the 3,360 keys have a point, and 146 of those
+    become walls."""
     with_point = 0
     for v, region, disc in _sweep_inputs():
         points = _points(v, region, disc)
         for wall, point in points.items():
             if point is not None:
-                _assert_point_of_wall(wall, point, region)
+                _assert_point_of_wall(wall, point, v, region)
                 with_point += 1
         assert all(points[w] is not None
                    for w, _ in enumerate_candidate_walls(v, region, disc))
-    assert with_point == 1458
+    assert with_point == 1073
 
 
 @pytest.mark.parametrize("text, region, disc, wall, point, returned", [
-    # the vertical wall beta = mu(O) = 0: a point, but never a witness
-    ("O", Region(-4, 2, 6), 20, Wall(0, 1, 0), (0, 1), False),
-    # 2*alpha = 5*beta: the vertex 5/2 is clamped onto beta_max = 2
-    ("O", Region(-4, 2, 6), 20, Wall(2, -5, 0), (2, 1), False),
-    # rank 0: the wall 2*alpha + beta = 0 at its vertex -1/2
-    ("0,1,-1/2,1/6", Region(-2, 2, 3), 2, Wall(2, 1, 0), (-1, 2), True),
+    # the vertical wall beta = mu(O) = 0, where Im Z(O) = 0: no point
+    ("O", Region(-4, 2, 6), 20, Wall(0, 1, 0), None, False),
+    # 2*alpha = 5*beta: the vertex 5/2 is clamped onto beta_max = 2, where
+    # Im Z(O) = -2 < 0: no point
+    ("O", Region(-4, 2, 6), 20, Wall(2, -5, 0), None, False),
+    # rank 0: the wall 2*alpha + beta = 0 at its vertex -1/2, Im Z = 1
+    ("0,1,-1/2,1/6", Region(-2, 2, 3), 2, Wall(2, 1, 0), (-1, 2, 2), True),
 ])
 def test_named_wall_points(text, region, disc, wall, point, returned):
     v = NumClass.parse(text) if "," in text else class_of_named(text)
     assert _points(v, region, disc)[wall] == point
-    _assert_point_of_wall(wall, point, region)
+    if point is not None:
+        _assert_point_of_wall(wall, point, v, region)
     walls = [w for w, _ in enumerate_candidate_walls(v, region, disc)]
     assert (wall in walls) is returned
 
@@ -847,10 +924,10 @@ def _assert_sign_tests_match_oracle(v, region, disc) -> int:
     without a point must have none.  A candidate that enumeration skips
     (a mirrored row of a lattice class) must have its mirror iota(c)
     earlier in the scan, with the same ``wall_between_fraction`` wall and
-    the same ``wall_feasible`` verdict.  On a wall that is not vertical,
-    neither Im Z(w) nor Im Z(v - w) is zero at the point, as enumeration's
-    proof has it (so a test >= 0 in place of > 0 would give the same
-    verdicts there).  Returns the number of scanned candidates."""
+    the same ``wall_feasible`` verdict.  On a wall with a point, neither
+    Im Z(w) nor Im Z(v - w) is zero there, as enumeration's proof has it
+    (so a test >= 0 in place of > 0 would give the same verdicts there).
+    Returns the number of scanned candidates."""
     passed = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(walls_module, "_witness_class",
@@ -866,8 +943,8 @@ def _assert_sign_tests_match_oracle(v, region, disc) -> int:
         if wall is None:
             continue
         w = _witness_class(*c)
-        if wall.A != 0 and points[wall] is not None:
-            beta = Q(*points[wall])
+        if points[wall] is not None:
+            beta = Q(*points[wall][:2])
             assert w.v1 - beta * w.v0 != 0 != v.v1 - w.v1 - beta * (v.v0 - w.v0)
         feasible[c] = _wall_feasible(wall, v, w, region)
     assert passed == [c for c in visited if feasible.get(c)]
