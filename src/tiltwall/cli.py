@@ -1,8 +1,9 @@
 """Command-line surface: exact-fraction I/O, JSON reports, SVG plots.
 
-Each verb's handler ``_cmd_*`` returns ``(data, text, exit_code)``, the
-JSON object, its text rendering and the exit code, and prints nothing;
-``run`` emits one of the two (``--json`` picks) to stdout or ``--out``.
+Each verb's sub-parser carries its handler ``_cmd_*`` as ``cmd``.  A
+handler returns ``(data, text, exit_code)``, the JSON object, its text
+rendering and the exit code, and prints nothing; ``run`` calls it and
+emits one of the two (``--json`` picks) to stdout or ``--out``.
 
 Exit codes: 0 = success / check passed, 1 = a requested check failed,
 2 = invalid input, 3 = internal error (a bug, reported on one stderr
@@ -94,32 +95,33 @@ def _build_parser() -> argparse.ArgumentParser:
     box.add_argument("--disc-bound", default="0")
     sub = top.add_subparsers(dest="verb", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("class", parents=[common])
-    p.add_argument("name")
+    def verb(name, cmd, *parents):
+        p = sub.add_parser(name, parents=[common, *parents])
+        p.set_defaults(cmd=cmd)
+        return p
 
-    p = sub.add_parser("tilt", parents=[common, point])
-    p.add_argument("--a")
+    verb("class", _cmd_class).add_argument("name")
+    verb("tilt", _cmd_tilt, point).add_argument("--a")
+    verb("bg-check", _cmd_bg_check, point)
+    verb("walls", _cmd_walls, box)
 
-    sub.add_parser("bg-check", parents=[common, point])
-    sub.add_parser("walls", parents=[common, box])
-
-    p = sub.add_parser("reduce", parents=[common])
+    p = verb("reduce", _cmd_reduce)
     p.add_argument("beta")
     p.add_argument("alpha")
 
-    for verb in ("collection-check", "interval"):
-        p = sub.add_parser(verb, parents=[common])
+    for name in ("collection-check", "interval"):
+        p = verb(name, _cmd_collection_check)
         p.add_argument("collection")
         p.add_argument("--beta", required=True)
         p.set_defaults(a0=None)  # interval is collection-check without --a0
-        if verb == "collection-check":
+        if name == "collection-check":
             p.add_argument("--a0")
 
-    p = sub.add_parser("twist", parents=[common])
+    p = verb("twist", _cmd_twist)
     p.add_argument("s_cls")
     p.add_argument("v_cls")
 
-    p = sub.add_parser("plot", parents=[common, box])
+    p = verb("plot", _cmd_plot, box)
     p.add_argument("-o", "--output", dest="svg_out", required=True)
     p.add_argument("--precision", type=_decimals, default=4,
                    help="decimals in the SVG, 0 to 17")
@@ -230,19 +232,6 @@ def _cmd_plot(ns) -> tuple[dict, str, int]:
     return scene, f"wrote {ns.svg_out} ({len(walls)} walls)", 0
 
 
-_HANDLERS = {
-    "class": _cmd_class,
-    "tilt": _cmd_tilt,
-    "bg-check": _cmd_bg_check,
-    "walls": _cmd_walls,
-    "reduce": _cmd_reduce,
-    "collection-check": _cmd_collection_check,
-    "interval": _cmd_collection_check,
-    "twist": _cmd_twist,
-    "plot": _cmd_plot,
-}
-
-
 def run(argv) -> int:
     parser = _build_parser()
     try:
@@ -251,7 +240,7 @@ def run(argv) -> int:
         # argparse exits 0 for --help, 2 for bad usage
         return 0 if exc.code == 0 else 2
     try:
-        data, text, code = _HANDLERS[ns.verb](ns)
+        data, text, code = ns.cmd(ns)
         _emit(_dumps(data) if ns.json else text, ns.out)
         return code
     except MemoryError:

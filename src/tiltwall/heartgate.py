@@ -47,7 +47,14 @@ class CollectionSpec(Record):
     """Four numerical classes forming an exceptional-collection datum, with
     the last one distinguished, and the derived slopes ``_mu`` of the
     members, ``_mu1_E`` of the distinguished class E and ``_disc_v0sq_E``,
-    disc(E)/v0(E)^2."""
+    disc(E)/v0(E)^2.
+
+    The members must have nonzero rank and strictly increasing slopes, be
+    integral with chi(F, F) = 1, and be semiorthogonal: chi(F_j, F_i) = 0
+    for j > i, so that their chi Gram matrix is upper unitriangular, as
+    for an exceptional collection.  The classes then form a basis of the
+    lattice: Gram = C^T chi C has determinant 1 and chi is unimodular, so
+    the matrix C of the classes has det C = +-1."""
 
     __slots__ = ("names", "classes", "builtin", "_mu", "_mu1_E", "_disc_v0sq_E")
 
@@ -68,8 +75,16 @@ class CollectionSpec(Record):
         # disc(E) = (v0(E)^2 - 1)/2 >= 0 and mu12(E) exists; a radicand
         # over the budget raises DomainError here
         E = classes[3]
+        mu1_E = mu12(E)[0]
+        for j in range(1, 4):
+            for i in range(j):
+                chi = chi_pair_p3(classes[j], classes[i])
+                if chi != 0:
+                    raise DomainError(f"chi({names[j]}, {names[i]}) = {chi}, "
+                                      "not 0: the collection is not "
+                                      "semiorthogonal")
         self._set(names, classes, builtin, tuple(m.value for m in mus),
-                  mu12(E)[0], discriminant(E) / (E.v0 * E.v0))
+                  mu1_E, discriminant(E) / (E.v0 * E.v0))
 
     @property
     def distinguished(self) -> NumClass:
@@ -116,12 +131,6 @@ class CollectionSpec(Record):
                 # ValueError covers JSONDecodeError and UnicodeDecodeError
                 raise InputError(str(exc)) from exc
         return CollectionSpec.from_json_dict(data)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "classes": [[str(c) for c in cls.components()] for cls in self.classes],
-        }
 
 
 class Condition(Record):

@@ -95,14 +95,6 @@ class Surd(Record):
             a, b, d = a + b * r, _ZERO, 0
         self._set(a, b, d)
 
-    @classmethod
-    def _normal(cls, a: Fraction, b: Fraction, d: int) -> "Surd":
-        """a + b*sqrt(d) already in normal form (b = d = 0, or b != 0 with
-        d > 1 square-free), built without coercion or check."""
-        self = cls.__new__(cls)
-        self._set(a, b, d)
-        return self
-
     @staticmethod
     def sqrt(x: Rational) -> "Surd":
         """Exact square root of a nonnegative rational p/q; DomainError when
@@ -116,11 +108,7 @@ class Surd(Record):
             raise DomainError("square root of a rational p/q with p*q over "
                               "the radicand budget of 10^20")
         s, d = _squarefree_split(n)
-        root = Fraction(s, x.denominator)
-        # d is square-free, so the root is rational exactly when d is 0 or 1
-        if d > 1:
-            return Surd._normal(_ZERO, root, d)
-        return Surd._normal(root if d else _ZERO, _ZERO, 0)
+        return Surd(_ZERO, Fraction(s, x.denominator), d)
 
     @property
     def is_rational(self) -> bool:

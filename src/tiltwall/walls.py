@@ -199,10 +199,12 @@ def _digits(n: int) -> str:
 
 
 def search_box(v: NumClass, disc_bound) -> dict:
-    """The finite lattice box actually scanned, reported for
-    reproducibility.  The rank bound is a heuristic: twice the rank of v
-    and twice sqrt of the discriminant budget, with a floor of 8;
-    completeness relative to all numerical walls is not claimed."""
+    """The finite lattice box that a scan for v covers, reported for
+    reproducibility; a request that the region rule of
+    ``enumerate_candidate_walls`` answers scans none of it.  The rank
+    bound is a heuristic: twice the rank of v and twice sqrt of the
+    discriminant budget, with a floor of 8; completeness relative to all
+    numerical walls is not claimed."""
     slack = rational(disc_bound)
     budget = discriminant(v) + slack
     root = math.isqrt(math.ceil(budget)) + 1 if budget > 0 else 0
@@ -225,10 +227,13 @@ def _scaled(v: NumClass) -> tuple[int, int, int, int]:
 
 def _scaled_inputs(v: NumClass, disc_bound: Fraction):
     """The class's side of the scan: ``_scaled`` and the budget DS, that is
-    R^2 * (disc(v) + disc_bound) rounded down to an integer."""
+    R^2 * (disc(v) + disc_bound) rounded down to an integer; DomainError
+    when disc(v) < 0."""
     P0, P1, T2, R = _scaled(v)
-    DS = (P1 * P1 - P0 * T2) + (R * R * disc_bound.numerator
-                                // disc_bound.denominator)
+    disc = P1 * P1 - P0 * T2  # R^2 * disc(v)
+    if disc < 0:
+        raise DomainError("class has negative discriminant; no walls")
+    DS = disc + R * R * disc_bound.numerator // disc_bound.denominator
     return P0, P1, T2, R, DS
 
 
@@ -314,8 +319,6 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     if disc_bound < 0:
         raise InputError("disc_bound must be nonnegative")
     P0, P1, T2, R, DS = _scaled_inputs(v, disc_bound)
-    if P1 * P1 - P0 * T2 < 0:  # R^2 * disc(v)
-        raise DomainError("class has negative discriminant; no walls")
     ends = _region_ends(region)
     (bln, bld), (bhn, bhd), (cn, cd) = ends
     # x/y: the beta of the range nearest 0, where U reaches lowest
@@ -431,6 +434,11 @@ def _svg_text(scene: dict, precision: int) -> str:
     def to_y(alpha: float) -> float:
         return height - pad - (alpha - amin) / (amax - amin) * (height - 2 * pad)
 
+    def vline(beta: float, color: str) -> str:
+        x = fmt(to_x(beta))
+        return (f'<line x1="{x}" y1="{fmt(pad)}" x2="{x}" '
+                f'y2="{fmt(height - pad)}" stroke="{color}"/>')
+
     def polyline(fn, color: str) -> str:
         n = 64
         pts = []
@@ -455,18 +463,11 @@ def _svg_text(scene: dict, precision: int) -> str:
             lin, const = float(Fraction(cv["lin"])), float(Fraction(cv["const"]))
             parts.append(polyline(lambda b, l=lin, c=const: b * b + l * b + c, "blue"))
         elif cv["kind"] == "curve-CE" and cv.get("shape") == "vertical":
-            x = fmt(to_x(float(Fraction(cv["beta"]))))
-            parts.append(f'<line x1="{x}" y1="{fmt(pad)}" x2="{x}" '
-                         f'y2="{fmt(height - pad)}" stroke="blue"/>')
+            parts.append(vline(float(Fraction(cv["beta"])), "blue"))
         elif cv["kind"] == "wall":
             A, B, C = cv["A"], cv["B"], cv["C"]
-            if A == 0:
-                x = fmt(to_x(-C / B))
-                parts.append(f'<line x1="{x}" y1="{fmt(pad)}" x2="{x}" '
-                             f'y2="{fmt(height - pad)}" stroke="red"/>')
-            else:
-                parts.append(polyline(lambda b, A=A, B=B, C=C: -(B * b + C) / A,
-                                      "red"))
+            parts.append(vline(-C / B, "red") if A == 0 else
+                         polyline(lambda b, A=A, B=B, C=C: -(B * b + C) / A, "red"))
     for pt in scene["points"]:
         x = fmt(to_x(float(Fraction(pt["beta"]))))
         y = fmt(to_y(float(Fraction(pt["alpha"]))))

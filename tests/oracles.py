@@ -38,6 +38,13 @@ def wall_from_coefficients(A, B, C) -> Wall:
     return Wall(int(A * scale), int(B * scale), int(C * scale))
 
 
+def collection_json(spec: CollectionSpec) -> dict:
+    """The JSON object that ``CollectionSpec.from_json_dict`` reads back as
+    spec: its names, and each class's components as strings."""
+    return {"names": list(spec.names),
+            "classes": [[str(c) for c in v.components()] for v in spec.classes]}
+
+
 def parse_rational_by_fraction(tok: str) -> Fraction:
     """Every literal through ``Fraction(str)``: the digit budget counted on
     the text (mantissa digits plus |exponent|), then the string parsed by

@@ -479,14 +479,14 @@ def test_unexpected_exception_is_internal_error_exit_3(monkeypatch, capsys):
     def broken(ns):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._HANDLERS, "class", broken)
+    monkeypatch.setattr(cli, "_cmd_class", broken)
     assert run(["class", "O"]) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
     def verbose(ns):
         raise RuntimeError("a" * 5_000 + "\n" + "b" * 4_999)
 
-    monkeypatch.setitem(cli._HANDLERS, "class", verbose)
+    monkeypatch.setattr(cli, "_cmd_class", verbose)
     assert run(["class", "O"]) == 3
     err = capsys.readouterr().err
     assert err == f"internal error: RuntimeError: {'a' * 40}... {'b' * 40}...\n"
@@ -511,6 +511,12 @@ LINES_CLASSES = [["1", "-3", "9/2", "-9/2"], ["1", "-2", "2", "-4/3"],
                   "classes": LINES_CLASSES[:3] + [[
                       "20000000089", "2725463363", "-9628592519/2",
                       "23434850831/6"]]}, id="mu1-over-radicand-budget"),
+    # slopes increase and each member is exceptional, but
+    # chi(O(5), O(-1)) = chi(O(-6)) = -10
+    pytest.param({"names": ["O(-1)", "O", "O(1)", "O(5)"],
+                  "classes": [["1", "-1", "1/2", "-1/6"], ["1", "0", "0", "0"],
+                              ["1", "1", "1/2", "1/6"], ["1", "5", "25/2", "125/6"]]},
+                 id="not-semiorthogonal"),
 ])
 def test_malformed_collection_json_is_input_error(tmp_path, capsys, spec):
     path = tmp_path / "collection.json"

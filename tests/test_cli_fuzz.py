@@ -51,8 +51,17 @@ huge = st.one_of(
                      "9" * 600, "1e99999", "1/0", "0x10", "nan", "inf"]),
     st.builds(lambda c, n: c * n, st.sampled_from("9١"), st.integers(1, 2000)))
 
-LINES = [["1", "-3", "9/2", "-9/2"], ["1", "-2", "2", "-4/3"],
-         ["1", "-1", "1/2", "-1/6"], ["1", "0", "0", "0"]]
+# The classes of a valid "@" collection: those of lines, whose mu1(E) is
+# rational, and two collections reached from built-ins by right mutations
+# (lines by three, beilinson4 by two) whose mu1(E) is irrational.
+CUSTOM_CLASSES = [
+    [["1", "-3", "9/2", "-9/2"], ["1", "-2", "2", "-4/3"],
+     ["1", "-1", "1/2", "-1/6"], ["1", "0", "0", "0"]],
+    [["1", "-3", "9/2", "-9/2"], ["-3", "2", "0", "-2/3"],
+     ["1", "0", "0", "0"], ["9", "7", "1/2", "-17/6"]],
+    [["1", "-1", "1/2", "-1/6"], ["3", "-2", "0", "2/3"],
+     ["-3", "-4", "-2", "-2/3"], ["11", "15", "15/2", "5/2"]],
+]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=5)
@@ -62,8 +71,9 @@ json_values = st.recursive(
 # None standing for a missing file; an output path is drawn as ("/", name).
 valid_collection = st.one_of(
     st.sampled_from(["lines", "omega", "beilinson4"]),
-    st.lists(st.text(max_size=8), min_size=4, max_size=4).map(
-        lambda names: ("@", {"names": names, "classes": LINES})))
+    st.builds(lambda names, classes: ("@", {"names": names, "classes": classes}),
+              st.lists(st.text(max_size=8), min_size=4, max_size=4),
+              st.sampled_from(CUSTOM_CLASSES)))
 any_collection = st.one_of(
     valid_collection, junk,
     st.tuples(st.just("@"), st.none() | json_values | st.binary(max_size=40)

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 
 from tiltwall import (ChargeValue, CollectionSpec, NumClass, ParamPoint, Surd,
                       admissible_a_interval, alpha_E_beta, central_charge_3,
-                      class_of_named, cone_check, discriminant,
+                      chi_pair_p3, class_of_named, cone_check, discriminant,
                       general_condition_check,
                       mu12, simples_classes, slope_mu, strictly_left,
                       tensor_line, thm_region_check, twisted_v)
@@ -20,8 +20,8 @@ from tiltwall.cli import run as cli_run
 from tiltwall.errors import DomainError, InputError
 
 from conftest import integral_classes
-from oracles import (condition_check_by_charges, interval_by_charges,
-                     simplecase_z_oracle)
+from oracles import (collection_json, condition_check_by_charges,
+                     interval_by_charges, simplecase_z_oracle)
 
 Q = Fraction
 
@@ -519,7 +519,7 @@ def test_mu1_over_the_radicand_budget_rejects_the_collection():
     # an integral class with chi(E, E) = 1 of rank 20000000089 > 1.4*10^10:
     # disc(E) = (v0^2 - 1)/2 is over the radicand budget, so mu1(E) cannot
     # be computed and the collection is rejected when it is built
-    data = LINES.to_json_dict()
+    data = collection_json(LINES)
     data["names"][3] = "E"
     data["classes"][3] = ["20000000089", "2725463363", "-9628592519/2",
                           "23434850831/6"]
@@ -574,7 +574,7 @@ def test_sign_fact_grid():
 
 
 def test_custom_collection_json_roundtrip(tmp_path):
-    data = BEILINSON.to_json_dict()
+    data = collection_json(BEILINSON)
     path = tmp_path / "coll.json"
     path.write_text(json.dumps(data))
     spec = CollectionSpec.from_json_file(str(path))
@@ -593,6 +593,29 @@ def test_custom_collection_validation():
         CollectionSpec.from_json_dict(bad)
     with pytest.raises(InputError):
         CollectionSpec.from_json_dict({"names": ["x"], "classes": []})
+
+
+def _mutations(classes):
+    """The classes of each collection one mutation away: at each adjacent
+    pair (E, F), L_E F makes it (F - chi(E, F)*E, E) and R_F E makes it
+    (F, E - chi(E, F)*F), each class up to the sign of a shift."""
+    for i in range(3):
+        E, F = classes[i], classes[i + 1]
+        c = chi_pair_p3(E, F)
+        for pair in ((F - c * E, E), (F, E - c * F)):
+            yield classes[:i] + pair + classes[i + 2:]
+
+
+def test_one_or_two_mutations_of_a_builtin_are_accepted():
+    # mutations keep a collection exceptional, so semiorthogonal: each of
+    # the 3 * (6 + 6 * 6) collections builds
+    built = 0
+    for spec in (BEILINSON, OMEGA, LINES):
+        for once in _mutations(spec.classes):
+            for classes in (once, *_mutations(once)):
+                CollectionSpec(("F0", "F1", "F2", "E"), classes)
+                built += 1
+    assert built == 126
 
 
 # beilinson4 with O and O(1) shifted: (O(-1), T(-2), O[1], O(1)[1])
@@ -618,12 +641,14 @@ def test_interval_is_empty_where_the_lower_end_meets_the_gate(tmp_path, capsys):
     assert capsys.readouterr().out == "no admissible interval\n"
 
 
-# lines' first three members and E = (9, 2, -2, 1/3), integral with
-# chi(E, E) = 1 and disc(E) = 40: mu1(E) = (2 - 2*sqrt(10))/9 is irrational,
-# so condition (1)'s residual mu1(E) - beta is a surd minus a rational
-IRRATIONAL_MU1 = {"names": ["O(-3)", "O(-2)", "O(-1)", "E"],
-                  "classes": LINES.to_json_dict()["classes"][:3]
-                  + [["9", "2", "-2", "1/3"]]}
+# lines after three right mutations (of the pairs at positions 1, 1, 2):
+# (O(-3), T(-2)[1], O, E) with E = (9, 7, 1/2, -17/6),
+# integral and semiorthogonal, with chi(E, E) = 1 and disc(E) = 40, so
+# mu1(E) = 7/9 - (2/9)*sqrt(10) is irrational and condition (1)'s residual
+# mu1(E) - beta is a surd minus a rational
+IRRATIONAL_MU1 = {"names": ["O(-3)", "T(-2)[1]", "O", "E"],
+                  "classes": [["1", "-3", "9/2", "-9/2"], ["-3", "2", "0", "-2/3"],
+                              ["1", "0", "0", "0"], ["9", "7", "1/2", "-17/6"]]}
 
 
 def test_condition_1_against_an_irrational_mu1(tmp_path, capsys):
@@ -632,7 +657,7 @@ def test_condition_1_against_an_irrational_mu1(tmp_path, capsys):
     assert discriminant(E) == 40
     v0, v1, v2 = (sympy.Rational(x) for x in (E.v0, E.v1, E.v2))
     mu1 = (v1 - sympy.sqrt(v1 * v1 - 2 * v0 * v2)) / v0
-    for beta, a0, passed in ((Q(-5, 4), Q(1, 8), True), (Q(1), Q(0), False)):
+    for beta, a0, passed in ((Q(-9, 8), Q(1, 4), True), (Q(2), Q(0), False)):
         cond = general_condition_check(spec, beta, a0).conditions[0]
         assert (cond.name, cond.passed) == ("(1) beta < mu1(E)", passed)
         r = cond.residual
@@ -642,16 +667,16 @@ def test_condition_1_against_an_irrational_mu1(tmp_path, capsys):
     path = tmp_path / "irrational.json"
     path.write_text(json.dumps(IRRATIONAL_MU1))
     spec_arg = f"@{path}"
-    assert cli_run(["collection-check", spec_arg, "--beta", "-5/4", "--a0", "1/8"]) == 0
+    assert cli_run(["collection-check", spec_arg, "--beta", "-9/8", "--a0", "1/4"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == \
-        "(1) beta < mu1(E): residual 53/36 + -2/9*sqrt(10) > 0 -> pass"
-    assert cli_run(["interval", spec_arg, "--beta", "-5/4"]) == 0
-    assert capsys.readouterr().out == "(3/32, 893/5088)\n"
-    assert cli_run(["collection-check", spec_arg, "--beta", "1", "--a0", "0",
+        "(1) beta < mu1(E): residual 137/72 + -2/9*sqrt(10) > 0 -> pass"
+    assert cli_run(["interval", spec_arg, "--beta", "-9/8"]) == 0
+    assert capsys.readouterr().out == "(27/128, 13193/52608)\n"
+    assert cli_run(["collection-check", spec_arg, "--beta", "2", "--a0", "0",
                     "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["conditions"][0] == {"name": "(1) beta < mu1(E)", "passed": False,
-                                       "residual": "-7/9 + -2/9*sqrt(10)",
+                                       "residual": "-11/9 + -2/9*sqrt(10)",
                                        "strict": True}
 
 

@@ -17,7 +17,7 @@ import pytest
 import tiltwall
 from tiltwall import (ChargeValue, CheckReport, CollectionSpec, CurveCE,
                       DomainError, InputError, NumClass, ParamPoint, Region,
-                      Slope, Surd, Wall)
+                      Slope, Surd, Wall, class_of_line_bundle)
 from tiltwall._record import Record
 from tiltwall.heartgate import Condition
 from tiltwall.numclass import rational
@@ -124,7 +124,11 @@ def test_constructors_validate():
             ((F0, F1, F2, NumClass(0, 1, 0, 0)), "nonzero rank"),
             ((F1, F0, F2, E), "strictly increase"),
             ((F0, F1, F2, NumClass(1, 0, Q(1, 3), 0)), "not integral"),
-            ((F0, F1, F2, NumClass(2, 0, 0, 0)), "not Euler-exceptional")):
+            ((F0, F1, F2, NumClass(2, 0, 0, 0)), "not Euler-exceptional"),
+            # O(5) in the slot named O: chi(O(5), O(-3)) = chi(O(-8)) = -35
+            ((F0, F1, F2, class_of_line_bundle(5)),
+             r"^chi\(O, O\(-3\)\) = -35, not 0: the collection is not "
+             "semiorthogonal$")):
         with pytest.raises(DomainError, match=message):
             CollectionSpec(names, classes)
     with pytest.raises(DomainError, match="degenerate wall"):
