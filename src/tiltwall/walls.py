@@ -2,26 +2,12 @@
 fixed class: pairwise walls, the concurrency/parallelism structure,
 candidate enumeration over integral classes, and plot-scene construction.
 
-Walls are lines A*alpha + B*beta + C = 0, which ``Wall`` puts in a
-canonical integer normal form.  One integer scaling of a class
-(``_scaled``) and one cross product give every wall key: ``wall_between``
-takes v and w each either as a class, which it scales, or as the integer
-triple (ch0, ch1, 2*ch2) of a class up to a positive factor; the scan
-yields w as such a triple (w0, w1, t), and enumeration passes v as its
-scaled triple (P0, P1, T2).  Enumeration scales v once and runs the
-integer candidate scan of ``_wallscan_py``, which visits only the
-(w0, w1) rows that admit a real t, taking its candidates in scan order and
-computing each key inline; for a lattice class it skips the rows that are
-the images of earlier rows under w -> v - w, which give the same keys and
-verdicts.
-The per-key work is integers.  One table per call maps each wall key to
-[wall, point, witness], and one Im Z window rule, checked for the region,
-for each wall and for each candidate (``enumerate_candidate_walls``),
-decides which keys become walls: a key's first candidate builds its
-``Wall`` through ``wall_between`` and its point (``_wall_window``), and
-the first candidate that passes at that point becomes its witness
-``NumClass``, so a call builds one class per returned wall.  Every verdict
-is exact, in integers and ``Fraction`` only.
+Walls are lines A*alpha + B*beta + C = 0 in ``Wall``'s integer normal
+form.  ``wall_between`` gives the wall of two classes, and
+``enumerate_candidate_walls`` the walls of one class in a region, from the
+integer scan of ``_wallscan_py``; their docstrings state the rules and
+prove them.  Every verdict is exact, in integers and ``Fraction`` only;
+floats appear only in the SVG renderer (``plot_frame``, ``scene_svg``).
 """
 
 from __future__ import annotations
@@ -411,19 +397,12 @@ def plot_frame(beta_min, beta_max, alpha_max) -> tuple[float, float, float, floa
 def scene_svg(scene: dict, precision: int = 4) -> str:
     """SVG drawing of a ``plot_scene`` document with ``precision`` decimals:
     write-only float rendering, every geometric decision has already been
-    made exactly upstream.  A scene with a value that floats cannot hold,
-    the sides of its region included (``plot_frame``), raises InputError."""
-    try:
-        return _svg_text(scene, precision)
-    except OverflowError:
-        raise InputError(_TOO_LARGE) from None
-
-
-def _svg_text(scene: dict, precision: int) -> str:
-    width, height = 480, 360
+    made exactly upstream.  InputError for a scene that cannot be drawn: a
+    value that floats cannot hold, the sides of its region included
+    (``plot_frame``), or a wall with A = B = 0, which is no line."""
+    width, height, pad = 480, 360, 20.0
     bmin, bmax, amin, amax = plot_frame(
         *(scene["region"][k] for k in ("beta_min", "beta_max", "alpha_max")))
-    pad = 20.0
 
     def fmt(x: float) -> str:
         return f"{x:.{precision}f}"
@@ -456,23 +435,28 @@ def _svg_text(scene: dict, precision: int) -> str:
         f'<rect x="{fmt(pad)}" y="{fmt(pad)}" width="{fmt(width - 2 * pad)}" '
         f'height="{fmt(height - 2 * pad)}" fill="white" stroke="black"/>',
     ]
-    for cv in scene["curves"]:
-        if cv["kind"] == "boundary-parabola":
-            parts.append(polyline(lambda b: b * b / 2, "gray"))
-        elif cv["kind"] == "curve-CE" and cv.get("shape") == "parabola":
-            lin, const = float(Fraction(cv["lin"])), float(Fraction(cv["const"]))
-            parts.append(polyline(lambda b, l=lin, c=const: b * b + l * b + c, "blue"))
-        elif cv["kind"] == "curve-CE" and cv.get("shape") == "vertical":
-            parts.append(vline(float(Fraction(cv["beta"])), "blue"))
-        elif cv["kind"] == "wall":
-            A, B, C = cv["A"], cv["B"], cv["C"]
-            parts.append(vline(-C / B, "red") if A == 0 else
-                         polyline(lambda b, A=A, B=B, C=C: -(B * b + C) / A, "red"))
-    for pt in scene["points"]:
-        x = fmt(to_x(float(Fraction(pt["beta"]))))
-        y = fmt(to_y(float(Fraction(pt["alpha"]))))
-        parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="black"/>')
-        parts.append(f'<text x="{x}" y="{y}" dx="5" dy="-5" '
-                     f'font-size="10">{pt["label"]}</text>')
+    try:
+        for cv in scene["curves"]:
+            if cv["kind"] == "boundary-parabola":
+                parts.append(polyline(lambda b: b * b / 2, "gray"))
+            elif cv["kind"] == "curve-CE" and cv.get("shape") == "parabola":
+                lin, const = float(Fraction(cv["lin"])), float(Fraction(cv["const"]))
+                parts.append(polyline(lambda b, l=lin, c=const: b * b + l * b + c, "blue"))
+            elif cv["kind"] == "curve-CE" and cv.get("shape") == "vertical":
+                parts.append(vline(float(Fraction(cv["beta"])), "blue"))
+            elif cv["kind"] == "wall":
+                A, B, C = cv["A"], cv["B"], cv["C"]
+                if A == B == 0:
+                    raise InputError("scene has a wall with A = B = 0, which is no line")
+                parts.append(vline(-C / B, "red") if A == 0 else
+                             polyline(lambda b, A=A, B=B, C=C: -(B * b + C) / A, "red"))
+        for pt in scene["points"]:
+            x = fmt(to_x(float(Fraction(pt["beta"]))))
+            y = fmt(to_y(float(Fraction(pt["alpha"]))))
+            parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="black"/>')
+            parts.append(f'<text x="{x}" y="{y}" dx="5" dy="-5" '
+                         f'font-size="10">{pt["label"]}</text>')
+    except OverflowError:
+        raise InputError(_TOO_LARGE) from None
     parts.append("</svg>")
     return "\n".join(parts)

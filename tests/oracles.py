@@ -99,12 +99,6 @@ def chi_local_hrr_sum(v: NumClass, w: NumClass) -> Fraction:
     return chi_pair_p3(v, w) + chi_pair_p3(w, v)
 
 
-def chi_local_closed_form(v: NumClass, w: NumClass) -> Fraction:
-    """chi_local without chi: in chi(v, w) + chi(w, v) the antisymmetric
-    terms cancel, so there is no v3 and no Todd 11/6 term."""
-    return 4 * (v.v0 * w.v2 - v.v1 * w.v1 + v.v2 * w.v0) + 2 * v.v0 * w.v0
-
-
 def chi_local_restriction_form(v: NumClass, w: NumClass) -> Fraction:
     """Independent form of chi_local from the pushforward restriction:
     chi(v, w) - chi(v tensor O(4), w)."""

@@ -200,27 +200,6 @@ def test_walls_with_an_empty_window_is_answered_before_the_scan_budget(capsys):
     assert capsys.readouterr() == ("no walls found\n", "")
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="an RLIMIT_AS address-space limit is Linux-only")
-def test_out_of_memory_is_internal_error_on_one_line():
-    # under the w0 budget, but the scan's candidate list outgrows a 400 MB
-    # address space; building the InputError clause's tuple used to raise
-    # a second MemoryError and dump several lines with exit 1
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
-
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-m", "tiltwall.cli", "walls", "O",
-                           "--beta-min", "-1", "--beta-max", "0", "--alpha-max", "1",
-                           "--disc-bound", "1e9"],
-                          capture_output=True, text=True, env=env, timeout=30,
-                          preexec_fn=limit)
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == "internal error: MemoryError\n"
-
-
 # enumerate_candidate_walls wrapped in a frame of 200 locals, then the CLI
 _WIDE_FRAME_CLI = """
 import sys
@@ -237,17 +216,23 @@ sys.exit(cli.run(sys.argv[1:]))
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="an RLIMIT_AS address-space limit is Linux-only")
-def test_out_of_memory_message_does_not_depend_on_the_frames_above_the_scan():
-    # the scan frees its candidate list before its MemoryError unwinds;
-    # with the list still held, CPython 3.11 printed "SystemError: error
-    # return without exception set" under a caller with a large frame
+@pytest.mark.parametrize("launcher", [["-m", "tiltwall.cli"], ["-c", _WIDE_FRAME_CLI]],
+                         ids=["cli", "wide-frame"])
+def test_out_of_memory_is_internal_error_on_one_line(launcher):
+    # under the w0 budget, but the scan's candidate list outgrows a 400 MB
+    # address space; building the InputError clause's tuple used to raise
+    # a second MemoryError and dump several lines with exit 1.  The scan
+    # frees its candidate list before its MemoryError unwinds; with the
+    # list still held, CPython 3.11 printed "SystemError: error return
+    # without exception set" under a caller with a large frame, as the
+    # wide-frame launcher puts above the scan
     import resource
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
 
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", _WIDE_FRAME_CLI, "walls", "O",
+    proc = subprocess.run([sys.executable, *launcher, "walls", "O",
                            "--beta-min", "-1", "--beta-max", "0", "--alpha-max", "1",
                            "--disc-bound", "1e9"],
                           capture_output=True, text=True, env=env, timeout=30,

@@ -393,25 +393,26 @@ def test_collection_keeps_its_slopes_and_mu1():
         assert spec._mu1_E == mu1 and type(spec._mu1_E) is type(mu1)
 
 
+def _counted(calls: list, name: str, fn):
+    """fn, appending name to calls on each call."""
+    def counted(*args):
+        calls.append(name)
+        return fn(*args)
+    return counted
+
+
 def test_checks_read_the_collection_constants(monkeypatch):
     # once a collection is built, a check computes no slope and no root;
     # it still twists each member once
     specs = list(_builtins_and_twists())
     calls = []
-
-    def counting(name, fn):
-        def counted(*args):
-            calls.append(name)
-            return fn(*args)
-        return counted
-
     for module in (heartgate, tiltcalc):
-        monkeypatch.setattr(module, "mu12", counting("mu12", tiltcalc.mu12))
+        monkeypatch.setattr(module, "mu12", _counted(calls, "mu12", tiltcalc.mu12))
         monkeypatch.setattr(module, "slope_mu",
-                            counting("slope_mu", tiltcalc.slope_mu))
-    monkeypatch.setattr(Surd, "sqrt", staticmethod(counting("sqrt", Surd.sqrt)))
+                            _counted(calls, "slope_mu", tiltcalc.slope_mu))
+    monkeypatch.setattr(Surd, "sqrt", staticmethod(_counted(calls, "sqrt", Surd.sqrt)))
     monkeypatch.setattr(tiltcalc, "twist_components",
-                        counting("twist", tiltcalc.twist_components))
+                        _counted(calls, "twist", tiltcalc.twist_components))
     for spec in specs:
         beta = spec._mu[1] - Q(1, 4)
         for call in (lambda: general_condition_check(spec, beta, Q(1, 32)),
@@ -488,17 +489,10 @@ def test_in_U_calls_build_no_point(monkeypatch):
     # omega^2 comes from the collection's constants; only an off-U beta
     # builds the point, for its DomainError
     calls = []
-
-    def counting(name, fn):
-        def counted(*args):
-            calls.append(name)
-            return fn(*args)
-        return counted
-
     monkeypatch.setattr(heartgate, "ParamPoint",
-                        counting("ParamPoint", tiltcalc.ParamPoint))
+                        _counted(calls, "ParamPoint", tiltcalc.ParamPoint))
     monkeypatch.setattr(heartgate, "alpha_E_beta",
-                        counting("alpha_E_beta", tiltcalc.alpha_E_beta))
+                        _counted(calls, "alpha_E_beta", tiltcalc.alpha_E_beta))
     for spec in _builtins_and_twists():
         off_U = _off_U_betas(spec)
         for beta in BETA_GRID[::6] + off_U:

@@ -1105,3 +1105,11 @@ def test_scene_svg_turns_a_float_overflow_into_input_error():
     with pytest.raises(InputError, match="^scene too large to draw: a value "
                        "is beyond the float range$"):
         scene_svg(scene)
+
+
+def test_scene_svg_turns_a_wall_that_is_no_line_into_input_error():
+    # Wall(0, 0, 1) is a valid Wall, but 0*alpha + 0*beta + 1 = 0 has no point
+    scene = plot_scene(NumClass(1, 0, -1, 0), Region(-2, 0, 2), [Wall(0, 0, 1)])
+    with pytest.raises(InputError, match="^scene has a wall with A = B = 0, "
+                       "which is no line$"):
+        scene_svg(scene)
