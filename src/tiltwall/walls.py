@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from ._record import Record
 from .errors import DomainError, InputError
 from .numclass import NumClass, rational
-from .tiltcalc import curve_CE, discriminant
+from .tiltcalc import curve_CE
 
 from . import _wallscan_py
 
@@ -184,19 +184,33 @@ def _digits(n: int) -> str:
     return s if len(s) <= 15 else f"{s[0]}.{s[1:3]}e{len(s) - 1}"
 
 
+def _w0_bound(P0: int, R: int, disc: int, slack: Fraction) -> int:
+    """The search box's bound on |w0|, in integers from ``_scaled``'s P0
+    and R, disc = R^2 * disc(v) of either sign and the exact slack n/d:
+    the larger of 2*ceil(|v0|) + 2, 2*(isqrt(ceil(budget)) + 1) + 2 for
+    the budget disc(v) + slack = (disc*d + n*R^2) / (R^2*d) when it is
+    positive, and 8."""
+    n, d = slack.as_integer_ratio()
+    R2 = R * R
+    top = -(-(disc * d + n * R2) // (R2 * d))  # ceil(budget), > 0 iff budget > 0
+    root = math.isqrt(top) + 1 if top > 0 else 0
+    return max(2 * -(-abs(P0) // R) + 2, 2 * root + 2, 8)
+
+
 def search_box(v: NumClass, disc_bound) -> dict:
     """The finite lattice box that a scan for v covers, reported for
-    reproducibility; a request that the region rule of
+    reproducibility, for any class, one of negative discriminant included;
+    a request that the region rule or the Delta(v) = 0 rule of
     ``enumerate_candidate_walls`` answers scans none of it.  The rank
-    bound is a heuristic: twice the rank of v and twice sqrt of the
-    discriminant budget, with a floor of 8; completeness relative to all
-    numerical walls is not claimed."""
+    bound (``_w0_bound``) is a heuristic: twice the rank of v and twice
+    sqrt of the discriminant budget, with a floor of 8; completeness
+    relative to all numerical walls is not claimed."""
     slack = rational(disc_bound)
-    budget = discriminant(v) + slack
-    root = math.isqrt(math.ceil(budget)) + 1 if budget > 0 else 0
-    bound = max(2 * math.ceil(abs(v.v0)) + 2, 2 * root + 2, 8)
+    P0, P1, T2, R = _scaled(v)
+    disc = P1 * P1 - P0 * T2  # R^2 * disc(v)
+    bound = _w0_bound(P0, R, disc, slack)
     return {"w0_min": -bound, "w0_max": bound,
-            "disc_budget": str(budget),
+            "disc_budget": str(Fraction(disc, R * R) + slack),
             "note": "heuristic rank bound; numerical walls only"}
 
 
@@ -212,15 +226,15 @@ def _scaled(v: NumClass) -> tuple[int, int, int, int]:
 
 
 def _scaled_inputs(v: NumClass, disc_bound: Fraction):
-    """The class's side of the scan: ``_scaled`` and the budget DS, that is
-    R^2 * (disc(v) + disc_bound) rounded down to an integer; DomainError
-    when disc(v) < 0."""
+    """The class's side of the scan: ``_scaled``, disc = R^2 * disc(v) and
+    the budget DS, that is R^2 * (disc(v) + disc_bound) rounded down to an
+    integer; DomainError when disc(v) < 0."""
     P0, P1, T2, R = _scaled(v)
     disc = P1 * P1 - P0 * T2  # R^2 * disc(v)
     if disc < 0:
         raise DomainError("class has negative discriminant; no walls")
     DS = disc + R * R * disc_bound.numerator // disc_bound.denominator
-    return P0, P1, T2, R, DS
+    return P0, P1, T2, R, disc, DS
 
 
 def enumerate_candidate_walls(v: NumClass, region: Region,
@@ -235,9 +249,9 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     in integers.
       * The region, before the w0 budget and the scan: [] when
         Im Z(v) <= 0 at both ends n/d of the closed beta range
-        (P1*d - P0*n <= 0), so on all of it, being linear in beta (as for
-        v0 = v1 = 0), or when the cap cn/cd lies at or below U over the
-        range (2*cn*y^2 <= cd*x^2, x/y the beta of the range nearest 0).
+        (P1*d - P0*n <= 0), so on all of it, being linear in beta, or when
+        the cap cn/cd lies at or below U over the range (2*cn*y^2 <=
+        cd*x^2, x/y the beta of the range nearest 0).
       * The wall: its first candidate builds it with ``wall_between`` on
         the triples (P0, P1, T2) and (w0, w1, t), and its point (n, m, S)
         with ``_wall_window``, where S = m*R*Im Z(v) > 0, or None, which
@@ -245,19 +259,24 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
       * The candidate (w0, w1, t): with k = w1*m - w0*n = m*Im Z(w) at n/m,
         it passes iff 0 < k and R*k < S, that is iff Im Z(w) > 0 and
         Im Z(v - w) > 0 there.
+    Beside the region rule, the Delta(v) = 0 rule answers [] before the w0
+    budget and the scan when R^2 * disc(v) = P1^2 - P0*T2 is 0, as for a
+    line bundle O(n), its multiples and every class with v0 = v1 = 0: such
+    a class has no wall at all (why below).
 
     The scan skips every row (w0, w1) that admits no real t, by a
     discriminant bound (see ``_wallscan_py``), so its work follows the rows
     that do, not the width of the region's Im window.  A search box of
-    more than SCAN_W0_BUDGET values of w0 raises InputError before the
-    scan.  A scanned candidate's wall key is ``wall_between``'s
-    coefficients in ``Wall``'s normal form, computed inline, and one table
-    of this call maps it to [wall, point, witness].  Candidates are taken
-    in scan order, and the first one that passes fills the witness slot
-    (``_witness_class``, the one ``Fraction`` step), after which its
-    wall's later candidates are skipped.  For a lattice class the rows
-    a < w0 <= top of ``_wallscan_py.mirror_rows`` are not visited at all
-    (``_wallscan_py.unmirrored_candidates``; why below).
+    more than SCAN_W0_BUDGET values of w0 (``_w0_bound``, in integers)
+    raises InputError before the scan.  A scanned candidate's wall key is
+    ``wall_between``'s coefficients in ``Wall``'s normal form, computed
+    inline, and one table of this call maps it to [wall, point, witness].
+    Candidates are taken in scan order, and the first one that passes
+    fills the witness slot (``_witness_class``, the one ``Fraction``
+    step), after which its wall's later candidates are skipped.  For a
+    lattice class the rows a < w0 <= top of ``_wallscan_py.mirror_rows``
+    are not visited at all (``_wallscan_py.unmirrored_candidates``; why
+    below).
 
     Why one point decides the window.  Write X = -Re Z = ch2^b -
     (omega^2/2)*ch0, with omega^2 = 2*alpha - beta^2 > 0 in U.  The wall of
@@ -269,7 +288,8 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
       * A vertical wall is beta = mu(v), where Im Z(v) = 0, so it has no
         point.  For v0 != 0 every wall of v passes through
         Pi(v) = (v1/v0, v2/v0); in rank 0, A = 2*w0*P1 with P1 != 0 (else
-        the region rule fires) and w0 != 0 (the scan skips w0 = P0 = 0).
+        Delta(v) = 0, and that rule fires) and w0 != 0 (the scan skips
+        w0 = P0 = 0).
       * On a non-vertical wall, ch1^b(v) has no zero on I.  Delta(v) >= 0,
         checked first, puts Pi(v) on or below alpha = beta^2/2, outside U,
         and the wall meets beta = mu(v), the one zero of ch1^b(v), only at
@@ -284,6 +304,30 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
       * So Im Z(w) and Im Z(v - w) keep their signs on I, and the test at
         n/m gives the verdict on the whole wall, which is whether some
         point of it in region /\\ cap /\\ U has 0 < Im Z(w) < Im Z(v).
+
+    Why a class with Delta(v) = 0 has no wall.  Delta is negative definite
+    on ker Z at each point of U, the support property of Bayer-Macri-
+    Stellari (The space of stability conditions on abelian threefolds, and
+    on some Calabi-Yau threefolds); Macri-Schmidt (Lectures on Bridgeland
+    stability) use it to show that Delta shrinks along walls.  Write
+    Delta(a, b) = a1*b1 - a0*b2 - a2*b0 for the bilinear form of
+    Delta = ch1^2 - 2*ch0*ch2, so that Delta(v) = Delta(w) +
+    Delta(v - w) + 2*Delta(w, v - w).  Take a scanned w that passes the
+    window at the wall's point n/m.
+      * There nu(w) = nu(v) and Im Z(v) > 0, so Z(w) = mu*Z(v) with
+        mu = Im Z(w)/Im Z(v), and 0 < mu < 1 by the window.
+      * So Z(v - w) = lambda*Z(w) with lambda = (1 - mu)/mu > 0: write
+        v - w = lambda*w + k with k in ker Z.  Then
+        2*lambda*Delta(w, v - w) = lambda^2*Delta(w) + Delta(v - w) -
+        Delta(k), by expanding Delta(v - w).
+      * Delta(k) = -omega^2*k0^2, as shown above for Z(w) = 0, and k0 = 0
+        forces k1 = k2 = 0.  So Delta(k) < 0 unless k = 0, and with the
+        scan's Delta(w) >= 0 and Delta(v - w) >= 0, Delta(w, v - w) > 0.
+      * k = 0 means v - w = lambda*w, so w is proportional to v, A = B =
+        C = 0 and the key is skipped (g = 0).
+    So every witness has Delta(w) + Delta(v - w) < Delta(v), strictly.
+    When Delta(v) = 0 no w meets that with both terms >= 0: the scan's
+    candidates hold no witness, and the rule answers without them.
 
     Why the mirrored rows need no visit.  For a lattice class (R = 1 and
     T2 = P1 (mod 2)), iota(w0, w1, t) = (P0 - w0, P1 - w1, T2 - t), that is
@@ -304,7 +348,9 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     disc_bound = rational(disc_bound)
     if disc_bound < 0:
         raise InputError("disc_bound must be nonnegative")
-    P0, P1, T2, R, DS = _scaled_inputs(v, disc_bound)
+    P0, P1, T2, R, disc, DS = _scaled_inputs(v, disc_bound)
+    if disc == 0:  # the Delta(v) = 0 rule
+        return []
     ends = _region_ends(region)
     (bln, bld), (bhn, bhd), (cn, cd) = ends
     # x/y: the beta of the range nearest 0, where U reaches lowest
@@ -312,16 +358,16 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     if (P1 * bld - P0 * bln <= 0 and P1 * bhd - P0 * bhn <= 0
             or 2 * cn * y * y <= cd * x * x):
         return []
-    box = search_box(v, disc_bound)
-    width = box["w0_max"] - box["w0_min"] + 1
+    w0_max = _w0_bound(P0, R, disc, disc_bound)
+    width = 2 * w0_max + 1
     if width > SCAN_W0_BUDGET:
-        raise InputError(f"search box |w0| <= {_digits(box['w0_max'])} holds "
+        raise InputError(f"search box |w0| <= {_digits(w0_max)} holds "
                          f"{_digits(width)} values of w0, over the scan budget "
                          f"of {SCAN_W0_BUDGET}")
     vt = (P0, P1, T2)
     table: dict[tuple[int, int, int], list] = {}  # key -> [wall, point, witness]
     for w0, w1, t in _wallscan_py.unmirrored_candidates(
-            P0, P1, T2, R, DS, box["w0_min"], box["w0_max"], bln, bld, bhn, bhd):
+            P0, P1, T2, R, DS, -w0_max, w0_max, bln, bld, bhn, bhd):
         # the wall key: wall_between's coefficients, as Wall normalizes them
         A = 2 * (w0 * P1 - P0 * w1)
         B = t * P0 - T2 * w0
@@ -374,14 +420,25 @@ def plot_scene(v: NumClass, region: Region, walls: Sequence[Wall] = ()) -> dict:
 _TOO_LARGE = "scene too large to draw: a value is beyond the float range"
 
 
+def _scene_float(x) -> float:
+    """A rational value of a scene (a ``Fraction``, an int or a string
+    such as "-3/2") as a float; InputError naming it when it is no
+    rational, and OverflowError when floats cannot hold it."""
+    try:
+        q = Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InputError(f"scene value {x!r} is not a rational number") from None
+    return float(q)
+
+
 def plot_frame(beta_min, beta_max, alpha_max) -> tuple[float, float, float, float]:
     """The float frame (bmin, bmax, amin, amax) in which ``scene_svg`` draws
     a region, alpha from 0 or from 1 below a cap that is not positive, and a
-    side of width 0 widened to 1; InputError when a side is beyond the float
-    range or still of width 0, as past 2^53, where adding 1 can leave a
-    float as it is."""
+    side of width 0 widened to 1; InputError when a value is no rational
+    (``_scene_float``), or a side is beyond the float range or still of
+    width 0, as past 2^53, where adding 1 can leave a float as it is."""
     try:
-        bmin, bmax, amax = (float(Fraction(x)) for x in (beta_min, beta_max, alpha_max))
+        bmin, bmax, amax = map(_scene_float, (beta_min, beta_max, alpha_max))
         amin = 0.0 if amax > 0 else amax - 1.0
         if bmax == bmin:
             bmax = bmin + 1.0
@@ -398,8 +455,9 @@ def scene_svg(scene: dict, precision: int = 4) -> str:
     """SVG drawing of a ``plot_scene`` document with ``precision`` decimals:
     write-only float rendering, every geometric decision has already been
     made exactly upstream.  InputError for a scene that cannot be drawn: a
-    value that floats cannot hold, the sides of its region included
-    (``plot_frame``), or a wall with A = B = 0, which is no line."""
+    value that is no rational or that floats cannot hold, the sides of its
+    region included (``plot_frame``), or a wall with A = B = 0, which is no
+    line."""
     width, height, pad = 480, 360, 20.0
     bmin, bmax, amin, amax = plot_frame(
         *(scene["region"][k] for k in ("beta_min", "beta_max", "alpha_max")))
@@ -440,10 +498,10 @@ def scene_svg(scene: dict, precision: int = 4) -> str:
             if cv["kind"] == "boundary-parabola":
                 parts.append(polyline(lambda b: b * b / 2, "gray"))
             elif cv["kind"] == "curve-CE" and cv.get("shape") == "parabola":
-                lin, const = float(Fraction(cv["lin"])), float(Fraction(cv["const"]))
+                lin, const = _scene_float(cv["lin"]), _scene_float(cv["const"])
                 parts.append(polyline(lambda b, l=lin, c=const: b * b + l * b + c, "blue"))
             elif cv["kind"] == "curve-CE" and cv.get("shape") == "vertical":
-                parts.append(vline(float(Fraction(cv["beta"])), "blue"))
+                parts.append(vline(_scene_float(cv["beta"]), "blue"))
             elif cv["kind"] == "wall":
                 A, B, C = cv["A"], cv["B"], cv["C"]
                 if A == B == 0:
@@ -451,8 +509,8 @@ def scene_svg(scene: dict, precision: int = 4) -> str:
                 parts.append(vline(-C / B, "red") if A == 0 else
                              polyline(lambda b, A=A, B=B, C=C: -(B * b + C) / A, "red"))
         for pt in scene["points"]:
-            x = fmt(to_x(float(Fraction(pt["beta"]))))
-            y = fmt(to_y(float(Fraction(pt["alpha"]))))
+            x = fmt(to_x(_scene_float(pt["beta"])))
+            y = fmt(to_y(_scene_float(pt["alpha"])))
             parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="black"/>')
             parts.append(f'<text x="{x}" y="{y}" dx="5" dy="-5" '
                          f'font-size="10">{pt["label"]}</text>')

@@ -30,6 +30,19 @@ def wall_between_fraction(v: NumClass, w: NumClass) -> Optional[Wall]:
     return wall_from_coefficients(A, B, C)
 
 
+def delta_pairing(a: NumClass, b: NumClass) -> Fraction:
+    """The bilinear form of Delta = ch1^2 - 2*ch0*ch2, a1*b1 - a0*b2 -
+    a2*b0, so that Delta(a + b) = Delta(a) + Delta(b) + 2*Delta(a, b)."""
+    return a.v1 * b.v1 - a.v0 * b.v2 - a.v2 * b.v0
+
+
+def delta_zero_class(k, x, y) -> NumClass:
+    """k*(1, x, x^2/2, y), of Delta = k^2*(x^2 - 2*x^2/2) = 0: for y = x^3/6
+    the character of k*O(x)."""
+    x, y = Fraction(x), Fraction(y)
+    return NumClass(k, k * x, k * x * x / 2, k * y)
+
+
 def wall_from_coefficients(A, B, C) -> Wall:
     """The wall A*alpha + B*beta + C = 0 of rational coefficients, made
     integral by the lcm of their denominators."""

@@ -145,8 +145,9 @@ def test_walls_golden_digest_at_disc_4000(capsys):
         "43b1d8961c0a7c5c412a86b70e15dacff1f8da939f7c595bbe5690d6e4c5885b")
 
 
-# Inputs whose scan once walked every w1 of a huge Im-window range: each
-# must answer in a fresh process within the time limit
+# Inputs whose scan once walked every w1 of a huge Im-window range, or
+# whose box was once over the scan budget or the memory: each must answer
+# in a fresh process within the time limit
 FAST_WALLS_ARGV = [
     ["walls", "O(99999999)", "--beta-min", "-1", "--beta-max", "1",
      "--alpha-max", "2", "--disc-bound", "4"],
@@ -156,6 +157,15 @@ FAST_WALLS_ARGV = [
      "--alpha-max", "1"],
     # v0 = v1 = 0: an empty Im window, so no wall and no scan
     ["walls", "point", "--beta-min", "-1e400", "--beta-max", "0",
+     "--alpha-max", "1"],
+    # Delta(v) = 0: no wall, answered before the w0 budget and the scan
+    ["walls", "O", "--disc-bound", "1e400", "--beta-min", "-1", "--beta-max", "0",
+     "--alpha-max", "1"],
+    ["walls", "O", "--disc-bound", "1e13", "--beta-min", "-1", "--beta-max", "0",
+     "--alpha-max", "1"],
+    ["walls", "O", "--disc-bound", "1e9", "--beta-min", "-1", "--beta-max", "0",
+     "--alpha-max", "1"],
+    ["walls", "3000000,0,0,0", "--beta-min", "-1", "--beta-max", "0",
      "--alpha-max", "1"],
 ]
 
@@ -174,9 +184,9 @@ def test_walls_with_huge_im_window_answers_in_time(argv):
 # each is rejected before the scan
 OVER_BUDGET_WALLS_ARGV = [
     ["walls", "1,1e100,0,0"],
-    ["walls", "O", "--disc-bound", "1e400"],
-    ["walls", "3000000,0,0,0"],
-    ["walls", "O", "--disc-bound", "1e13"],
+    ["walls", "1,0,-1,0", "--disc-bound", "1e400"],
+    ["walls", "3000000,0,-1,0"],
+    ["walls", "1,0,-1,0", "--disc-bound", "1e13"],
 ]
 
 
@@ -193,9 +203,9 @@ def test_walls_over_the_scan_budget_is_input_error_in_time(argv):
 
 
 def test_walls_with_an_empty_window_is_answered_before_the_scan_budget(capsys):
-    # over the w0 budget, but Im Z(O) = -beta <= 0 on all of [0, 1]: no
+    # over the w0 budget, but Im Z(v) = -beta <= 0 on all of [0, 1]: no
     # wall, and no box to scan
-    assert run(["walls", "O", "--disc-bound", "1e400", "--beta-min", "0",
+    assert run(["walls", "1,0,-1,0", "--disc-bound", "1e400", "--beta-min", "0",
                 "--beta-max", "1", "--alpha-max", "1"]) == 0
     assert capsys.readouterr() == ("no walls found\n", "")
 
@@ -232,7 +242,7 @@ def test_out_of_memory_is_internal_error_on_one_line(launcher):
         resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
 
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, *launcher, "walls", "O",
+    proc = subprocess.run([sys.executable, *launcher, "walls", "1,0,-1,0",
                            "--beta-min", "-1", "--beta-max", "0", "--alpha-max", "1",
                            "--disc-bound", "1e9"],
                           capture_output=True, text=True, env=env, timeout=30,

@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -119,8 +120,17 @@ def verb_argv(verb, valid):
     # walls and plot draw small classes and regions only (|beta|, alpha <= 8,
     # disc <= 40): the scan has no work budget yet, and a large class or
     # region can take minutes unless the region has no Im window
-    # (test_large_classes_without_a_window_have_no_walls)
+    # (test_large_classes_without_a_window_have_no_walls).  A class of
+    # Delta = 0, O(n) or k*O(n), needs no scan, and draws its disc bound up
+    # to 1e400.
     box_class = classes(rationals(3, 6)) | named(st.integers(-8, 8))
+    flat_class = st.one_of(
+        st.integers(-9, 9).map(lambda n: f"O({n})"),
+        st.builds(lambda k, n: ",".join(str(k * Fraction(n) ** i / factorial(i))
+                                        for i in range(4)),
+                  st.integers(-5, 5).filter(bool), st.integers(-9, 9)))
+    huge_bound = st.one_of(st.integers(0, 400).map(lambda e: f"1e{e}"),
+                           st.integers(0, 10**400).map(str))
     if valid:
         region = st.tuples(fracs(-8, 8), fracs(-8, 8), rationals(8)).map(
             lambda r: ["--beta-min", str(min(r[:2])),
@@ -143,16 +153,22 @@ def verb_argv(verb, valid):
         "twist": [st.tuples(cls, cls).map(list)],
     }.get(verb)
     if parts is None:  # walls, plot
-        parts = [box_class.map(lambda c: [c]), region,
-                 option("--disc-bound", st.integers(0, 40).map(str) if valid
-                        else st.integers(-40, 40).map(str) | junk)]
+        bound = (st.integers(0, 40).map(str) if valid
+                 else st.integers(-40, 40).map(str) | junk)
+        # the class and its --disc-bound, drawn together as two groups
+        parts = [st.one_of(
+            st.tuples(box_class.map(lambda c: [c]), option("--disc-bound", bound)),
+            st.tuples(flat_class.map(lambda c: [c]),
+                      option("--disc-bound", huge_bound | bound))), region]
         if verb == "plot":
             parts += [paths("scene.svg", valid).map(lambda p: ["-o", p]),
                       option("--precision", st.integers(0, 17).map(str) if valid
                              else st.integers(-1, 20).map(str) | junk)]
     parts += [st.sampled_from([[], ["--json"]]),
               option("--out", paths("out.txt", valid)), stray]
-    return st.tuples(*parts).flatmap(st.permutations).map(
+    return st.tuples(*parts).map(
+        lambda groups: [g for x in groups for g in (x if type(x) is tuple else [x])]
+    ).flatmap(st.permutations).map(
         lambda groups: [verb] + [tok for group in groups for tok in group])
 
 
@@ -196,7 +212,8 @@ def test_every_input_is_answered_or_rejected_on_one_line(verb, folder, data):
 
 # Large classes and discriminant bounds, in regions that the region rule of
 # wall enumeration answers before any scan: Im Z(v) = v1 - beta*v0 <= 0
-# over the whole beta range, or an alpha cap at or below U over it.
+# over the whole beta range, or an alpha cap at or below U over it.  A line
+# bundle O(d), of Delta = 0, is answered by the Delta(v) = 0 rule first.
 big = fracs(-10**6, 10**6)
 nonneg = fracs(0, 10**6)
 

@@ -20,8 +20,9 @@ from tiltwall.walls import (_region_ends, _scaled, _scaled_inputs,
                             search_box)
 
 from conftest import integral_classes, lattice_class
-from oracles import (scan_candidates_exhaustive, wall_between_fraction,
-                     wall_feasible as _wall_feasible, wall_from_coefficients)
+from oracles import (delta_pairing, delta_zero_class, scan_candidates_exhaustive,
+                     wall_between_fraction, wall_feasible as _wall_feasible,
+                     wall_from_coefficients)
 
 Q = Fraction
 
@@ -285,7 +286,8 @@ def _scan_args(v, region, disc, w0_box=None):
         w0_lo, w0_hi = box["w0_min"], box["w0_max"]
     else:
         w0_lo, w0_hi = -w0_box, w0_box
-    return (*_scaled_inputs(v, Q(disc)), w0_lo, w0_hi, bln, bld, bhn, bhd)
+    P0, P1, T2, R, _, DS = _scaled_inputs(v, Q(disc))
+    return P0, P1, T2, R, DS, w0_lo, w0_hi, bln, bld, bhn, bhd
 
 
 def _scanned(v, region, disc):
@@ -379,8 +381,9 @@ def _region_rule_fires(v, region) -> bool:
 @given(enumeration_cases)
 @settings(max_examples=150, deadline=None)
 def test_region_rule_only_drops_regions_without_a_wall(case):
-    """Enumeration skips the scan exactly when the region rule fires, and
-    then the reference enumeration finds no wall either."""
+    """Enumeration skips the scan exactly when a pre-scan rule fires, the
+    region rule or the Delta(v) = 0 rule, and then the reference
+    enumeration finds no wall either."""
     v, region, disc = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_wallscan_py, "scan_candidates", _no_scan)
@@ -388,9 +391,33 @@ def test_region_rule_only_drops_regions_without_a_wall(case):
             fired = enumerate_candidate_walls(v, region, disc) == []
         except _Scanned:
             fired = False
-    assert fired == _region_rule_fires(v, region)
+    assert fired == (_region_rule_fires(v, region) or discriminant(v) == 0)
     if fired:
         assert _reference_walls(v, region, disc) == []
+
+
+# Classes of Delta = 0: k*(1, x, x^2/2, y), line bundles and their
+# multiples among them, and the rank-0 classes (0, 0, c, d)
+delta_zero_classes = st.one_of(
+    st.builds(delta_zero_class, st.sampled_from([-3, -2, -1, 1, 2, 3]),
+              st.fractions(-3, 3, max_denominator=3),
+              st.fractions(-3, 3, max_denominator=6)),
+    st.builds(lambda c, d: NumClass(0, 0, c, d),
+              st.fractions(-3, 3, max_denominator=6).filter(bool),
+              st.fractions(-3, 3, max_denominator=6)))
+
+
+@given(delta_zero_classes, enumeration_regions(),
+       st.integers(min_value=0, max_value=400))
+@settings(max_examples=40, deadline=None)
+def test_a_class_of_delta_zero_has_no_wall(v, region, disc):
+    """The Delta(v) = 0 rule answers without a scan, and the reference
+    enumeration, which has no pre-scan rule, finds no wall in the scan."""
+    assert discriminant(v) == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_wallscan_py, "scan_candidates", _no_scan)
+        assert enumerate_candidate_walls(v, region, disc) == []
+    assert _reference_walls(v, region, disc) == []
 
 
 # The walls-sweep pool of the benchmark (perfbench/workloads.py): six
@@ -405,28 +432,36 @@ def test_wall_between_runs_once_per_distinct_scanned_key(monkeypatch):
     """The benchmark counts distinct wall keys as calls of wall_between and
     candidates as the scan's list: on each walls-sweep input, enumeration
     calls wall_between exactly once per distinct wall of the scanned
-    candidates, 3,360 calls for the 18,629 candidates of one pass."""
-    calls = []
+    candidates, 2,920 calls for the 15,825 candidates of one pass.  The 12
+    inputs of class O, of Delta = 0, make no scan and no call."""
+    calls, scans = [], []
 
     def counting(v, w):
         calls.append(wall_between(v, w))
         return calls[-1]
 
+    scan = _wallscan_py.scan_candidates
     monkeypatch.setattr(walls_module, "wall_between", counting)
+    monkeypatch.setattr(_wallscan_py, "scan_candidates",
+                        lambda *args: scans.append(args) or scan(*args))
     total_calls = total_candidates = 0
     for token in SWEEP_CLASSES:
         v = NumClass.parse(token) if "," in token else class_of_named(token)
         for region in SWEEP_REGIONS:
             for disc in SWEEP_DISCS:
                 calls.clear()
+                scans.clear()
                 enumerate_candidate_walls(v, region, disc)
+                if discriminant(v) == 0:
+                    assert calls == [] and scans == []
+                    continue
                 scanned = _scanned(v, region, disc)
                 keys = {wall_between_fraction(v, _witness_class(*c))
                         for c in scanned} - {None}
                 assert len(calls) == len(keys) and set(calls) == keys
                 total_calls += len(calls)
                 total_candidates += len(scanned)
-    assert (total_calls, total_candidates) == (3360, 18629)
+    assert (total_calls, total_candidates) == (2920, 15825)
 
 
 def _sweep_inputs():
@@ -456,6 +491,27 @@ def test_enumeration_builds_one_witness_class_per_wall(monkeypatch):
         assert len(built) == len(walls) and set(built) == {w for _, w in walls}
         total_walls += len(walls)
     assert total_walls == 146
+
+
+def _assert_witnesses_shrink_delta(v, region, disc) -> int:
+    """Each returned witness w has Delta(w) + Delta(v - w) < Delta(v),
+    strictly, that is Delta(w, v - w) > 0, as the Delta(v) = 0 rule's
+    proof has it.  Returns the number of walls."""
+    walls = enumerate_candidate_walls(v, region, disc)
+    for _, w in walls:
+        assert discriminant(w) + discriminant(v - w) < discriminant(v)
+        assert delta_pairing(w, v - w) > 0
+    return len(walls)
+
+
+def test_witnesses_shrink_delta_on_the_sweep_pool():
+    assert sum(_assert_witnesses_shrink_delta(*case) for case in _sweep_inputs()) == 146
+
+
+@given(enumeration_cases)
+@settings(max_examples=150, deadline=None)
+def test_witnesses_shrink_delta(case):
+    _assert_witnesses_shrink_delta(*case)
 
 
 def test_enumeration_commutes_with_the_dual():
@@ -1112,4 +1168,25 @@ def test_scene_svg_turns_a_wall_that_is_no_line_into_input_error():
     scene = plot_scene(NumClass(1, 0, -1, 0), Region(-2, 0, 2), [Wall(0, 0, 1)])
     with pytest.raises(InputError, match="^scene has a wall with A = B = 0, "
                        "which is no line$"):
+        scene_svg(scene)
+
+
+@pytest.mark.parametrize("where, value", [
+    ("region", "1/0"), ("parabola", "1/0"), ("vertical", "abc"), ("point", "x")])
+def test_scene_svg_turns_a_malformed_rational_into_input_error(where, value):
+    # a hand-built scene: the region's beta_min, a curve-CE's lin or beta,
+    # or a point's beta is no rational
+    scene = plot_scene(NumClass(1, 0, -1, 0), Region(-2, 0, 2), [])
+    if where == "region":
+        scene["region"]["beta_min"] = value
+    elif where == "point":
+        scene["points"] = [{"label": "Pi", "beta": value, "alpha": "1"}]
+    elif where == "parabola":
+        scene["curves"].append({"kind": "curve-CE", "shape": "parabola",
+                                "lin": value, "const": "0"})
+    else:
+        scene["curves"].append({"kind": "curve-CE", "shape": "vertical",
+                                "beta": value})
+    with pytest.raises(InputError, match=f"^scene value '{value}' is not a "
+                       "rational number$"):
         scene_svg(scene)
