@@ -149,16 +149,19 @@ def test_walls_golden_digest_at_disc_4000(capsys):
 # whose box was once over the scan budget or the memory: each must answer
 # in a fresh process within the time limit
 FAST_WALLS_ARGV = [
-    ["walls", "O(99999999)", "--beta-min", "-1", "--beta-max", "1",
-     "--alpha-max", "2", "--disc-bound", "4"],
-    ["walls", "O", "--beta-min", "-1e400", "--beta-max", "0",
+    # 1,0,-1,0 twisted by O(99999999)
+    ["walls", "1,99999999,9999999799999999/2,333333323333333233333335/2",
+     "--beta-min", "-1", "--beta-max", "1", "--alpha-max", "2", "--disc-bound", "4"],
+    ["walls", "1,0,-1,0", "--beta-min", "-1e400", "--beta-max", "0",
      "--alpha-max", "1e400"],
     ["walls", "0,1,-1/2,1/6", "--beta-min", "-1e300", "--beta-max", "0",
      "--alpha-max", "1"],
-    # v0 = v1 = 0: an empty Im window, so no wall and no scan
-    ["walls", "point", "--beta-min", "-1e400", "--beta-max", "0",
+    # Im Z(v) = v1 < 0 at every beta: an empty Im window, so no wall and no scan
+    ["walls", "0,-1,1/2,-1/6", "--beta-min", "-1e400", "--beta-max", "0",
      "--alpha-max", "1"],
     # Delta(v) = 0: no wall, answered before the w0 budget and the scan
+    ["walls", "point", "--beta-min", "-1e400", "--beta-max", "0",
+     "--alpha-max", "1"],
     ["walls", "O", "--disc-bound", "1e400", "--beta-min", "-1", "--beta-max", "0",
      "--alpha-max", "1"],
     ["walls", "O", "--disc-bound", "1e13", "--beta-min", "-1", "--beta-max", "0",
@@ -168,6 +171,7 @@ FAST_WALLS_ARGV = [
     ["walls", "3000000,0,0,0", "--beta-min", "-1", "--beta-max", "0",
      "--alpha-max", "1"],
 ]
+SCANNED_FAST_WALLS = 3  # the first three have Delta(v) > 0 and an Im window
 
 
 @pytest.mark.parametrize("argv", FAST_WALLS_ARGV)
@@ -177,6 +181,20 @@ def test_walls_with_huge_im_window_answers_in_time(argv):
                           capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout and not proc.stderr
+
+
+def test_fast_walls_inputs_scan_exactly_when_they_have_a_window(monkeypatch, capsys):
+    # the inputs that guard the scan's row walk over a huge Im window must
+    # reach the scan; the others are answered before it
+    scans = []
+    scan = _wallscan_py.scan_candidates
+    monkeypatch.setattr(_wallscan_py, "scan_candidates",
+                        lambda *args: scans.append(args) or scan(*args))
+    for i, argv in enumerate(FAST_WALLS_ARGV):
+        scans.clear()
+        assert run(argv) == 0
+        assert len(scans) == (1 if i < SCANNED_FAST_WALLS else 0), argv
+    capsys.readouterr()
 
 
 # Inputs whose search box holds over SCAN_W0_BUDGET values of w0: the class's
@@ -262,19 +280,22 @@ def test_plot_over_the_scan_budget_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["walls", "O(9999)", "--beta-min", "-1", "--beta-max", "1",
+    # 1,0,-1,0 twisted by O(9999): no wall over a huge Im window
+    ["walls", "1,9999,99979999/2,333233323335/2", "--beta-min", "-1", "--beta-max", "1",
      "--alpha-max", "2", "--disc-bound", "4", "--json"],
-    # 1,0,-1,0 twisted by O(9999), with its two walls
+    # the same class, with its two walls
     ["walls", "1,9999,99979999/2,333233323335/2", "--beta-min", "9997",
      "--beta-max", "9999", "--alpha-max", "99980005/2", "--json"],
 ])
 def test_walls_json_matches_exhaustive_scan(monkeypatch, capsys, args):
     assert run(args) == 0
     scanned = capsys.readouterr().out
-    monkeypatch.setattr(_wallscan_py, "scan_candidates",
-                        scan_candidates_exhaustive)
+    exhaustive = []
+    monkeypatch.setattr(_wallscan_py, "scan_candidates", lambda *a: exhaustive.append(
+        a) or scan_candidates_exhaustive(*a))
     assert run(args) == 0
     assert capsys.readouterr().out == scanned
+    assert len(exhaustive) == 1  # the comparison ran through a scan
 
 
 def test_plot_of_a_region_beyond_floats_is_input_error(tmp_path, capsys):

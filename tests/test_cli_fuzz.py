@@ -152,23 +152,24 @@ def verb_argv(verb, valid):
                      number.map(lambda b: ["--beta", b])],
         "twist": [st.tuples(cls, cls).map(list)],
     }.get(verb)
+    head = st.just(())  # groups drawn together, before the others
     if parts is None:  # walls, plot
         bound = (st.integers(0, 40).map(str) if valid
                  else st.integers(-40, 40).map(str) | junk)
-        # the class and its --disc-bound, drawn together as two groups
-        parts = [st.one_of(
+        # the class group and its --disc-bound group
+        head = st.one_of(
             st.tuples(box_class.map(lambda c: [c]), option("--disc-bound", bound)),
             st.tuples(flat_class.map(lambda c: [c]),
-                      option("--disc-bound", huge_bound | bound))), region]
+                      option("--disc-bound", huge_bound | bound)))
+        parts = [region]
         if verb == "plot":
             parts += [paths("scene.svg", valid).map(lambda p: ["-o", p]),
                       option("--precision", st.integers(0, 17).map(str) if valid
                              else st.integers(-1, 20).map(str) | junk)]
     parts += [st.sampled_from([[], ["--json"]]),
               option("--out", paths("out.txt", valid)), stray]
-    return st.tuples(*parts).map(
-        lambda groups: [g for x in groups for g in (x if type(x) is tuple else [x])]
-    ).flatmap(st.permutations).map(
+    drawn = head.flatmap(lambda first: st.tuples(*map(st.just, first), *parts))
+    return drawn.flatmap(st.permutations).map(
         lambda groups: [verb] + [tok for group in groups for tok in group])
 
 
@@ -212,8 +213,7 @@ def test_every_input_is_answered_or_rejected_on_one_line(verb, folder, data):
 
 # Large classes and discriminant bounds, in regions that the region rule of
 # wall enumeration answers before any scan: Im Z(v) = v1 - beta*v0 <= 0
-# over the whole beta range, or an alpha cap at or below U over it.  A line
-# bundle O(d), of Delta = 0, is answered by the Delta(v) = 0 rule first.
+# over the whole beta range, or an alpha cap at or below U over it.
 big = fracs(-10**6, 10**6)
 nonneg = fracs(0, 10**6)
 
@@ -226,8 +226,10 @@ def windowless_box(draw):
         v = draw(st.lists(big, min_size=4, max_size=4))
         token = ",".join(map(str, v))
     else:
+        # rank 1 with 2c < d^2, so Delta > 0 and the region rule answers
         d = draw(st.integers(-10**6, 10**6))
-        v, token = [1, d], f"O({d})"  # v0 = 1, v1 = d
+        c = draw(st.integers(-10**6, min(10**6, (d * d - 1) // 2)))
+        v, token = [1, d], f"1,{d},{c},0"  # v0 = 1, v1 = d
     a, b = draw(nonneg), draw(nonneg)
     if v[0] != 0 and draw(st.booleans()):
         mu = Fraction(v[1]) / v[0]
