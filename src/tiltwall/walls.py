@@ -88,16 +88,21 @@ def passes_through(wall: Wall, q: tuple) -> bool:
 
 class Region(Record):
     """Rational box of parameters: beta in [beta_min, beta_max], alpha up
-    to alpha_max, always intersected with the open half-plane U."""
+    to alpha_max, always intersected with the open half-plane U.  The
+    derived slot ``_ends`` holds, for enumeration, the ends of the beta
+    range (the scan's beta integers) and the cap, each n/m as (n, m) with
+    m > 0; ``_wall_window`` takes the triple."""
 
-    __slots__ = ("beta_min", "beta_max", "alpha_max")
+    __slots__ = ("beta_min", "beta_max", "alpha_max", "_ends")
 
     def __init__(self, beta_min, beta_max, alpha_max):
         beta_min, beta_max = rational(beta_min), rational(beta_max)
         alpha_max = rational(alpha_max)
         if beta_min > beta_max:
             raise InputError("empty beta range")
-        self._set(beta_min, beta_max, alpha_max)
+        self._set(beta_min, beta_max, alpha_max,
+                  (beta_min.as_integer_ratio(), beta_max.as_integer_ratio(),
+                   alpha_max.as_integer_ratio()))
 
     def to_json_dict(self) -> dict:
         return {"beta_min": str(self.beta_min), "beta_max": str(self.beta_max),
@@ -112,16 +117,6 @@ class Region(Record):
 # q(beta) = A beta^2 + 2B beta + 2C < 0.  q is convex, so it is negative
 # somewhere on a nonempty interval iff it is negative at the vertex -B/A
 # clamped into the interval, and that clamped vertex is the wall's point.
-
-def _region_ends(region: Region):
-    """The region in integers, read once per enumeration: the ends of its
-    closed beta range, which are also the scan's beta integers, and its
-    alpha cap, each n/m as (n, m) with m > 0; ``_wall_window`` takes the
-    triple."""
-    return (region.beta_min.as_integer_ratio(),
-            region.beta_max.as_integer_ratio(),
-            region.alpha_max.as_integer_ratio())
-
 
 def _wall_window(A: int, B: int, C: int, ends, P0: int, P1: int):
     """The point where enumeration tests the candidates of the wall
@@ -164,9 +159,10 @@ def _witness_class(w0: int, w1: int, t: int) -> NumClass:
     return NumClass(w0, w1, Fraction(t, 2), Fraction(3 * t - 2 * w1, 6))
 
 
-# Values of w0 a scan may visit.  A scanned row costs at least about
-# 1.5 us, and a mirrored row (a lattice class, ``_wallscan_py.mirror_rows``)
-# about a thirtieth of a scanned one, its candidates included: 1.5-2.9 us
+# Values of w0 a scan may visit, over the box |w0| <= w0_max of
+# ``_scan_inputs``.  A scanned row costs at least about 1.5 us, and a
+# mirrored row (a lattice class, ``_wallscan_py.mirror_rows``) about a
+# thirtieth of a scanned one, its candidates included: 1.5-2.9 us
 # against 0.04-0.08 us for 200000,0,0,0, whose box of 800,005 rows has
 # 500,003 scanned and 300,002 mirrored, with 99,999 candidates in these
 # (best of 7, 2-vCPU Intel Xeon, Python 3.11.7, varying with the host's
@@ -184,36 +180,6 @@ def _digits(n: int) -> str:
     return s if len(s) <= 15 else f"{s[0]}.{s[1:3]}e{len(s) - 1}"
 
 
-def _w0_bound(P0: int, R: int, disc: int, slack: Fraction) -> int:
-    """The search box's bound on |w0|, in integers from ``_scaled``'s P0
-    and R, disc = R^2 * disc(v) of either sign and the exact slack n/d:
-    the larger of 2*ceil(|v0|) + 2, 2*(isqrt(ceil(budget)) + 1) + 2 for
-    the budget disc(v) + slack = (disc*d + n*R^2) / (R^2*d) when it is
-    positive, and 8."""
-    n, d = slack.as_integer_ratio()
-    R2 = R * R
-    top = -(-(disc * d + n * R2) // (R2 * d))  # ceil(budget), > 0 iff budget > 0
-    root = math.isqrt(top) + 1 if top > 0 else 0
-    return max(2 * -(-abs(P0) // R) + 2, 2 * root + 2, 8)
-
-
-def search_box(v: NumClass, disc_bound) -> dict:
-    """The finite lattice box that a scan for v covers, reported for
-    reproducibility, for any class, one of negative discriminant included;
-    a request that the region rule or the Delta(v) = 0 rule of
-    ``enumerate_candidate_walls`` answers scans none of it.  The rank
-    bound (``_w0_bound``) is a heuristic: twice the rank of v and twice
-    sqrt of the discriminant budget, with a floor of 8; completeness
-    relative to all numerical walls is not claimed."""
-    slack = rational(disc_bound)
-    P0, P1, T2, R = _scaled(v)
-    disc = P1 * P1 - P0 * T2  # R^2 * disc(v)
-    bound = _w0_bound(P0, R, disc, slack)
-    return {"w0_min": -bound, "w0_max": bound,
-            "disc_budget": str(Fraction(disc, R * R) + slack),
-            "note": "heuristic rank bound; numerical walls only"}
-
-
 def _scaled(v: NumClass) -> tuple[int, int, int, int]:
     """(R*v0, R*v1, 2R*v2, R) for the least R > 0 that makes the first
     three integers, from each component's integer ratio read once: the
@@ -225,16 +191,37 @@ def _scaled(v: NumClass) -> tuple[int, int, int, int]:
     return n0 * (R // d0), n1 * (R // d1), n2 * (2 * R // d2), R
 
 
-def _scaled_inputs(v: NumClass, disc_bound: Fraction):
-    """The class's side of the scan: ``_scaled``, disc = R^2 * disc(v) and
-    the budget DS, that is R^2 * (disc(v) + disc_bound) rounded down to an
-    integer; DomainError when disc(v) < 0."""
+def _scan_inputs(v: NumClass, slack):
+    """The class's side of the scan, derived once for enumeration and
+    ``search_box``: ``_scaled``'s P0, P1, T2 and R,
+    disc = R^2 * disc(v), the budget DS = floor(R^2 * (disc(v) + slack))
+    and the search box's bound w0_max on |w0|.  That bound is a heuristic:
+    the larger of 2*ceil(|v0|) + 2, 2*(isqrt(ceil(disc(v) + slack)) + 1) + 2
+    and 8.  InputError for a negative slack, DomainError when
+    disc(v) < 0."""
+    n, d = rational(slack).as_integer_ratio()
+    if n < 0:
+        raise InputError("disc_bound must be nonnegative")
     P0, P1, T2, R = _scaled(v)
     disc = P1 * P1 - P0 * T2  # R^2 * disc(v)
     if disc < 0:
         raise DomainError("class has negative discriminant; no walls")
-    DS = disc + R * R * disc_bound.numerator // disc_bound.denominator
-    return P0, P1, T2, R, disc, DS
+    R2 = R * R
+    top = -(-(disc * d + n * R2) // (R2 * d))  # ceil(disc(v) + slack)
+    w0_max = max(2 * -(-abs(P0) // R) + 2, 2 * math.isqrt(top) + 4, 8)
+    return P0, P1, T2, R, disc, disc + R2 * n // d, w0_max
+
+
+def search_box(v: NumClass, disc_bound) -> dict:
+    """The finite lattice box that a scan for v covers, as ``_scan_inputs``
+    derives it, reported for reproducibility; a request that the region
+    rule or the Delta(v) = 0 rule of ``enumerate_candidate_walls`` answers
+    scans none of it.  The rank bound is ``_scan_inputs``' heuristic;
+    completeness relative to all numerical walls is not claimed."""
+    _, _, _, R, disc, _, w0_max = _scan_inputs(v, disc_bound)
+    return {"w0_min": -w0_max, "w0_max": w0_max,
+            "disc_budget": str(Fraction(disc, R * R) + rational(disc_bound)),
+            "note": "heuristic rank bound; numerical walls only"}
 
 
 def enumerate_candidate_walls(v: NumClass, region: Region,
@@ -267,7 +254,7 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     The scan skips every row (w0, w1) that admits no real t, by a
     discriminant bound (see ``_wallscan_py``), so its work follows the rows
     that do, not the width of the region's Im window.  A search box of
-    more than SCAN_W0_BUDGET values of w0 (``_w0_bound``, in integers)
+    more than SCAN_W0_BUDGET values of w0 (``_scan_inputs``, in integers)
     raises InputError before the scan.  A scanned candidate's wall key is
     ``wall_between``'s coefficients in ``Wall``'s normal form, computed
     inline, and one table of this call maps it to [wall, point, witness].
@@ -345,20 +332,15 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     those rows out keeps every ``wall_between`` call, its arguments and
     their order, and every witness.
     """
-    disc_bound = rational(disc_bound)
-    if disc_bound < 0:
-        raise InputError("disc_bound must be nonnegative")
-    P0, P1, T2, R, disc, DS = _scaled_inputs(v, disc_bound)
+    P0, P1, T2, R, disc, DS, w0_max = _scan_inputs(v, disc_bound)
     if disc == 0:  # the Delta(v) = 0 rule
         return []
-    ends = _region_ends(region)
-    (bln, bld), (bhn, bhd), (cn, cd) = ends
+    (bln, bld), (bhn, bhd), (cn, cd) = ends = region._ends
     # x/y: the beta of the range nearest 0, where U reaches lowest
     x, y = (bln, bld) if bln > 0 else (bhn, bhd) if bhn < 0 else (0, 1)
     if (P1 * bld - P0 * bln <= 0 and P1 * bhd - P0 * bhn <= 0
             or 2 * cn * y * y <= cd * x * x):
         return []
-    w0_max = _w0_bound(P0, R, disc, disc_bound)
     width = 2 * w0_max + 1
     if width > SCAN_W0_BUDGET:
         raise InputError(f"search box |w0| <= {_digits(w0_max)} holds "

@@ -155,15 +155,18 @@ def test_pinned_reprs():
 
 def test_param_point_keeps_omega_sq():
     # omega^2 is derived once, by the U check, and read back as that object;
-    # the fields alone make the repr, equality, hash and the round trips
+    # the fields alone make the repr, equality, hash and the round trips,
+    # which derive it again, as they do a Region's integer ends
     p = ParamPoint(Q(-1, 4), Q(1, 8))
     assert p.omega_sq is p.omega_sq and p.omega_sq == Q(3, 16)
     assert p.__match_args__ == ("beta", "alpha")
     assert repr(p) == "ParamPoint(beta=Fraction(-1, 4), alpha=Fraction(1, 8))"
     assert hash(p) == hash((p.beta, p.alpha))
+    region = Region(Q(-1, 3), Q(1, 2), Q(5, 7))
     for round_trip in ROUND_TRIPS:
         copied = round_trip(p)
         assert copied == p and copied.omega_sq == Q(3, 16)
+        assert round_trip(region)._ends == ((-1, 3), (1, 2), (5, 7))
     with pytest.raises(AttributeError):
         p._omega_sq = Q(1)
 

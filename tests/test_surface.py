@@ -1,7 +1,8 @@
-"""The public surface: every name that ``tiltwall`` exports, and every
-public method and property defined on an exported class, is used by another
-module of the package or by the benchmark, or is listed with the open
-ROADMAP items that will call it."""
+"""The public surface and the helpers behind it: every name that
+``tiltwall`` exports, every module-level function and class of the package,
+and every public method and property defined on an exported class, is used
+by the package's other code or by the benchmark, or is listed with the open
+ROADMAP items that will call it, so no helper is left behind unused."""
 
 import ast
 import types
@@ -46,10 +47,21 @@ def _referenced() -> set[str]:
     return names
 
 
-def test_every_export_is_used_or_awaits_an_open_item():
-    exports = _exports()
+def _definitions() -> set[str]:
+    """Every function and class defined at the top level of a module of the
+    package."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for path in PACKAGE.glob("*.py")
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, kinds)}
+
+
+def test_every_export_function_and_class_is_used_or_awaits_an_open_item():
+    exports, definitions = _exports(), _definitions()
     assert exports <= set(vars(tiltwall))
-    assert exports - _referenced() == {n for n in AWAITING if "." not in n}
+    assert "_scan_inputs" in definitions and "Record" in definitions
+    assert ((exports | definitions) - _referenced()
+            == {n for n in AWAITING if "." not in n})
 
 
 def _public_methods() -> set[str]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,9 +16,8 @@ from tiltwall import (NumClass, ParamPoint, Region, Wall, class_of_line_bundle,
 from tiltwall.errors import DomainError, InputError
 from tiltwall import _wallscan_py, walls as walls_module
 from tiltwall._wallscan_py import _quadratic_interval, _row_interval
-from tiltwall.walls import (_region_ends, _scaled, _scaled_inputs,
-                            _wall_window, _witness_class, plot_frame,
-                            search_box)
+from tiltwall.walls import (_scaled, _scan_inputs, _wall_window,
+                            _witness_class, plot_frame, search_box)
 
 from conftest import integral_classes, lattice_class
 from oracles import (delta_pairing, delta_zero_class, scan_candidates_exhaustive,
@@ -143,10 +143,13 @@ REGION = Region(-2, 0, 2)
 
 
 def test_enumeration_rejects_bad_input():
-    with pytest.raises(InputError):
-        enumerate_candidate_walls(class_of_line_bundle(0), REGION, -1)
-    with pytest.raises(DomainError):
-        enumerate_candidate_walls(NumClass(2, 0, 1, 0), REGION, 0)
+    # search_box rejects what enumeration rejects: both read _scan_inputs
+    for scan in (lambda v, disc: enumerate_candidate_walls(v, REGION, disc),
+                 search_box):
+        with pytest.raises(InputError):
+            scan(class_of_line_bundle(0), -1)
+        with pytest.raises(DomainError):
+            scan(NumClass(2, 0, 1, 0), 0)
 
 
 def test_search_box_over_the_w0_budget_is_rejected_before_the_scan(monkeypatch):
@@ -280,14 +283,10 @@ def test_witness_class_is_the_line_bundle_sum():
 def _scan_args(v, region, disc, w0_box=None):
     """scan_candidates' arguments for v, as enumerate_candidate_walls makes
     them, with the search box's w0 range or [-w0_box, w0_box]."""
-    (bln, bld), (bhn, bhd), _ = _region_ends(region)
-    if w0_box is None:
-        box = search_box(v, disc)
-        w0_lo, w0_hi = box["w0_min"], box["w0_max"]
-    else:
-        w0_lo, w0_hi = -w0_box, w0_box
-    P0, P1, T2, R, _, DS = _scaled_inputs(v, Q(disc))
-    return P0, P1, T2, R, DS, w0_lo, w0_hi, bln, bld, bhn, bhd
+    (bln, bld), (bhn, bhd), _ = region._ends
+    P0, P1, T2, R, _, DS, w0_max = _scan_inputs(v, disc)
+    w0 = w0_max if w0_box is None else w0_box
+    return P0, P1, T2, R, DS, -w0, w0, bln, bld, bhn, bhd
 
 
 def _scanned(v, region, disc):
@@ -437,7 +436,9 @@ def test_wall_between_runs_once_per_distinct_scanned_key(monkeypatch):
     candidates as the scan's list: on each walls-sweep input, enumeration
     calls wall_between exactly once per distinct wall of the scanned
     candidates, 2,920 calls for the 15,825 candidates of one pass.  The 12
-    inputs of class O, of Delta = 0, make no scan and no call."""
+    inputs of class O, of Delta = 0, make no scan and no call.  Every other
+    input scans once, over the box that search_box reports, with the budget
+    DS = floor(R^2 * disc_budget)."""
     calls, scans = [], []
 
     def counting(v, w):
@@ -459,6 +460,11 @@ def test_wall_between_runs_once_per_distinct_scanned_key(monkeypatch):
                 if discriminant(v) == 0:
                     assert calls == [] and scans == []
                     continue
+                (args,) = scans
+                box = search_box(v, disc)
+                assert args[5:7] == (box["w0_min"], box["w0_max"])
+                R = _scaled(v)[3]
+                assert args[4] == math.floor(R * R * Q(box["disc_budget"]))
                 scanned = _scanned(v, region, disc)
                 keys = {wall_between_fraction(v, _witness_class(*c))
                         for c in scanned} - {None}
@@ -884,7 +890,7 @@ def test_wall_window_matches_sympy(case):
     every wall of v; a vertical wall never has one."""
     wall, v, _, region = case
     P0, P1 = _scaled(v)[:2]
-    point = _wall_window(wall.A, wall.B, wall.C, _region_ends(region), P0, P1)
+    point = _wall_window(wall.A, wall.B, wall.C, region._ends, P0, P1)
     if point is not None:
         _assert_point_of_wall(wall, point, v, region)
     elif wall.A == 0 or _im_v_vanishes_on_wall(wall, v, region):
@@ -909,7 +915,7 @@ def _assert_point_of_wall(wall, point, v, region):
 
 def _points(v, region, disc):
     """{wall: point} for every distinct wall of the scanned candidates."""
-    ends = _region_ends(region)
+    ends = region._ends
     P0, P1 = _scaled(v)[:2]
     walls = {wall_between(v, c) for c in _scanned(v, region, disc)} - {None}
     return {w: _wall_window(w.A, w.B, w.C, ends, P0, P1) for w in walls}
