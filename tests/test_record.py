@@ -1,8 +1,8 @@
 """The twelve value classes share one immutable-value base: equality and hash
 on the fields (or, for Surd and Slope, on the number they denote), the field
 repr in slot order, no assignment or deletion, pickling and copying through
-the constructor, and nothing of it costs the CLI an import of dataclasses or
-inspect."""
+the constructor, one setter that takes exactly the slots in slot order, and
+nothing of it costs the CLI an import of dataclasses or inspect."""
 
 import copy
 import os
@@ -51,6 +51,33 @@ CASES = {
 ROUND_TRIPS = (copy.copy, copy.deepcopy,
                lambda value: pickle.loads(pickle.dumps(value)))
 
+# each class with a derived slot: its name and its value for CASES[cls][0]
+DERIVED = {
+    ParamPoint: ("_omega_sq", Q(3, 16)),
+    Region: ("_ends", ((-2, 1), (0, 1), (2, 1))),
+    CollectionSpec: ("_mu", (-3, -2, -1, 0)),
+}
+
+
+class Single(Record):
+    """A record of one slot, with the base's equality and hash (Slope, the
+    library's one record of one slot, has its own)."""
+
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        self._set(x)
+
+
+class Octet(Record):
+    """A record of eight slots, more than any library class has: seven
+    fields and their sum, a derived slot."""
+
+    __slots__ = ("a", "b", "c", "d", "e", "f", "g", "_sum")
+
+    def __init__(self, a, b, c, d, e, f, g):
+        self._set(a, b, c, d, e, f, g, a + b + c + d + e + f + g)
+
 
 @pytest.mark.parametrize("cls", CASES, ids=lambda c: c.__name__)
 def test_equal_fields_give_equal_values_and_hashes(cls):
@@ -77,6 +104,45 @@ def test_fields_cannot_be_set_or_deleted(cls):
         assert getattr(value, name) is before
     with pytest.raises(AttributeError):
         value.extra = 1
+
+
+@pytest.mark.parametrize("cls", CASES, ids=lambda c: c.__name__)
+def test_set_takes_exactly_one_value_per_slot_in_slot_order(cls):
+    n = len(cls.__slots__)
+    for count in (n - 1, n + 1):
+        with pytest.raises(TypeError):
+            object.__new__(cls)._set(*range(count))
+    value = object.__new__(cls)
+    value._set(*range(n))
+    assert [getattr(value, name) for name in cls.__slots__] == list(range(n))
+    assert vars(cls)["_set"].__qualname__ == f"{cls.__qualname__}._set"
+    if cls in DERIVED:
+        name, derived = DERIVED[cls]
+        assert getattr(cls(*CASES[cls][0]), name) == derived
+
+
+@pytest.mark.parametrize("cls, first, second", [
+    (Single, (1,), (2,)),
+    (Octet, tuple(range(7)), tuple(range(1, 8)))], ids=["1-slot", "8-slots"])
+def test_records_of_other_slot_counts(cls, first, second):
+    a, b, c = cls(*first), cls(*first), cls(*second)
+    assert a == b and hash(a) == hash(b) and a != c
+    assert hash(a) == hash(first) and a.__match_args__ == tuple(
+        name for name in cls.__slots__ if name != "_sum")
+    for round_trip in ROUND_TRIPS:
+        copied = round_trip(a)
+        assert copied == a and copied.__class__ is cls
+        assert [getattr(copied, s) for s in cls.__slots__] == [
+            getattr(a, s) for s in cls.__slots__]
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    if "_sum" in cls.__slots__:
+        assert a._sum == sum(first) and c._sum == sum(second)
+    with pytest.raises(TypeError):
+        cls(*first, 0)
 
 
 def test_surd_residual_report_pickles_and_copies():
