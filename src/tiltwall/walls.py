@@ -162,14 +162,15 @@ def _witness_class(w0: int, w1: int, t: int) -> NumClass:
 # Values of w0 a scan may visit, over the box |w0| <= w0_max of
 # ``_scan_inputs``.  A scanned row costs at least about 1.5 us, and a
 # mirrored row (a lattice class, ``_wallscan_py.mirror_rows``) about a
-# thirtieth of a scanned one, its candidates included: 1.5-2.9 us
-# against 0.04-0.08 us for 200000,0,0,0, whose box of 800,005 rows has
-# 500,003 scanned and 300,002 mirrored, with 99,999 candidates in these
-# (best of 7, 2-vCPU Intel Xeon, Python 3.11.7, varying with the host's
-# load).  A lattice class still scans more than half of the rows of its box,
-# which is symmetric, and any other class all of them, so a search box over
-# this many values would scan for 7 s or more and is rejected before the
-# scan.
+# fifteenth of a scanned one, its candidates included: 1.6-1.8 us against
+# 0.11-0.12 us for 200000,0,-1,0 (Delta = 400,000) in Region(-1/10^6, 0, 1)
+# at disc 0, whose box of 800,005 rows has 500,003 scanned, with 200,000
+# candidates, and 300,002 mirrored, with 199,998; a scanned row without a
+# candidate costs 1.5-2.1 us (best of 7, 2-vCPU Intel Xeon, Python 3.11.7,
+# varying with the host's load).  A lattice class still scans more than
+# half of the rows of its box, which is symmetric, and any other class all
+# of them, so a search box over this many values would scan for 7 s or more
+# and is rejected before the scan.
 SCAN_W0_BUDGET = 10**7
 
 
@@ -241,8 +242,8 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         cd*x^2, x/y the beta of the range nearest 0).
       * The wall: its first candidate builds it with ``wall_between`` on
         the triples (P0, P1, T2) and (w0, w1, t), and its point (n, m, S)
-        with ``_wall_window``, where S = m*R*Im Z(v) > 0, or None, which
-        ends the key's tests.
+        with ``_wall_window`` from the ``Wall``'s fields, where
+        S = m*R*Im Z(v) > 0, or None, which ends the key's tests.
       * The candidate (w0, w1, t): with k = w1*m - w0*n = m*Im Z(w) at n/m,
         it passes iff 0 < k and R*k < S, that is iff Im Z(w) > 0 and
         Im Z(v - w) > 0 there.
@@ -256,14 +257,21 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     that do, not the width of the region's Im window.  A search box of
     more than SCAN_W0_BUDGET values of w0 (``_scan_inputs``, in integers)
     raises InputError before the scan.  A scanned candidate's wall key is
-    ``wall_between``'s coefficients in ``Wall``'s normal form, computed
-    inline, and one table of this call maps it to [wall, point, witness].
-    Candidates are taken in scan order, and the first one that passes
-    fills the witness slot (``_witness_class``, the one ``Fraction``
-    step), after which its wall's later candidates are skipped.  For a
-    lattice class the rows a < w0 <= top of ``_wallscan_py.mirror_rows``
-    are not visited at all (``_wallscan_py.unmirrored_candidates``; why
-    below).
+    the wall's direction through Pi(v): (A, B)/g with g = gcd(A, B) when
+    P0 != 0, and (A, C)/g with g = gcd(A, C) in rank 0, its first nonzero
+    entry positive.  It names the line, because every line
+    A*alpha + B*beta + C = 0 through [v] = [P0 : P1 : T2/2] has
+    A*T2 + 2B*P1 + 2C*P0 = 0: when P0 != 0, (A, B) fixes C, and in rank 0,
+    where P1 != 0 (the Delta(v) = 0 rule has run) and A = 2*w0*P1 != 0,
+    (A, C) fixes B.  So g = 0 exactly when A = B = C = 0, and such a
+    candidate is skipped.  One table of this call maps the key to
+    [wall, point, witness], or to None when the wall has no point, so that
+    its later candidates cost one lookup.  Candidates are taken in scan
+    order, and the first one that passes fills the witness slot
+    (``_witness_class``, the one ``Fraction`` step), after which its
+    wall's later candidates are skipped.  For a lattice class the rows
+    a < w0 <= top of ``_wallscan_py.mirror_rows`` are not visited at all
+    (``_wallscan_py.unmirrored_candidates``; why below).
 
     Why one point decides the window.  Write X = -Re Z = ch2^b -
     (omega^2/2)*ch0, with omega^2 = 2*alpha - beta^2 > 0 in U.  The wall of
@@ -285,9 +293,9 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
       * ch1^b(w) = 0 at a beta of I would force X(w) = 0 there, that is
         Z(w) = 0, and then Delta(w) = (ch1^b)^2 - 2*ch0*ch2^b =
         -omega^2*w0^2.  The scan keeps only Delta(w) >= 0, so w0 = 0, and
-        Z(w) = 0 then reads w1 = w2 = 0: w = 0, whose key is skipped
-        (g = 0).  The same holds for v - w, with Delta(v - w) >= 0 and
-        v - w = 0 again giving g = 0.
+        Z(w) = 0 then reads w1 = w2 = 0: w = 0, so A = B = C = 0, g = 0
+        and the candidate is skipped.  The same holds for v - w, with
+        Delta(v - w) >= 0 and v - w = 0 again giving g = 0.
       * So Im Z(w) and Im Z(v - w) keep their signs on I, and the test at
         n/m gives the verdict on the whole wall, which is whether some
         point of it in region /\\ cap /\\ U has 0 < Im Z(w) < Im Z(v).
@@ -311,7 +319,7 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
         forces k1 = k2 = 0.  So Delta(k) < 0 unless k = 0, and with the
         scan's Delta(w) >= 0 and Delta(v - w) >= 0, Delta(w, v - w) > 0.
       * k = 0 means v - w = lambda*w, so w is proportional to v, A = B =
-        C = 0 and the key is skipped (g = 0).
+        C = 0, g = 0 and the candidate is skipped.
     So every witness has Delta(w) + Delta(v - w) < Delta(v), strictly.
     When Delta(v) = 0 no w meets that with both terms >= 0: the scan's
     candidates hold no witness, and the rule answers without them.
@@ -322,8 +330,9 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
     scanned candidates of rows at most a, which come earlier in the list
     (``_wallscan_py``'s docstring).  Take c in such a row.
       * iota(c) has the key of c: it negates A, B and C (A of iota(c) is
-        2*((P0 - w0)*P1 - P0*(P1 - w1)) = -A, and so on), and the normal
-        form forgets the sign; g = 0 for both or for neither.
+        2*((P0 - w0)*P1 - P0*(P1 - w1)) = -A, and so on), so A and the
+        key's second coordinate, and the key forgets the sign; g = 0 for
+        both or for neither.
       * iota(c) has the verdict of c: with R = 1 it maps k to S - k at the
         key's point, so 0 < k < S holds for both or for neither.
     So c is never its key's first candidate, which builds the wall with
@@ -347,31 +356,32 @@ def enumerate_candidate_walls(v: NumClass, region: Region,
                          f"{_digits(width)} values of w0, over the scan budget "
                          f"of {SCAN_W0_BUDGET}")
     vt = (P0, P1, T2)
-    table: dict[tuple[int, int, int], list] = {}  # key -> [wall, point, witness]
+    # key -> [wall, point, witness], or None for a wall without a point
+    table: dict[tuple[int, int], Optional[list]] = {}
     for w0, w1, t in _wallscan_py.unmirrored_candidates(
             P0, P1, T2, R, DS, -w0_max, w0_max, bln, bld, bhn, bhd):
-        # the wall key: wall_between's coefficients, as Wall normalizes them
+        # the key: the wall's direction through Pi(v), (A, B) or in rank 0 (A, C)
         A = 2 * (w0 * P1 - P0 * w1)
-        B = t * P0 - T2 * w0
-        C = T2 * w1 - t * P1
-        g = math.gcd(A, B, C)
+        Y = t * P0 - T2 * w0 if P0 else T2 * w1 - t * P1
+        g = math.gcd(A, Y)
         if g == 0:
             continue
-        if (A or B or C) < 0:
+        if (A or Y) < 0:
             g = -g
-        A, B, C = key = A // g, B // g, C // g
-        entry = table.get(key)
-        if entry is None:  # the wall's first candidate; perfbench counts keys here
-            entry = table[key] = [wall_between(vt, (w0, w1, t)),
-                                  _wall_window(A, B, C, ends, P0, P1), None]
-        _, point, witness = entry
-        if witness is None and point is not None:
-            n, m, S = point
+        key = A // g, Y // g
+        entry = table.get(key, False)
+        if entry is False:  # the wall's first candidate; perfbench counts keys here
+            wall = wall_between(vt, (w0, w1, t))
+            point = _wall_window(wall.A, wall.B, wall.C, ends, P0, P1)
+            entry = table[key] = None if point is None else [wall, point, None]
+        if entry is not None and entry[2] is None:
+            n, m, S = entry[1]
             k = w1 * m - w0 * n  # m * Im Z(w) at beta = n/m
             if 0 < k and R * k < S:
                 entry[2] = _witness_class(w0, w1, t)
-    found = [(key, wall, w) for key, (wall, _, w) in table.items() if w is not None]
-    return [(wall, w) for _, wall, w in sorted(found)]
+    found = [(wall, w) for wall, _, w in filter(None, table.values())
+             if w is not None]
+    return sorted(found, key=lambda pair: (pair[0].A, pair[0].B, pair[0].C))
 
 
 # --- plot scene --------------------------------------------------------------

@@ -975,15 +975,31 @@ def _assert_sign_tests_match_oracle(v, region, disc) -> int:
     the same ``wall_feasible`` verdict.  On a wall with a point, neither
     Im Z(w) nor Im Z(v - w) is zero there, as enumeration's proof has it
     (so a test >= 0 in place of > 0 would give the same verdicts there).
+    When enumeration scans, it calls wall_between once per distinct
+    ``wall_between_fraction`` wall of the visited candidates, so its key,
+    (A, C) in rank 0 and (A, B) otherwise, names each wall once; when a
+    pre-scan rule answers, it makes no call.
     Returns the number of scanned candidates."""
-    passed = []
+    passed, calls, scans = [], [], []
+    scan = _wallscan_py.scan_candidates
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(walls_module, "_witness_class",
                    lambda *c: passed.append(c))
+        mp.setattr(walls_module, "wall_between",
+                   lambda a, b: calls.append(wall_between(a, b)) or calls[-1])
+        mp.setattr(_wallscan_py, "scan_candidates",
+                   lambda *args: scans.append(args) or scan(*args))
         assert enumerate_candidate_walls(v, region, disc) == []
     args = _scan_args(v, region, disc)
     scanned = _wallscan_py.scan_candidates(*args)
     visited = list(_wallscan_py.unmirrored_candidates(*args))
+    if scans:
+        assert scans == [args]
+        keys = {wall_between_fraction(v, _witness_class(*c))
+                for c in visited} - {None}
+        assert len(calls) == len(keys) and set(calls) == keys
+    else:
+        assert calls == []
     points = _points(v, region, disc)
     feasible = {}
     for c in scanned:
